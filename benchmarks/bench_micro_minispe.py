@@ -5,9 +5,6 @@ on: record allocation, hash routing through a deployed graph, window
 assignment, and operator snapshotting.
 """
 
-import time
-
-from repro.minispe.fuse import fuse_chains
 from repro.minispe.graph import JobGraph, Partitioning
 from repro.minispe.operators import FilterOperator, KeyByOperator, MapOperator
 from repro.minispe.record import Record, Watermark
@@ -89,23 +86,16 @@ def bench_hash_routing_pipeline_batched(benchmark):
     benchmark(push_all)
 
 
-def _stateless_chain_graph(fused: bool) -> JobGraph:
+def _stateless_chain_graph() -> JobGraph:
     """source -> map -> filter -> map -> key_by -> sink, all FORWARD
-    until the keyed shuffle; the four stateless operators form one
-    fusible chain."""
-    graph = (
+    until the keyed shuffle."""
+    return (
         JobGraph()
         .add_source("src")
-        .add_operator("map1", lambda: MapOperator(lambda v: v + 1, "map1"), fusible=True)
-        .add_operator(
-            "filter1",
-            lambda: FilterOperator(lambda v: v % 3, "filter1"),
-            fusible=True,
-        )
-        .add_operator("map2", lambda: MapOperator(lambda v: v * 2, "map2"), fusible=True)
-        .add_operator(
-            "key_by", lambda: KeyByOperator(lambda v: v & 7, "key_by"), fusible=True
-        )
+        .add_operator("map1", lambda: MapOperator(lambda v: v + 1, "map1"))
+        .add_operator("filter1", lambda: FilterOperator(lambda v: v % 3, "filter1"))
+        .add_operator("map2", lambda: MapOperator(lambda v: v * 2, "map2"))
+        .add_operator("key_by", lambda: KeyByOperator(lambda v: v & 7, "key_by"))
         .add_operator("sink", CountingSink)
         .connect("src", "map1")
         .connect("map1", "filter1")
@@ -113,53 +103,12 @@ def _stateless_chain_graph(fused: bool) -> JobGraph:
         .connect("map2", "key_by")
         .connect("key_by", "sink", Partitioning.HASH)
     )
-    return fuse_chains(graph) if fused else graph
 
 
-def _chain_tps(fused: bool, records, reps: int = 6) -> float:
-    runtime = JobRuntime(_stateless_chain_graph(fused))
-    best = 0.0
-    for _ in range(reps):
-        started = time.perf_counter()
-        runtime.push_many("src", records, batch_size=64)
-        elapsed = time.perf_counter() - started
-        if elapsed:
-            best = max(best, len(records) / elapsed)
-    return best
-
-
-def measure_fused_speedup(record_count: int = 2_000) -> dict:
-    """The fusion gate metrics (``check_perf_regression.py --fused``).
-
-    Interleaved unfused/fused pairs, median per-pair ratio — the same
-    drift-cancelling shape as the other machine-normalised gates.
-    """
-    records = [Record(index, index, index % 16) for index in range(record_count)]
-    _chain_tps(True, records, reps=2)  # warm-up, discarded
-    pairs = [(_chain_tps(False, records), _chain_tps(True, records)) for _ in range(3)]
-    ratios = sorted(fused / unfused for unfused, fused in pairs if unfused)
-    return {
-        "fused_pipeline_speedup": ratios[len(ratios) // 2] if ratios else 0.0,
-        "fused_pipeline_tps": max(fused for _, fused in pairs),
-        "unfused_pipeline_tps": max(unfused for unfused, _ in pairs),
-    }
-
-
-def bench_fused_stateless_chain(benchmark):
-    """1k records through the fused map->filter->map->key_by chain.
-
-    Compare against :func:`bench_unfused_stateless_chain`: fusion must
-    move records >= 1.3x faster (gated by ``check_perf_regression.py
-    --fused`` via :func:`measure_fused_speedup`).
-    """
-    runtime = JobRuntime(_stateless_chain_graph(fused=True))
-    records = [Record(index, index, index % 16) for index in range(1_000)]
-    benchmark(lambda: runtime.push_many("src", records, batch_size=64))
-
-
-def bench_unfused_stateless_chain(benchmark):
-    """The same chain with each operator as its own runtime stage."""
-    runtime = JobRuntime(_stateless_chain_graph(fused=False))
+def bench_stateless_chain(benchmark):
+    """1k records through the map->filter->map->key_by chain, each
+    operator its own runtime stage fed whole batches."""
+    runtime = JobRuntime(_stateless_chain_graph())
     records = [Record(index, index, index % 16) for index in range(1_000)]
     benchmark(lambda: runtime.push_many("src", records, batch_size=64))
 

@@ -29,10 +29,6 @@ binary columnar codec (ISSUE 7) adds a second gated ratio,
 ``serve_ingest_ratio_binary_inline`` (pipelined binary wire / direct),
 with an *absolute* floor of 0.5 on top of the baseline gate.
 
-``--fused`` gates operator-chain fusion (ISSUE 7): the fused stateless
-map→filter→map→key_by chain in ``bench_micro_minispe.py`` must move
-records at least 1.3x faster than the same chain unfused.
-
 ``--sharing`` gates the semantic-overlap optimizer (ISSUE 8): on the
 500-query ~30%-pairwise-overlap workload of
 ``bench_ablation_predicate_dedup.py``, service TPS with
@@ -124,9 +120,6 @@ SERVE_BINARY_RATIO_FLOOR = 0.5
 bar): machine-independent, on top of the relative baseline gate."""
 OBSERVE_FLOOR = 0.90
 """Minimum observe-on / observe-off service-throughput ratio."""
-FUSED_SPEEDUP_FLOOR = 1.3
-"""Absolute floor on fused / unfused stateless-chain throughput (the
-ISSUE 7 fusion bar)."""
 SHARING_GATED_METRICS = ("sharing_tps_ratio_500q_overlap",)
 SHARING_RATIO_FLOOR = 1.3
 """Absolute floor on sharing-on / sharing-off service TPS on the
@@ -238,15 +231,6 @@ def measure_resize() -> dict:
     except ImportError:  # imported as a package (pytest, tooling)
         from benchmarks.bench_resize_latency import measure_gate_metrics
     return measure_gate_metrics()
-
-
-def measure_fused() -> dict:
-    """The operator-fusion gate metrics (ISSUE 7)."""
-    try:
-        from bench_micro_minispe import measure_fused_speedup
-    except ImportError:  # imported as a package (pytest, tooling)
-        from benchmarks.bench_micro_minispe import measure_fused_speedup
-    return measure_fused_speedup()
 
 
 def measure_state() -> dict:
@@ -401,10 +385,6 @@ def main(argv=None) -> int:
                              "pushes (ceiling gate vs the committed "
                              "serve baseline) instead of the baseline "
                              "metrics")
-    parser.add_argument("--fused", action="store_true",
-                        help="gate operator-chain fusion: the fused "
-                             "stateless chain must move records at "
-                             "least 1.3x faster than the unfused one")
     parser.add_argument("--sharing", action="store_true",
                         help="gate the semantic-overlap optimizer: "
                              "sharing-on service TPS must be at least "
@@ -508,24 +488,6 @@ def main(argv=None) -> int:
                 f"{measured['sharing_overlap_fraction']:.2f})"
             )
         return 1 if failures else 0
-
-    if args.fused:
-        measured = measure_fused()
-        for metric, value in measured.items():
-            print(f"{metric} = {value:,.3f}")
-        speedup = measured["fused_pipeline_speedup"]
-        if speedup < FUSED_SPEEDUP_FLOOR:
-            print(
-                f"REGRESSION: fused chain is only {speedup:.3f}x the "
-                f"unfused chain (floor {FUSED_SPEEDUP_FLOOR:.1f}x)",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"fusion gate OK ({speedup:.3f}x >= "
-            f"{FUSED_SPEEDUP_FLOOR:.1f}x unfused throughput)"
-        )
-        return 0
 
     if args.latency:
         measured = measure_latency()

@@ -358,8 +358,7 @@ class QueryAtATimeEngine:
             if not eligible:
                 continue
             job.runtime.push(
-                self._source_name(job, stream),
-                eligible[0] if len(eligible) == 1 else RecordBatch(eligible),
+                self._source_name(job, stream), RecordBatch(eligible)
             )
         return len(records)
 

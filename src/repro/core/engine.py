@@ -540,111 +540,70 @@ class AStreamEngine:
         finally:
             self._ingest_cpu_ns += time.perf_counter_ns() - started
 
+    def _ingest(self, stream: str, batch: RecordBatch) -> int:
+        """Run one batch through the dataflow; returns its size.
+
+        Every data entry point lands here.  With ``log_inputs`` the batch
+        is one atomic input-log entry: if an injected (or real) fault
+        kills the push mid-batch the entry is un-logged — recovery wipes
+        the partial effects and must not replay the batch, because the
+        caller, who observed the exception, retries or dead-letters the
+        whole batch and keeps the exactly-once accounting.
+        """
+        count = len(batch)
+        if not count:
+            return 0
+        if batch.trace is not None and self.obs is not None:
+            # Force-sample the tracer so the per-operator breakdown
+            # lines up with the wire span the trace context belongs to.
+            self.obs.tracer.force_next()
+        source = f"source:{stream}"
+        if not self.config.log_inputs:
+            self._run_push(source, batch)
+            return count
+        self._input_log.append(("batch", (stream, batch)))
+        try:
+            self._run_push(source, batch)
+        except BaseException:
+            self._input_log.pop()
+            raise
+        return count
+
     def push(
         self, stream: str, timestamp: int, value: Any, key: Any = None
     ) -> None:
-        """Inject one data tuple into ``stream``."""
+        """Inject one data tuple into ``stream`` (a batch of one)."""
         if key is None:
             key = getattr(value, "key", None)
-        record = Record(timestamp=timestamp, value=value, key=key)
-        if not self.config.log_inputs:
-            self._run_push(f"source:{stream}", record)
-            return
-        self._input_log.append(("record", (stream, record)))
-        try:
-            self._run_push(f"source:{stream}", record)
-        except BaseException:
-            # An injected (or real) fault killed this push mid-flight: the
-            # element must not be replayed by recovery, because the caller
-            # will retry or dead-letter it.  Exactly-once accounting stays
-            # with whoever observed the exception.
-            self._input_log.pop()
-            raise
+        self._ingest(stream, RecordBatch([Record(timestamp, value, key)]))
 
     def push_many(
         self, stream: str, tuples: List[Tuple[int, Any]], trace=None
     ) -> int:
-        """Inject a micro-batch of ``(timestamp, value)`` tuples.
+        """Inject ``(timestamp, value)`` tuples as one batch.
 
         The batch traverses the dataflow as one :class:`RecordBatch`, so
         partitioning, routing, and operator dispatch are paid once per
-        batch instead of once per tuple.  With ``log_inputs`` the whole
-        batch is one atomic input-log entry: if a fault kills the push
-        mid-batch the entry is un-logged, recovery wipes the partial
-        effects, and the caller's whole-batch retry is not a duplicate.
-        Returns the number of tuples injected.
+        batch instead of once per tuple.  ``trace`` is an optional wire
+        trace context to ride the batch.  Returns the number of tuples
+        injected.
         """
         records = [
-            Record(
-                timestamp=timestamp,
-                value=value,
-                key=getattr(value, "key", None),
-            )
+            Record(timestamp, value, getattr(value, "key", None))
             for timestamp, value in tuples
         ]
-        return self.push_records(stream, records, trace=trace)
-
-    def push_records(
-        self, stream: str, records: List[Record], trace=None
-    ) -> int:
-        """Inject a micro-batch of pre-built :class:`Record` objects.
-
-        The zero-rebuild ingest seam: the serving layer's columnar
-        decoder materialises records straight from wire columns and
-        hands them here, skipping the ``(timestamp, value)`` pair
-        round-trip that :meth:`push_many` exists to unpack.  Semantics
-        (atomic input-log entry, un-log on mid-batch fault) are
-        identical to :meth:`push_many`.
-        """
-        if not records:
-            return 0
-        if trace is not None:
-            # A wire-traced push always travels as a batch so the trace
-            # context has somewhere to ride; force-sample the tracer so
-            # the per-operator breakdown lines up with the wire span.
-            element = RecordBatch(records, trace=trace)
-            if self.obs is not None:
-                self.obs.tracer.force_next()
-        else:
-            element = records[0] if len(records) == 1 else RecordBatch(records)
-        if not self.config.log_inputs:
-            self._run_push(f"source:{stream}", element)
-            return len(records)
-        self._input_log.append(("batch", (stream, records)))
-        try:
-            self._run_push(f"source:{stream}", element)
-        except BaseException:
-            self._input_log.pop()
-            raise
-        return len(records)
+        return self._ingest(stream, RecordBatch(records, trace=trace))
 
     def push_batch(self, stream: str, batch: RecordBatch) -> int:
         """Inject one pre-assembled :class:`RecordBatch`.
 
         The columnar wire-ingest seam: the serving layer's binary
         decoder produces columnar batches whose row objects materialise
-        lazily, and this method injects the batch *without touching the
-        rows* — a columnar-aware first operator (shared selection) then
-        builds objects only for rows some query wants.  Input-log and
-        fault semantics match :meth:`push_many`: the batch is one atomic
-        log entry, un-logged if a fault kills the push mid-flight, and
-        recovery replays the batch element whole.
+        lazily, and the batch is injected *without touching the rows* —
+        shared selection then builds objects only for rows some query
+        wants.  Returns the number of rows injected.
         """
-        count = len(batch)
-        if not count:
-            return 0
-        if batch.trace is not None and self.obs is not None:
-            self.obs.tracer.force_next()
-        if not self.config.log_inputs:
-            self._run_push(f"source:{stream}", batch)
-            return count
-        self._input_log.append(("element", (stream, batch)))
-        try:
-            self._run_push(f"source:{stream}", batch)
-        except BaseException:
-            self._input_log.pop()
-            raise
-        return count
+        return self._ingest(stream, batch)
 
     def watermark(self, timestamp: int, stream: Optional[str] = None) -> None:
         """Advance event time (fires due windows).
@@ -814,18 +773,9 @@ class AStreamEngine:
             )
         replay = list(self._input_log[offset - self._input_log_base :])
         for kind, payload in replay:
-            if kind == "record":
-                stream, record = payload
-                self.runtime.push(f"source:{stream}", record)
-            elif kind == "batch":
-                stream, records = payload
-                self.runtime.push(
-                    f"source:{stream}",
-                    records[0] if len(records) == 1 else RecordBatch(records),
-                )
-            elif kind == "element":
-                stream, element = payload
-                self.runtime.push(f"source:{stream}", element)
+            if kind == "batch":
+                stream, batch = payload
+                self.runtime.push(f"source:{stream}", batch)
             elif kind == "watermark":
                 targets, element = payload
                 for stream in targets:

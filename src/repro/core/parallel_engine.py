@@ -118,29 +118,25 @@ class AStreamShardProgram(ShardProgram):
         if kind == "batch":
             records: List[Record] = op[2]
             trace = op[3] if len(op) > 3 else None
-            if trace is not None:
-                # Traced batch: keep it a RecordBatch (even singleton),
-                # force-sample the worker tracer so the per-operator
-                # breakdown lines up with the wire span, and stamp the
-                # shard-local wall span as trace detail.
-                element = RecordBatch(records, trace=trace)
-                if self.engine.obs is not None:
-                    self.engine.obs.tracer.force_next()
-                started = time.monotonic_ns()
+            element = RecordBatch(records, trace=trace)
+            if trace is None or self.engine.obs is None:
                 self.engine._run_push(op[1], element)
-                if self.engine.obs is not None:
-                    self._wire_spans.append(
-                        {
-                            "id": trace[0],
-                            "shard": self.shard_index,
-                            "start_ns": started,
-                            "span_ns": time.monotonic_ns() - started,
-                            "records": len(records),
-                        }
-                    )
                 return None
-            element = records[0] if len(records) == 1 else RecordBatch(records)
+            # Traced batch: force-sample the worker tracer so the
+            # per-operator breakdown lines up with the wire span, and
+            # stamp the shard-local wall span as trace detail.
+            self.engine.obs.tracer.force_next()
+            started = time.monotonic_ns()
             self.engine._run_push(op[1], element)
+            self._wire_spans.append(
+                {
+                    "id": trace[0],
+                    "shard": self.shard_index,
+                    "start_ns": started,
+                    "span_ns": time.monotonic_ns() - started,
+                    "records": len(records),
+                }
+            )
             return None
         if kind == "snapshot":
             return {

@@ -220,7 +220,7 @@ class RouterOperator(Operator):
         # Valid for one changelog sequence; rebuilding it lazily per
         # distinct bitset replaces the per-record bit-walk — with many
         # queries the same bitsets recur for thousands of records between
-        # changelogs, so the walk is paid once per (epoch, bitset).
+        # changelogs, so the bit-walk is paid once per (epoch, bitset).
         self._route_table: Dict[int, Tuple[str, ...]] = {}
         self.copies = 0
         self.profile_ns = 0
@@ -250,25 +250,6 @@ class RouterOperator(Operator):
 
     # -- data path -----------------------------------------------------------
 
-    def process(self, record: Record) -> None:
-        bits = record.tags.get(QS_TAG, 0) & self._output_slots
-        if not bits:
-            return
-        started = time.perf_counter_ns() if self.profile else 0
-        deliver = self.channels.deliver
-        timestamp = record.timestamp
-        value = record.value
-        queries = self._route_table.get(bits)
-        if queries is None:
-            queries = self._build_route(bits)
-        for query_id in queries:
-            # Ship a copy to the query's own channel: physically
-            # different channels require one copy per query (§3.2.2).
-            deliver(query_id, timestamp, value)
-        self.copies += len(queries)
-        if self.profile:
-            self.profile_ns += time.perf_counter_ns() - started
-
     def process_batch(self, records: List[Record]) -> None:
         started = time.perf_counter_ns() if self.profile else 0
         output_slots = self._output_slots
@@ -286,6 +267,8 @@ class RouterOperator(Operator):
             timestamp = record.timestamp
             value = record.value
             for query_id in queries:
+                # Ship a copy to the query's own channel: physically
+                # different channels require one copy per query (§3.2.2).
                 deliver(query_id, timestamp, value)
             copies += len(queries)
         self.copies += copies
@@ -294,8 +277,7 @@ class RouterOperator(Operator):
 
     def _build_route(self, bits: int) -> Tuple[str, ...]:
         """Resolve a masked bitset to channel ids and memoise it for the
-        current changelog sequence (slot ascending, matching the
-        per-record bit-walk order)."""
+        current changelog sequence (slot ascending)."""
         slot_to_query = self._slot_to_query
         queries = []
         remaining = bits

@@ -38,7 +38,7 @@ from repro.core.planner import (
 )
 from repro.core.query import Comparison, FieldPredicate, Predicate, TruePredicate
 from repro.minispe.operators import Operator
-from repro.minispe.record import ChangelogMarker, Record
+from repro.minispe.record import ChangelogMarker, Record, RecordBatch
 
 _COMPARE_FNS = {
     Comparison.LT: _compare.lt,
@@ -47,7 +47,7 @@ _COMPARE_FNS = {
     Comparison.LE: _compare.le,
     Comparison.GE: _compare.ge,
 }
-"""Comparison → C-level compare function, for the columnar fast path."""
+"""Comparison → C-level compare function, for column-bound predicates."""
 
 QS_TAG = "qs"
 """Record tag holding the query-set bits."""
@@ -73,8 +73,6 @@ class _EpochView:
     predicates: List[Tuple[Predicate, int]]
     """(predicate, slots-bitset) pairs, one entry per distinct predicate."""
     plan: SelectionPlan
-    columnar_ok: bool
-    """True when every direct predicate can run on field columns."""
 
 
 class SharedSelectionOperator(Operator):
@@ -137,17 +135,11 @@ class SharedSelectionOperator(Operator):
             predicates,
             share_overlapping=self.share_overlapping and self.dedup_predicates,
         )
-        columnar_ok = all(
-            type(predicate) in (FieldPredicate, TruePredicate)
-            or normalize(predicate) is not None
-            for predicate, _ in plan.direct
-        )
         return _EpochView(
             start_ms=start_ms,
             sequence=sequence,
             predicates=predicates,
             plan=plan,
-            columnar_ok=columnar_ok,
         )
 
     def on_marker(self, marker: ChangelogMarker) -> None:
@@ -202,206 +194,125 @@ class SharedSelectionOperator(Operator):
 
     # -- tagging ---------------------------------------------------------------
 
-    def process(self, record: Record) -> None:
-        started = time.perf_counter_ns() if self.profile else 0
-        view = self._view_for(record.timestamp)
-        plan = view.plan
-        bits = 0
-        evaluations = 0
-        value = record.value
-        for predicate, slots_mask in plan.direct:
-            evaluations += 1
-            if predicate.evaluate(value):
-                bits |= slots_mask
-        for group in plan.groups:
-            bits |= group.evaluate(value)
-        self._evaluations += evaluations
-        if self.profile:
-            self.profile_ns += time.perf_counter_ns() - started
-        if bits == 0:
-            self.records_dropped += 1
-            return
-        if self.sharing_stats is not None:
-            self.sharing_stats.observe(bits)
-        new_tags = dict(record.tags)
-        new_tags[QS_TAG] = bits
-        new_tags[EPOCH_TAG] = view.sequence
-        self.output(
-            Record(
-                timestamp=record.timestamp,
-                value=value,
-                key=record.key,
-                tags=new_tags,
-            )
+    def _bind(self, plan: SelectionPlan, batch: RecordBatch):
+        """Compile one plan against one batch.
+
+        Returns ``(subjects, compiled, tests, group_probes)``.
+        ``subjects[row]`` is what a row's probes are called with;
+        ``compiled`` holds ``(column, compare, constant, slots)`` entries
+        the tagging loop evaluates on a field column directly (column
+        ``None``: always true); ``tests`` holds ``(probe, slots)`` pairs,
+        ``probe(subject)`` telling whether the slots match;
+        ``group_probes`` are the sharing groups' ``probe(subject) ->
+        bits``.
+
+        This is the only place that knows how a batch stores its rows.
+        A columnar batch binds predicates to its field columns and
+        probes by row index — no row object is built to decide a row's
+        fate.  A row-built batch, and any plan holding a black-box (UDF)
+        predicate, which needs the row value, probe the materialised
+        values instead.
+        """
+        fields = batch.field_columns()
+        if fields is not None:
+            compiled: List[Tuple[Any, Any, Any, int]] = []
+            tests = []
+            for predicate, slots_mask in plan.direct:
+                kind = type(predicate)
+                if kind is FieldPredicate:
+                    compiled.append(
+                        (
+                            fields[predicate.field_index],
+                            _COMPARE_FNS[predicate.op],
+                            predicate.constant,
+                            slots_mask,
+                        )
+                    )
+                elif kind is TruePredicate:
+                    compiled.append((None, None, None, slots_mask))
+                else:
+                    normalized = normalize(predicate)
+                    if normalized is None:
+                        break  # black box: needs the row value
+                    checks = tuple(
+                        (fields[f], iv.start_key, iv.end_key)
+                        for f, iv in normalized.constraints
+                    )
+
+                    def in_intervals(row: int, _checks=checks) -> bool:
+                        for column, start_key, end_key in _checks:
+                            if not (start_key <= (column[row], 0) < end_key):
+                                return False
+                        return True
+
+                    tests.append((in_intervals, slots_mask))
+            else:  # every direct predicate bound to columns
+                return (
+                    range(len(batch)),
+                    compiled,
+                    tests,
+                    [group.bind_columns(fields) for group in plan.groups],
+                )
+        return (
+            [record.value for record in batch.records],
+            (),
+            [(predicate.evaluate, mask) for predicate, mask in plan.direct],
+            [group.evaluate for group in plan.groups],
         )
 
     def process_batch(self, records: List[Record]) -> None:
-        """Vectorized tagging: one epoch lookup per run of timestamps in
-        the same view, counters accumulated locally, and all surviving
-        records emitted as a single downstream batch."""
-        started = time.perf_counter_ns() if self.profile else 0
-        view_for = self._view_for
-        stats = self.sharing_stats
-        evaluations = 0
-        dropped = 0
-        out: List[Record] = []
-        view = None
-        view_low = view_high = 0  # timestamp range the cached view covers
-        direct: List[Tuple[Predicate, int]] = []
-        groups = []
-        for record in records:
-            timestamp = record.timestamp
-            if view is None or not (view_low <= timestamp < view_high):
-                view = view_for(timestamp)
-                view_low, view_high = self._view_span(view)
-                direct = view.plan.direct
-                groups = view.plan.groups
-            bits = 0
-            value = record.value
-            for predicate, slots_mask in direct:
-                evaluations += 1
-                if predicate.evaluate(value):
-                    bits |= slots_mask
-            for group in groups:
-                bits |= group.evaluate(value)
-            if bits == 0:
-                dropped += 1
-                continue
-            if stats is not None:
-                stats.observe(bits)
-            new_tags = dict(record.tags)
-            new_tags[QS_TAG] = bits
-            new_tags[EPOCH_TAG] = view.sequence
-            out.append(Record(timestamp, value, record.key, new_tags))
-        self._evaluations += evaluations
-        self.records_dropped += dropped
-        if self.profile:
-            self.profile_ns += time.perf_counter_ns() - started
-        self.output_batch(out)
+        self.process_columnar(RecordBatch(records))
 
-    def _bind_columnar(self, plan: SelectionPlan, fields):
-        """Compile one plan against a batch's field columns.
+    def process_columnar(self, batch: RecordBatch) -> None:
+        """Tag one batch — the operator's one data body.
 
-        Returns ``(compiled, conj_probes, group_probes)``: ``compiled``
-        is the classic (column, compare, constant, slots) tuple list
-        over the direct predicates, ``conj_probes`` row-index evaluators
-        of normalizable non-field direct predicates (flattened
-        conjunctions), ``group_probes`` those of the sharing groups.
-        ``None`` means a black-box predicate needs the row value —
-        caller falls back to the row path.
+        One epoch lookup per run of timestamps in the same view, one
+        plan binding (:meth:`_bind`) per view the batch touches,
+        counters accumulated locally, and all surviving rows emitted as
+        a single downstream batch.  On a
+        columnar batch — the wire-ingest path: the binary codec decodes
+        frames into columnar batches — a row's value object is built
+        only when some query wants the row, so for selective queries
+        most rows die here having never existed as Python objects.  The
+        runtime hands a batch over under this name without touching its
+        rows; :meth:`process_batch` wraps a record list into a batch
+        first.
         """
-        compiled: List[Tuple[Any, Any, Any, int]] = []
-        conj_probes = []
-        group_probes = []
-        for predicate, slots_mask in plan.direct:
-            kind = type(predicate)
-            if kind is FieldPredicate:
-                compiled.append(
-                    (
-                        fields[predicate.field_index],
-                        _COMPARE_FNS[predicate.op],
-                        predicate.constant,
-                        slots_mask,
-                    )
-                )
-            elif kind is TruePredicate:
-                compiled.append((None, None, None, slots_mask))
-            else:
-                normalized = normalize(predicate)
-                if normalized is None:
-                    return None
-                checks = tuple(
-                    (f, iv.start_key, iv.end_key)
-                    for f, iv in normalized.constraints
-                )
-
-                def probe_row(row: int, _checks=checks, _mask=slots_mask) -> int:
-                    for f, start_key, end_key in _checks:
-                        if not (start_key <= (fields[f][row], 0) < end_key):
-                            return 0
-                    return _mask
-
-                conj_probes.append(probe_row)
-        for group in plan.groups:
-            group_probes.append(group.bind_columns(fields))
-        return compiled, conj_probes, group_probes
-
-    def process_columnar(self, batch) -> None:
-        """Columnar tagging: predicates run straight on the batch's
-        parallel field columns, and a row's value object is built only
-        when some query actually wants the row.
-
-        This is the wire-ingest fast path — the binary codec decodes
-        frames into columnar :class:`~repro.minispe.record.RecordBatch`
-        objects, and for selective queries most rows die here having
-        never existed as Python objects.  Sharing groups probe their
-        stabbing index on the anchor column directly (the covering scan
-        of ISSUE 8).  Black-box (UDF) predicates need the row value, so
-        any view holding one falls back to the row-at-a-time path;
-        semantics (epoch views by event time, counters, sharing stats,
-        output order) are identical either way.
-        """
-        for view in self._views:
-            if not view.columnar_ok:
-                self.process_batch(batch.records)
-                return
         started = time.perf_counter_ns() if self.profile else 0
-        timestamps = batch.timestamps()
-        keys = batch.keys()
-        fields = batch.field_columns()
-        view_for = self._view_for
         stats = self.sharing_stats
-        row_value = batch.row_value
+        row_record = batch.row_record
         evaluations = 0
         dropped = 0
         out: List[Record] = []
         append = out.append
-        view = None
-        view_low = view_high = 0
-        sequence = 0
-        compiled: List[Tuple[Any, Any, Any, int]] = []
-        conj_probes = []
-        group_probes = []
-        for row, timestamp in enumerate(timestamps):
-            if view is None or not (view_low <= timestamp < view_high):
-                view = view_for(timestamp)
+        bindings: Dict[int, tuple] = {}  # view sequence -> _bind() result
+        view_low = view_high = 0  # empty span: the first row binds a view
+        for row, timestamp in enumerate(batch.timestamps()):
+            if not (view_low <= timestamp < view_high):
+                view = self._view_for(timestamp)
                 view_low, view_high = self._view_span(view)
                 sequence = view.sequence
-                bound = self._bind_columnar(view.plan, fields)
-                if bound is None:
-                    # A UDF arrived via a mid-batch epoch: replay the
-                    # remaining rows through the row path.
-                    self._evaluations += evaluations
-                    self.records_dropped += dropped
-                    if self.profile:
-                        self.profile_ns += time.perf_counter_ns() - started
-                    self.output_batch(out)
-                    self.process_batch(batch.records[row:])
-                    return
-                compiled, conj_probes, group_probes = bound
+                if sequence not in bindings:
+                    bindings[sequence] = self._bind(view.plan, batch)
+                subjects, compiled, tests, group_probes = bindings[sequence]
+                direct_count = len(compiled) + len(tests)
+            subject = subjects[row]
             bits = 0
             for column, compare, constant, slots_mask in compiled:
-                evaluations += 1
                 if column is None or compare(column[row], constant):
                     bits |= slots_mask
-            for probe in conj_probes:
-                evaluations += 1
-                bits |= probe(row)
+            for probe, slots_mask in tests:
+                if probe(subject):
+                    bits |= slots_mask
             for probe in group_probes:
-                bits |= probe(row)
+                bits |= probe(subject)
+            evaluations += direct_count
             if bits == 0:
                 dropped += 1
                 continue
             if stats is not None:
                 stats.observe(bits)
-            append(
-                Record(
-                    timestamp,
-                    row_value(row),
-                    keys[row],
-                    {QS_TAG: bits, EPOCH_TAG: sequence},
-                )
-            )
+            append(row_record(row, {QS_TAG: bits, EPOCH_TAG: sequence}))
         self._evaluations += evaluations
         self.records_dropped += dropped
         if self.profile:

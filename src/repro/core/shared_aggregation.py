@@ -260,37 +260,15 @@ class SharedAggregationOperator(Operator):
             merged = self._arrangement.fold_range(
                 start, end, agg_spec.initial, agg_spec.add, accept=accept
             )
-            window = Window(start, end)
             self.backfilled_windows += 1
-            for key in sorted(merged, key=repr):
-                self.backfilled_results += 1
-                self._emit(slot, key, window, agg_spec.finish(merged[key]))
+            self.backfilled_results += len(merged)
+            self._emit_window(slot, Window(start, end), agg_spec, merged)
 
     # -- data path -----------------------------------------------------------
 
-    def process(self, record: Record) -> None:
-        query_set = record.tags.get(QS_TAG, 0)
-        relevant = query_set & self._subscribed
-        self.bitset_ops += 1
-        if not relevant:
-            return
-        started = time.perf_counter_ns() if self.profile else 0
-        if self._arrangement is not None:
-            self._arrangement.insert(
-                record.timestamp, record.key, record.value
-            )
-        time_window_bits = relevant & ~self._session_bits()
-        if time_window_bits:
-            self._fold_time_windows(record, time_window_bits)
-        session_bits = relevant & self._session_bits()
-        if session_bits:
-            self._fold_sessions(record, session_bits)
-        if self.profile:
-            self.profile_ns += time.perf_counter_ns() - started
-
     def process_batch(self, records: List[Record]) -> None:
-        """Vectorized fold: the subscription and session bitsets are
-        resolved once per batch instead of once per record."""
+        """Fold one batch: the subscription and session bitsets are
+        resolved once per batch, not once per record."""
         subscribed = self._subscribed
         if not subscribed:
             self.bitset_ops += len(records)
@@ -459,9 +437,7 @@ class SharedAggregationOperator(Operator):
             for key, acc in store.get(slot, {}).items():
                 existing = merged.get(key)
                 merged[key] = acc if existing is None else spec.merge(existing, acc)
-        window = Window(start, end)
-        for key in sorted(merged, key=repr):
-            self._emit(slot, key, window, spec.finish(merged[key]))
+        self._emit_window(slot, Window(start, end), spec, merged)
 
     def _fire_sessions(self, watermark_ms: int) -> None:
         for (slot, key), state in list(self._session_state.items()):
@@ -471,8 +447,8 @@ class SharedAggregationOperator(Operator):
             remaining = []
             for start, end, acc in state.sessions:
                 if end - 1 <= watermark_ms:
-                    self._emit(
-                        slot, key, Window(start, end), agg_spec.finish(acc)
+                    self._emit_window(
+                        slot, Window(start, end), agg_spec, {key: acc}
                     )
                 else:
                     remaining.append((start, end, acc))
@@ -481,15 +457,27 @@ class SharedAggregationOperator(Operator):
             else:
                 del self._session_state[(slot, key)]
 
-    def _emit(self, slot: int, key: Any, window: Window, value: Any) -> None:
-        self.results_emitted += 1
-        self.output(
-            Record(
-                timestamp=window.max_timestamp(),
-                value=AggregationResult(key=key, window=window, value=value),
-                key=key,
-                tags={QS_TAG: 1 << slot},
-            )
+    def _emit_window(
+        self, slot: int, window: Window, spec: AggregationSpec, merged: Dict[Any, Any]
+    ) -> None:
+        """Emit one fired window of one query — a result per key of
+        ``merged`` (key -> accumulator), in key-``repr`` order — as one
+        batch."""
+        self.results_emitted += len(merged)
+        timestamp = window.max_timestamp()
+        tags = {QS_TAG: 1 << slot}
+        self.output_batch(
+            [
+                Record(
+                    timestamp,
+                    AggregationResult(
+                        key=key, window=window, value=spec.finish(merged[key])
+                    ),
+                    key,
+                    tags,
+                )
+                for key in sorted(merged, key=repr)
+            ]
         )
 
     # -- introspection ---------------------------------------------------------------

@@ -152,12 +152,6 @@ class SharedJoinOperator(TwoInputOperator):
 
     # -- data path ---------------------------------------------------------
 
-    def process_left(self, record: Record) -> None:
-        self._store(record, self._left)
-
-    def process_right(self, record: Record) -> None:
-        self._store(record, self._right)
-
     def process_left_batch(self, records: List[Record]) -> None:
         self._store_batch(records, self._left)
 
@@ -165,9 +159,11 @@ class SharedJoinOperator(TwoInputOperator):
         self._store_batch(records, self._right)
 
     def _store_batch(self, records: List[Record], side: SliceIndex) -> None:
-        """Vectorized ingest: the slice (and its store) is resolved once
+        """Store one batch: the slice (and its store) is resolved once
         per run of timestamps with the same slice bounds — batches are
-        near-sorted, so this collapses most per-record index lookups."""
+        near-sorted, so this collapses most per-record index lookups.
+        Records older than any window that could still fire are dropped,
+        observably (a real deployment would alert on the counter)."""
         late_horizon = self._last_watermark_ms - self._slicer.max_retention_ms
         slice_bounds = self._slicer.slice_bounds
         get_or_create = side.get_or_create
@@ -194,22 +190,6 @@ class SharedJoinOperator(TwoInputOperator):
             stored += 1
         self.tuples_stored += stored
         self.late_records_dropped += late
-
-    def _store(self, record: Record, side: SliceIndex) -> None:
-        query_set = record.tags.get(QS_TAG, 0)
-        if not query_set:
-            return
-        if record.timestamp <= self._last_watermark_ms - self._slicer.max_retention_ms:
-            # Beyond any window that could still fire: drop, but make the
-            # drop observable (a real deployment would alert on this).
-            self.late_records_dropped += 1
-            return
-        start, end, epoch = self._slicer.slice_bounds(record.timestamp)
-        slice_ = side.get_or_create(start, end, epoch)
-        if slice_.store is None:
-            slice_.store = make_store(self._store_kind)
-        slice_.store.add(record.key, (record.value, record.timestamp), query_set)
-        self.tuples_stored += 1
 
     # -- changelog handling --------------------------------------------------
 
@@ -316,7 +296,10 @@ class SharedJoinOperator(TwoInputOperator):
             self.output(Watermark(held_back))
 
     def _fire_window(self, start: int, end: int, slots_mask: int) -> None:
+        """Join the slice pairs covering one window; its results leave as
+        one batch."""
         current_epoch = self._changelogs.current_epoch
+        fired: List[Record] = []
         left_slices = self._left.overlapping(start, end)
         right_slices = self._right.overlapping(start, end)
         for left_slice in left_slices:
@@ -330,16 +313,18 @@ class SharedJoinOperator(TwoInputOperator):
                 if not emit_mask:
                     continue
                 results = self._pair_results(left_slice, right_slice)
-                output = self.output
                 for raw_qs, items in results.items():
                     bits = raw_qs & emit_mask
                     self.bitset_ops += 1
                     if not bits:
                         continue
                     tags = {QS_TAG: bits}
-                    self.results_emitted += len(items)
-                    for key, payload, joined_ts in items:
-                        output(Record(joined_ts, payload, key, tags))
+                    fired.extend(
+                        Record(joined_ts, payload, key, tags)
+                        for key, payload, joined_ts in items
+                    )
+        self.results_emitted += len(fired)
+        self.output_batch(fired)
 
     def _pair_results(
         self, left_slice: Slice, right_slice: Slice

@@ -55,10 +55,6 @@ class Vertex:
     """None for sources (they are fed externally by the driver)."""
     parallelism: int = 1
     is_source: bool = field(default=False)
-    fusible: bool = False
-    """Declares the operator safe for chain fusion: stateless, default
-    control-element behaviour, and a :meth:`fuse_step` implementation.
-    See :func:`repro.minispe.fuse.fuse_chains`."""
 
     def __post_init__(self) -> None:
         if self.parallelism <= 0:
@@ -93,18 +89,9 @@ class JobGraph:
         name: str,
         operator_factory: Callable[[], Any],
         parallelism: int = 1,
-        fusible: bool = False,
     ) -> "JobGraph":
-        """Add an operator vertex built from ``operator_factory``.
-
-        Pass ``fusible=True`` for stateless record-at-a-time operators
-        (map/filter/flat-map/key-by) to let
-        :func:`repro.minispe.fuse.fuse_chains` collapse adjacent ones
-        into a single runtime stage.
-        """
-        self._add_vertex(
-            Vertex(name, operator_factory, parallelism, fusible=fusible)
-        )
+        """Add an operator vertex built from ``operator_factory``."""
+        self._add_vertex(Vertex(name, operator_factory, parallelism))
         return self
 
     def connect(

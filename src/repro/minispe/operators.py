@@ -5,13 +5,24 @@ runtime instantiates one copy per parallel instance, calls
 :meth:`Operator.open` with an :class:`OperatorContext`, and then feeds it
 stream elements:
 
-* :meth:`Operator.process` for data records,
+* :meth:`Operator.process_batch` for data — a
+  :class:`~repro.minispe.record.RecordBatch` is the only data unit that
+  crosses an operator boundary, and a single record is a batch of one,
 * :meth:`Operator.on_watermark` when the *aligned* watermark (the minimum
   over all input channels) advances,
 * :meth:`Operator.on_marker` for changelog markers, and
 * :meth:`Operator.snapshot` / :meth:`Operator.restore` for checkpoints.
 
-Operators emit downstream by calling :meth:`Operator.output`.  This mirrors
+**One override.**  An operator implements its data body exactly once:
+either ``process_batch(records)`` (every built-in operator does) or, for
+a per-record operator, ``process(record)``, which the default
+``process_batch`` loops over.  The other method is the base class's
+one-line adaptor, so both stay callable on every operator.  Two-input
+operators follow the same rule with ``process_left[_batch]`` /
+``process_right[_batch]``.
+
+Operators emit downstream by calling :meth:`Operator.output_batch` (data)
+and :meth:`Operator.output` (control elements).  This mirrors
 the low-level operator API that the paper's Flink implementation extends
 (custom triggers, evictors, and window functions — §5) and that PyFlink
 does not expose, which is why this substrate exists.
@@ -55,15 +66,6 @@ class OperatorContext:
 class Operator:
     """Base class for one-input operators."""
 
-    fusible = False
-    """True when this operator may be fused into an operator chain.
-
-    A fusible operator must be *stateless* (``snapshot`` returns None),
-    must not override the control-element hooks (``on_watermark`` /
-    ``on_marker`` default-forward), and must implement :meth:`fuse_step`.
-    The built-in ``Map``/``Filter``/``KeyBy``/``FlatMap`` qualify.
-    """
-
     def __init__(self, name: str = "") -> None:
         self.name = name or type(self).__name__
         self._collector: Optional[Callable[[StreamElement], None]] = None
@@ -81,18 +83,19 @@ class Operator:
     # -- element handling --------------------------------------------------
 
     def process(self, record: Record) -> None:
-        """Handle one data record (override)."""
-        raise NotImplementedError
+        """Handle one data record: a batch of one."""
+        self.process_batch([record])
 
     def process_batch(self, records: List[Record]) -> None:
-        """Handle a micro-batch of records arriving on one channel.
+        """Handle the records of one batch arriving on one channel.
 
-        The default loops over :meth:`process`, so every operator is
-        batch-correct for free; hot operators override this with a
-        vectorized implementation that amortises per-record dispatch and
-        emits whole output batches via :meth:`output_batch`.  Semantics
-        must be identical to processing the records one by one.
+        This is the data body built-in operators override (emitting whole
+        output batches via :meth:`output_batch`).  The default loops over
+        an overridden :meth:`process` — the extension point for per-record
+        operators; semantics are those of processing the records one by
+        one, in order.
         """
+        _require_override(self, Operator, "process")
         process = self.process
         for record in records:
             process(record)
@@ -104,26 +107,6 @@ class Operator:
     def on_marker(self, marker: ChangelogMarker) -> None:
         """Handle a changelog marker.  Default: forward it."""
         self.output(marker)
-
-    # -- fusion ------------------------------------------------------------
-
-    def fuse_step(
-        self,
-        downstream: Callable[[int, Any, Any, dict], None],
-    ) -> Callable[[int, Any, Any, dict], None]:
-        """Return this operator's per-row step for a fused chain.
-
-        The step receives ``(timestamp, value, key, tags)`` for one input
-        row and calls ``downstream`` zero or more times with the rows it
-        emits.  Steps never copy ``tags`` — the fused chain's terminal
-        sink makes the single defensive copy when it builds the output
-        :class:`Record` — and they never see control elements (fusible
-        operators default-forward those).  Only operators with
-        ``fusible = True`` implement this.
-        """
-        raise NotImplementedError(
-            f"operator {self.name!r} does not support fusion"
-        )
 
     # -- checkpointing -----------------------------------------------------
 
@@ -141,7 +124,14 @@ class Operator:
         self._collector = collector
 
     def output(self, element: StreamElement) -> None:
-        """Emit ``element`` to the downstream edge(s)."""
+        """Emit ``element`` to the downstream edge(s).
+
+        Control elements travel as they are; a lone :class:`Record` (what
+        a per-record operator emits) is wrapped into a batch of one, so no
+        edge ever carries a bare record.
+        """
+        if type(element) is Record:
+            element = RecordBatch([element])
         if self._collector is None:
             raise RuntimeError(
                 f"operator {self.name!r} emitted before being wired to a job"
@@ -149,59 +139,59 @@ class Operator:
         self._collector(element)
 
     def output_batch(self, records: List[Record]) -> None:
-        """Emit a whole micro-batch downstream in one routing pass.
+        """Emit ``records`` downstream as one batch, in one routing pass.
 
         Empty batches are dropped here so downstream operators never see
-        them; single-record batches are unwrapped — the per-record path
-        is cheaper than batch dispatch for one element.
+        them.
         """
-        if not records:
-            return
-        if self._collector is None:
-            raise RuntimeError(
-                f"operator {self.name!r} emitted before being wired to a job"
-            )
-        if len(records) == 1:
-            self._collector(records[0])
-        else:
-            self._collector(RecordBatch(records))
+        if records:
+            self.output(RecordBatch(records))
+
+
+def _require_override(operator: Operator, base: type, method: str) -> None:
+    """Fail clearly (not by unbounded recursion) when ``operator``
+    overrides neither ``method`` nor its ``_batch`` sibling."""
+    if getattr(type(operator), method) is getattr(base, method):
+        raise NotImplementedError(
+            f"{type(operator).__name__} must override {method} or {method}_batch"
+        )
 
 
 class TwoInputOperator(Operator):
     """Base class for binary operators (e.g. stream joins).
 
-    The runtime routes elements from input 0 to :meth:`process_left` and
-    from input 1 to :meth:`process_right`; watermarks and markers are
-    aligned across *both* inputs before the ``on_*`` hooks fire.
+    The runtime routes batches from input 0 to :meth:`process_left_batch`
+    and from input 1 to :meth:`process_right_batch`; watermarks and
+    markers are aligned across *both* inputs before the ``on_*`` hooks
+    fire.  The one-override rule applies per side.
     """
-
-    def process(self, record: Record) -> None:
-        raise RuntimeError(
-            "two-input operators receive records via process_left/process_right"
-        )
 
     def process_batch(self, records: List[Record]) -> None:
         raise RuntimeError(
-            "two-input operators receive batches via "
+            "two-input operators receive data via "
             "process_left_batch/process_right_batch"
         )
 
     def process_left(self, record: Record) -> None:
-        """Handle one record from the first input (override)."""
-        raise NotImplementedError
+        """Handle one record from the first input: a batch of one."""
+        self.process_left_batch([record])
 
     def process_right(self, record: Record) -> None:
-        """Handle one record from the second input (override)."""
-        raise NotImplementedError
+        """Handle one record from the second input: a batch of one."""
+        self.process_right_batch([record])
 
     def process_left_batch(self, records: List[Record]) -> None:
-        """Handle a micro-batch from the first input (default: loop)."""
+        """Handle a batch from the first input (default: loop over an
+        overridden :meth:`process_left`)."""
+        _require_override(self, TwoInputOperator, "process_left")
         process = self.process_left
         for record in records:
             process(record)
 
     def process_right_batch(self, records: List[Record]) -> None:
-        """Handle a micro-batch from the second input (default: loop)."""
+        """Handle a batch from the second input (default: loop over an
+        overridden :meth:`process_right`)."""
+        _require_override(self, TwoInputOperator, "process_right")
         process = self.process_right
         for record in records:
             process(record)
@@ -210,29 +200,9 @@ class TwoInputOperator(Operator):
 class MapOperator(Operator):
     """Apply ``fn`` to each record value, preserving timestamp and key."""
 
-    fusible = True
-
     def __init__(self, fn: Callable[[Any], Any], name: str = "map") -> None:
         super().__init__(name)
         self._fn = fn
-
-    def fuse_step(self, downstream):
-        fn = self._fn
-
-        def step(timestamp, value, key, tags):
-            downstream(timestamp, fn(value), key, tags)
-
-        return step
-
-    def process(self, record: Record) -> None:
-        self.output(
-            Record(
-                timestamp=record.timestamp,
-                value=self._fn(record.value),
-                key=record.key,
-                tags=dict(record.tags),
-            )
-        )
 
     def process_batch(self, records: List[Record]) -> None:
         fn = self._fn
@@ -247,24 +217,9 @@ class MapOperator(Operator):
 class FilterOperator(Operator):
     """Keep only records whose value satisfies ``predicate``."""
 
-    fusible = True
-
     def __init__(self, predicate: Callable[[Any], bool], name: str = "filter") -> None:
         super().__init__(name)
         self._predicate = predicate
-
-    def fuse_step(self, downstream):
-        predicate = self._predicate
-
-        def step(timestamp, value, key, tags):
-            if predicate(value):
-                downstream(timestamp, value, key, tags)
-
-        return step
-
-    def process(self, record: Record) -> None:
-        if self._predicate(record.value):
-            self.output(record)
 
     def process_batch(self, records: List[Record]) -> None:
         predicate = self._predicate
@@ -274,29 +229,9 @@ class FilterOperator(Operator):
 class KeyByOperator(Operator):
     """Re-key records with ``key_fn`` (the shuffle happens on the edge)."""
 
-    fusible = True
-
     def __init__(self, key_fn: Callable[[Any], Any], name: str = "key_by") -> None:
         super().__init__(name)
         self._key_fn = key_fn
-
-    def fuse_step(self, downstream):
-        key_fn = self._key_fn
-
-        def step(timestamp, value, key, tags):
-            downstream(timestamp, value, key_fn(value), tags)
-
-        return step
-
-    def process(self, record: Record) -> None:
-        self.output(
-            Record(
-                timestamp=record.timestamp,
-                value=record.value,
-                key=self._key_fn(record.value),
-                tags=dict(record.tags),
-            )
-        )
 
     def process_batch(self, records: List[Record]) -> None:
         key_fn = self._key_fn
@@ -311,31 +246,9 @@ class KeyByOperator(Operator):
 class FlatMapOperator(Operator):
     """Apply ``fn`` returning an iterable of values; emit one record each."""
 
-    fusible = True
-
     def __init__(self, fn: Callable[[Any], List[Any]], name: str = "flat_map") -> None:
         super().__init__(name)
         self._fn = fn
-
-    def fuse_step(self, downstream):
-        fn = self._fn
-
-        def step(timestamp, value, key, tags):
-            for out_value in fn(value):
-                downstream(timestamp, out_value, key, tags)
-
-        return step
-
-    def process(self, record: Record) -> None:
-        for value in self._fn(record.value):
-            self.output(
-                Record(
-                    timestamp=record.timestamp,
-                    value=value,
-                    key=record.key,
-                    tags=dict(record.tags),
-                )
-            )
 
     def process_batch(self, records: List[Record]) -> None:
         fn = self._fn

@@ -678,67 +678,36 @@ class ShardedRuntime(ExecutionBackend):
     # -- data path ---------------------------------------------------------
 
     def push(self, source_name: str, element: StreamElement) -> None:
-        """Route one element: records to their key shard, control to all."""
-        if self._pending_states:
-            self._push_migrating(source_name, element)
-            return
-        pool = self.pool
-        if isinstance(element, Record):
-            shard = stable_hash(element.key) % self._shards
-            pool.submit(shard, ("push", source_name, element))
-        elif isinstance(element, RecordBatch):
-            # A wire trace context rides as an optional 4th op element so
-            # untraced frames keep the 3-tuple shape (and its pickles).
-            trace = element.trace
-            if self._shards == 1:
-                op = (
-                    ("batch", source_name, element.records)
-                    if trace is None
-                    else ("batch", source_name, element.records, trace)
-                )
-                pool.submit(0, op, records=len(element.records))
-                return
-            buckets: List[Optional[List[Record]]] = [None] * self._shards
-            for record in element.records:
-                index = stable_hash(record.key) % self._shards
-                bucket = buckets[index]
-                if bucket is None:
-                    buckets[index] = [record]
-                else:
-                    bucket.append(record)
-            for index, bucket in enumerate(buckets):
-                if bucket is not None:
-                    op = (
-                        ("batch", source_name, bucket)
-                        if trace is None
-                        else ("batch", source_name, bucket, trace)
-                    )
-                    pool.submit(index, op, records=len(bucket))
-        else:
-            pool.broadcast(("push", source_name, element))
+        """Route one element: records to their key shard, control to all.
 
-    def _push_migrating(self, source_name: str, element: StreamElement) -> None:
-        """Route while a migration is in flight: buffer pending shards."""
+        While a migration is in flight :meth:`_submit` buffers the ops of
+        shards still awaiting their state.
+        """
         if isinstance(element, Record):
-            shard = stable_hash(element.key) % self._shards
-            self._submit(shard, ("push", source_name, element))
-        elif isinstance(element, RecordBatch):
-            trace = element.trace
-            buckets: Dict[int, List[Record]] = {}
+            element = RecordBatch([element])
+        if not isinstance(element, RecordBatch):
+            for shard in range(self._shards):
+                self._submit(shard, ("push", source_name, element))
+            return
+        # A wire trace context rides as an optional 4th op element so
+        # untraced frames keep the 3-tuple shape (and its pickles).
+        trace = element.trace
+        buckets: Dict[int, List[Record]] = {}
+        if self._shards == 1:
+            buckets[0] = element.records
+        else:
             for record in element.records:
                 buckets.setdefault(
                     stable_hash(record.key) % self._shards, []
                 ).append(record)
-            for index, bucket in buckets.items():
-                op = (
-                    ("batch", source_name, bucket)
-                    if trace is None
-                    else ("batch", source_name, bucket, trace)
-                )
-                self._submit(index, op, records=len(bucket))
-        else:
-            for shard in range(self._shards):
-                self._submit(shard, ("push", source_name, element))
+        for shard in sorted(buckets):
+            bucket = buckets[shard]
+            op = (
+                ("batch", source_name, bucket)
+                if trace is None
+                else ("batch", source_name, bucket, trace)
+            )
+            self._submit(shard, op, records=len(bucket))
 
     def _submit(self, shard: int, op: Op, records: int = 1) -> None:
         if shard in self._pending_states:

@@ -5,11 +5,12 @@ Four concrete kinds exist:
 
 * :class:`Record` — a data tuple with an event-time timestamp and an
   optional partitioning key.
-* :class:`RecordBatch` — a micro-batch of records travelling one channel
-  together.  Batches amortise the per-element Python dispatch cost
-  (isinstance chains, hook checks, router fan-out) that dominates the
-  per-record path; they carry **no** extra semantics — a batch is exactly
-  its records in order, and control elements never ride inside one.
+* :class:`RecordBatch` — the records travelling one channel together,
+  and the only form in which data crosses an operator boundary.  Batches
+  amortise the per-element Python dispatch cost (isinstance chains, hook
+  checks, router fan-out); they carry **no** extra semantics — a batch is
+  exactly its records in order, and control elements never ride inside
+  one.
 * :class:`Watermark` — an assertion that no record with a smaller event
   time will arrive on this channel (the Flink/Dataflow watermark model).
 * :class:`ChangelogMarker` — AStream's query-changelog woven into the
@@ -95,14 +96,15 @@ class Record(StreamElement):
 class RecordBatch(StreamElement):
     """A micro-batch of :class:`Record`\\ s flowing as one stream element.
 
-    The runtime partitions a whole batch into per-target sub-batches in
-    one pass and operators may override ``process_batch`` to amortise
-    per-record overheads.  Semantically a batch is transparent: delivering
-    ``RecordBatch([r1, r2])`` on a channel is equivalent to delivering
-    ``r1`` then ``r2``.  Watermarks, changelog markers, and checkpoint
-    barriers act as batch *flush points* — a batch never spans one, so
-    event-time semantics, marker alignment, and barrier alignment are
-    identical to the per-record path.
+    A batch is the only data element on an edge: the runtime partitions
+    it into per-target sub-batches in one pass and hands each to an
+    operator's ``process_batch``; a lone record is a batch of one.
+    Semantically a batch is transparent: delivering ``RecordBatch([r1,
+    r2])`` on a channel is equivalent to delivering ``RecordBatch([r1])``
+    then ``RecordBatch([r2])``.  Watermarks, changelog markers, and
+    checkpoint barriers act as batch *flush points* — a batch never spans
+    one, so event-time semantics, marker alignment, and barrier alignment
+    do not depend on how records are batched.
 
     A batch may alternatively be *columnar*: built from parallel arrays
     (:meth:`from_columns`, the binary wire codec's zero-copy decode
@@ -180,14 +182,22 @@ class RecordBatch(StreamElement):
             return self._columns[2]
         return None
 
-    def row_value(self, row: int):
-        """Materialise one row's value object (columnar batches only).
+    def row_record(self, row: int, tags: dict) -> Record:
+        """Row ``row`` as a new :class:`Record` carrying ``tags`` (on top
+        of the row's own tags, when it already is a built record).
 
-        Columnar consumers that drop most rows use this to pay value
-        construction only for survivors.
+        Consumers that drop most rows of a columnar batch use this to pay
+        value construction only for survivors.
         """
-        _, keys, fields, builder = self._columns
-        return builder(keys[row], tuple(column[row] for column in fields))
+        if self._records is not None:
+            record = self._records[row]
+            if record.tags:
+                tags = {**record.tags, **tags}
+            return Record(record.timestamp, record.value, record.key, tags)
+        timestamps, keys, fields, builder = self._columns
+        key = keys[row]
+        value = builder(key, tuple(column[row] for column in fields))
+        return Record(timestamps[row], value, key, tags)
 
     def _materialize(self) -> list:
         timestamps, keys, fields, builder = self._columns

@@ -22,14 +22,16 @@ faithfully:
   observes a query changelog at one consistent stream position (§2.1.2)
   and checkpoints are consistent cuts (§3.3).
 
-The data path is **micro-batched**: callers may push
-:class:`~repro.minispe.record.RecordBatch` elements (or use
-:meth:`JobRuntime.push_many`), and the runtime partitions a whole batch
-into per-target sub-batches in one pass, delivering each with a single
-operator dispatch.  Control elements are batch flush points, so batched
-and per-record runs have identical event-time/marker/barrier semantics;
-only the cross-channel interleave of data records may differ (the same
-non-guarantee real SPE network channels have).
+The data path is **batched**: a :class:`~repro.minispe.record.RecordBatch`
+is the only data element on an edge.  A lone record entering at
+:meth:`JobRuntime.push` (or emitted by a per-record operator) is wrapped
+into a batch of one; the runtime partitions a whole batch into
+per-target sub-batches in one pass and delivers each with a single
+operator dispatch.  Control elements are batch flush points, so any
+batching of the same element sequence has identical
+event-time/marker/barrier semantics; only the cross-channel interleave of
+data records may differ (the same non-guarantee real SPE network
+channels have).
 """
 
 from __future__ import annotations
@@ -204,8 +206,6 @@ class DeployedInstance:
         "records_processed",
         "is_two_input",
         "process_columnar",
-        "process_traced",
-        "process_batch_traced",
         "batch_sizes",
         "_runtime",
     )
@@ -216,7 +216,7 @@ class DeployedInstance:
         index: int,
         operator: Operator,
         inputs: _InstanceInputs,
-        route: Callable[[str, int, StreamElement], None],
+        runtime: "JobRuntime",
     ) -> None:
         self.vertex = vertex
         self.index = index
@@ -226,21 +226,17 @@ class DeployedInstance:
         # Hoisted out of the delivery hot path: one isinstance at deploy
         # time instead of one per delivered element.
         self.is_two_input = isinstance(operator, TwoInputOperator)
-        # Columnar fast path, hoisted the same way: operators that can
-        # consume a columnar RecordBatch directly expose
-        # ``process_columnar(batch)``; everyone else gets materialised
-        # record lists exactly as before.
+        # Hoisted the same way: an operator that consumes the batch
+        # object itself (a columnar batch without materialising its
+        # rows) exposes ``process_columnar(batch)``; everyone else gets
+        # the batch's record list.
         self.process_columnar = getattr(operator, "process_columnar", None)
-        # Trace-aware dispatch, hoisted too: fused operators expose
-        # ``process_traced`` / ``process_batch_traced`` so a live trace
-        # still sees per-sub-operator spans instead of one opaque stage.
-        self.process_traced = getattr(operator, "process_traced", None)
-        self.process_batch_traced = getattr(operator, "process_batch_traced", None)
         # Observability: a per-vertex batch-size histogram, installed at
         # deploy time when the runtime carries an obs hub (None keeps
         # the unobserved hot path at a single falsy check).
         self.batch_sizes = None
-        self._runtime: Optional["JobRuntime"] = None
+        self._runtime = runtime
+        route = runtime._route
         operator.set_collector(
             lambda element: route(vertex.name, index, element)
         )
@@ -248,42 +244,7 @@ class DeployedInstance:
 
     def deliver(self, channel: ChannelId, element: StreamElement) -> None:
         """Feed one element arriving on ``channel`` into the operator."""
-        if isinstance(element, Record):
-            runtime = self._runtime
-            tracer = None
-            if runtime is not None:
-                if runtime._deliver_hook is not None:
-                    # Fault-injection point: may raise to simulate an
-                    # operator failure on this record (control elements
-                    # are exempt so alignment invariants survive
-                    # injected faults).
-                    runtime._deliver_hook(self.vertex.name, self.index, element)
-                # Non-None only while a sampled trace is live, so
-                # untraced deliveries pay one attribute check.
-                tracer = runtime._active_tracer
-            self.records_processed += 1
-            if tracer is not None:
-                tracer.enter(self.vertex.name)
-                try:
-                    if self.is_two_input:
-                        if self.inputs.input_index[channel] == 0:
-                            self.operator.process_left(element)
-                        else:
-                            self.operator.process_right(element)
-                    elif self.process_traced is not None:
-                        self.process_traced(element, tracer)
-                    else:
-                        self.operator.process(element)
-                finally:
-                    tracer.exit()
-            elif self.is_two_input:
-                if self.inputs.input_index[channel] == 0:
-                    self.operator.process_left(element)
-                else:
-                    self.operator.process_right(element)
-            else:
-                self.operator.process(element)
-        elif isinstance(element, RecordBatch):
+        if isinstance(element, RecordBatch):
             self.deliver_batch(channel, element)
         elif isinstance(element, Watermark):
             aligned = self.inputs.advance_watermark(channel, element.timestamp)
@@ -299,11 +260,12 @@ class DeployedInstance:
             raise TypeError(f"unknown stream element {element!r}")
 
     def _invoke(self, handler, element) -> None:
-        """Run a control-element handler, spanned when a trace is live
-        (window fires triggered by watermarks dominate some stages'
-        cost, so traced pushes must attribute them)."""
-        runtime = self._runtime
-        tracer = runtime._active_tracer if runtime is not None else None
+        """Run an operator handler, spanned when a trace is live (window
+        fires triggered by watermarks dominate some stages' cost, so
+        traced pushes must attribute control elements too).  The tracer
+        is non-None only while a sampled trace is live, so untraced
+        deliveries pay one attribute check."""
+        tracer = self._runtime._active_tracer
         if tracer is not None:
             tracer.enter(self.vertex.name)
             try:
@@ -313,87 +275,52 @@ class DeployedInstance:
         else:
             handler(element)
 
-    def deliver_batch(self, channel: ChannelId, records) -> None:
-        """Feed a micro-batch arriving on ``channel`` into the operator.
+    def deliver_batch(self, channel: ChannelId, batch: RecordBatch) -> None:
+        """Feed a batch arriving on ``channel`` into the operator.
 
-        ``records`` is a record list or a whole :class:`RecordBatch`.  A
-        *columnar* batch reaching a columnar-aware operator is handed
-        over intact via ``process_columnar`` — per-row materialisation
-        never happens on this path; every other combination materialises
-        to the record list exactly as before.
+        A batch-consuming operator (``process_columnar``) is handed the
+        batch intact, so a columnar batch's rows are never materialised
+        on the way in; every other operator gets the record list.
 
         With a fault-injection deliver hook installed, records are handed
-        to the operator one at a time so the hook fires (and may raise)
-        *per record inside the batch*, exactly as on the per-record path;
-        without hooks the whole sub-batch goes through the operator's
-        vectorized ``process_batch``.
+        to the operator as batches of one so the hook fires (and may
+        raise) *per record inside the batch*: fault plans are batch-size
+        agnostic.  Control elements never reach the hook, so alignment
+        invariants survive injected faults.
         """
-        runtime = self._runtime
-        batch = records if type(records) is RecordBatch else None
-        if batch is not None and (
-            not batch.is_columnar
-            or self.process_columnar is None
-            or self.is_two_input
-            or (runtime is not None and runtime._deliver_hook is not None)
-        ):
-            records = batch.records
-            batch = None
-        if not records:
+        size = len(batch)
+        if not size:
             return
-        operator = self.operator
         if self.batch_sizes is not None:
-            self.batch_sizes.record(len(records))
-        if runtime is not None and runtime._deliver_hook is not None:
-            hook = runtime._deliver_hook
+            self.batch_sizes.record(size)
+        operator = self.operator
+        if self.is_two_input:
+            process = (
+                operator.process_left_batch
+                if self.inputs.input_index[channel] == 0
+                else operator.process_right_batch
+            )
+        else:
+            process = operator.process_batch
+        hook = self._runtime._deliver_hook
+        if hook is not None:
             name = self.vertex.name
             index = self.index
-            if self.is_two_input:
-                process = (
-                    operator.process_left
-                    if self.inputs.input_index[channel] == 0
-                    else operator.process_right
-                )
-            else:
-                process = operator.process
-            for record in records:
+            for record in batch.records:
                 hook(name, index, record)
                 self.records_processed += 1
-                process(record)
+                self._invoke(process, [record])
             return
-        self.records_processed += len(records)
-        tracer = runtime._active_tracer if runtime is not None else None
-        if tracer is not None:
-            tracer.enter(self.vertex.name)
-            try:
-                if batch is not None:
-                    self.process_columnar(batch)
-                elif self.is_two_input:
-                    if self.inputs.input_index[channel] == 0:
-                        operator.process_left_batch(records)
-                    else:
-                        operator.process_right_batch(records)
-                elif self.process_batch_traced is not None:
-                    self.process_batch_traced(records, tracer)
-                else:
-                    operator.process_batch(records)
-            finally:
-                tracer.exit()
-        elif batch is not None:
-            self.process_columnar(batch)
-        elif self.is_two_input:
-            if self.inputs.input_index[channel] == 0:
-                operator.process_left_batch(records)
-            else:
-                operator.process_right_batch(records)
+        self.records_processed += size
+        if self.process_columnar is not None:
+            self._invoke(self.process_columnar, batch)
         else:
-            operator.process_batch(records)
+            self._invoke(process, batch.records)
 
     def _on_barrier(self, barrier: CheckpointBarrier) -> None:
         # Snapshot-on-barrier is orchestrated by the runtime so the
         # coordinator sees a consistent cut; the instance just records it.
-        runtime = self._runtime
-        if runtime is not None:
-            runtime._record_snapshot(self, barrier)
+        self._runtime._record_snapshot(self, barrier)
         self.operator.output(barrier)
 
 
@@ -472,9 +399,8 @@ class JobRuntime(ExecutionBackend):
                     index,
                     operator,
                     _InstanceInputs(instance_channels),
-                    self._route,
+                    self,
                 )
-                instance._runtime = self
                 if self._obs is not None:
                     instance.batch_sizes = self._obs.registry.histogram(
                         "operator_batch_records", operator=name
@@ -500,10 +426,15 @@ class JobRuntime(ExecutionBackend):
     # -- driving -----------------------------------------------------------
 
     def push(self, source_name: str, element: StreamElement) -> None:
-        """Inject an element into a source and run it to completion."""
+        """Inject an element into a source and run it to completion.
+
+        A lone :class:`Record` enters as a batch of one.
+        """
         vertex = self.graph.vertices.get(source_name)
         if vertex is None or not vertex.is_source:
             raise KeyError(f"{source_name!r} is not a source of this job")
+        if isinstance(element, Record):
+            element = RecordBatch([element])
         if self._tracer is not None:
             # Sampled span trace: execution is synchronous depth-first,
             # so everything this element triggers completes (and is
@@ -512,51 +443,6 @@ class JobRuntime(ExecutionBackend):
             self._sampled_route(source_name, 0, element)
             return
         self._route(source_name, 0, element)
-
-    def push_many(
-        self,
-        source_name: str,
-        elements,
-        batch_size: Optional[int] = None,
-    ) -> int:
-        """Inject a sequence of elements, micro-batching the records.
-
-        Consecutive :class:`Record`\\ s are grouped into
-        :class:`RecordBatch`\\ es of at most ``batch_size`` (unbounded when
-        ``None``) and routed in one partitioning pass each.  Control
-        elements (watermarks, markers, barriers) are batch *flush points*:
-        the pending batch is routed first, then the control element, so
-        the observable semantics are identical to pushing one by one.
-        Returns the number of elements injected.
-        """
-        vertex = self.graph.vertices.get(source_name)
-        if vertex is None or not vertex.is_source:
-            raise KeyError(f"{source_name!r} is not a source of this job")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        pending: List[Record] = []
-        count = 0
-        route = self._route if self._tracer is None else self._sampled_route
-        for element in elements:
-            count += 1
-            if isinstance(element, Record):
-                pending.append(element)
-                if batch_size is not None and len(pending) >= batch_size:
-                    route(source_name, 0, RecordBatch(pending))
-                    pending = []
-            elif isinstance(element, RecordBatch):
-                pending.extend(element.records)
-                if batch_size is not None and len(pending) >= batch_size:
-                    route(source_name, 0, RecordBatch(pending))
-                    pending = []
-            else:
-                if pending:
-                    route(source_name, 0, RecordBatch(pending))
-                    pending = []
-                route(source_name, 0, element)
-        if pending:
-            route(source_name, 0, RecordBatch(pending))
-        return count
 
     def _sampled_route(
         self, source_name: str, from_index: int, element: StreamElement
@@ -573,11 +459,7 @@ class JobRuntime(ExecutionBackend):
         finally:
             total_ns = tracer.exit()
             self._active_tracer = None
-            timestamp = getattr(element, "timestamp", None)
-            if timestamp is None and isinstance(element, RecordBatch):
-                records = element.records
-                timestamp = records[0].timestamp if records else None
-            tracer.finish(timestamp, total_ns=total_ns)
+            tracer.finish(element.timestamp, total_ns=total_ns)
 
     def close(self) -> None:
         """Close all operator instances (flushes pending output)."""
@@ -590,80 +472,34 @@ class JobRuntime(ExecutionBackend):
     def _route(
         self, from_vertex: str, from_index: int, element: StreamElement
     ) -> None:
-        for edge, edge_idx, targets in self._out[from_vertex]:
-            channel = (edge_idx, from_index)
-            if isinstance(element, Record):
-                copies = 1
-                if self._channel_hook is not None:
-                    # Fault-injection point: 0 drops the record on this
-                    # channel, 2+ duplicates it (control elements are
-                    # never faulted, preserving alignment).
-                    copies = self._channel_hook(edge, from_index, element)
-                    if copies <= 0:
-                        continue
-                for _ in range(copies):
-                    self._route_record(
-                        edge, edge_idx, channel, targets, from_index, element
-                    )
-            elif isinstance(element, RecordBatch):
-                if self._channel_hook is not None:
-                    # The channel hook fires per record *inside* the batch
-                    # (drop/duplicate/delay each record independently), so
-                    # fault plans are batch-size agnostic.
-                    hook = self._channel_hook
-                    effective: List[Record] = []
-                    for record in element.records:
-                        copies = hook(edge, from_index, record)
-                        if copies == 1:
-                            effective.append(record)
-                        elif copies > 1:
-                            effective.extend([record] * copies)
-                    if effective:
-                        self._route_batch(
-                            edge, edge_idx, channel, targets, from_index,
-                            effective,
-                        )
-                elif len(element):
-                    # No hook: the batch object travels intact, so a
-                    # columnar batch stays columnar all the way to the
-                    # consuming operator.
-                    self._route_batch(
-                        edge, edge_idx, channel, targets, from_index, element
-                    )
-            else:
-                # Control elements are broadcast on every edge.
+        if not isinstance(element, RecordBatch):
+            # Control elements are broadcast on every edge.
+            for edge, edge_idx, targets in self._out[from_vertex]:
+                channel = (edge_idx, from_index)
                 if edge.partitioning is Partitioning.FORWARD:
                     targets[from_index].deliver(channel, element)
                 else:
                     for target in targets:
                         target.deliver(channel, element)
-
-    def _route_record(
-        self,
-        edge: Edge,
-        edge_idx: int,
-        channel: ChannelId,
-        targets: List[DeployedInstance],
-        from_index: int,
-        record: Record,
-    ) -> None:
-        if edge.partitioning is Partitioning.HASH:
-            if len(targets) == 1:
-                targets[0].deliver(channel, record)
-            else:
-                index = stable_hash(record.key) % len(targets)
-                targets[index].deliver(channel, record)
-        elif edge.partitioning is Partitioning.FORWARD:
-            targets[from_index].deliver(channel, record)
-        elif edge.partitioning is Partitioning.BROADCAST:
-            for target in targets:
-                target.deliver(channel, record)
-        elif edge.partitioning is Partitioning.REBALANCE:
-            counter = self._rebalance_counters.get(edge_idx, 0)
-            targets[counter % len(targets)].deliver(channel, record)
-            self._rebalance_counters[edge_idx] = counter + 1
-        else:  # pragma: no cover - exhaustive enum
-            raise ValueError(f"unknown partitioning {edge.partitioning}")
+            return
+        hook = self._channel_hook
+        for edge, edge_idx, targets in self._out[from_vertex]:
+            batch = element
+            if hook is not None:
+                # Fault-injection point, fired per record *inside* the
+                # batch so fault plans are batch-size agnostic: 0 drops
+                # the record on this channel, 2+ duplicates it (control
+                # elements are never faulted, preserving alignment).
+                effective: List[Record] = []
+                for record in element.records:
+                    effective.extend([record] * hook(edge, from_index, record))
+                batch = RecordBatch(effective)
+            # No hook: the batch object travels intact, so a columnar
+            # batch stays columnar all the way to the consuming operator.
+            self._route_batch(
+                edge, edge_idx, (edge_idx, from_index), targets, from_index,
+                batch,
+            )
 
     def _route_batch(
         self,
@@ -672,15 +508,14 @@ class JobRuntime(ExecutionBackend):
         channel: ChannelId,
         targets: List[DeployedInstance],
         from_index: int,
-        records,
+        batch: RecordBatch,
     ) -> None:
-        """Partition a whole micro-batch into per-target sub-batches in
-        one pass and deliver each sub-batch with one operator dispatch.
+        """Partition a whole batch into per-target sub-batches in one
+        pass and deliver each sub-batch with one operator dispatch.
 
-        ``records`` is a record list or an intact :class:`RecordBatch`;
-        single-target partitionings pass it through whole (columnar
-        batches survive), multi-target hash/rebalance must look at every
-        record and materialise first.
+        Single-target partitionings pass the batch through whole
+        (columnar batches survive); multi-target hash/rebalance must
+        look at every record and materialise first.
 
         Per-channel record order is preserved (records for one target
         keep their relative order), which is the same ordering guarantee
@@ -688,47 +523,35 @@ class JobRuntime(ExecutionBackend):
         """
         partitioning = edge.partitioning
         if partitioning is Partitioning.FORWARD:
-            targets[from_index].deliver_batch(channel, records)
+            targets[from_index].deliver_batch(channel, batch)
             return
         if partitioning is Partitioning.BROADCAST:
             for target in targets:
-                target.deliver_batch(channel, records)
+                target.deliver_batch(channel, batch)
             return
         width = len(targets)
         if width == 1:
             if partitioning is Partitioning.REBALANCE:
                 self._rebalance_counters[edge_idx] = (
-                    self._rebalance_counters.get(edge_idx, 0) + len(records)
+                    self._rebalance_counters.get(edge_idx, 0) + len(batch)
                 )
-            targets[0].deliver_batch(channel, records)
+            targets[0].deliver_batch(channel, batch)
             return
-        if type(records) is RecordBatch:
-            records = records.records
-        buckets: List[Optional[List[Record]]] = [None] * width
+        buckets: List[List[Record]] = [[] for _ in range(width)]
         if partitioning is Partitioning.HASH:
-            for record in records:
-                index = stable_hash(record.key) % width
-                bucket = buckets[index]
-                if bucket is None:
-                    buckets[index] = [record]
-                else:
-                    bucket.append(record)
+            for record in batch.records:
+                buckets[stable_hash(record.key) % width].append(record)
         elif partitioning is Partitioning.REBALANCE:
             counter = self._rebalance_counters.get(edge_idx, 0)
-            for record in records:
-                index = counter % width
+            for record in batch.records:
+                buckets[counter % width].append(record)
                 counter += 1
-                bucket = buckets[index]
-                if bucket is None:
-                    buckets[index] = [record]
-                else:
-                    bucket.append(record)
             self._rebalance_counters[edge_idx] = counter
         else:  # pragma: no cover - exhaustive enum
             raise ValueError(f"unknown partitioning {partitioning}")
-        for index, bucket in enumerate(buckets):
-            if bucket is not None:
-                targets[index].deliver_batch(channel, bucket)
+        for target, bucket in zip(targets, buckets):
+            if bucket:
+                target.deliver_batch(channel, RecordBatch(bucket))
 
     # -- fault injection ---------------------------------------------------
 
@@ -756,12 +579,13 @@ class JobRuntime(ExecutionBackend):
 
     def redeliver(self, edge_idx: int, from_index: int, record: Record) -> None:
         """Deliver a previously withheld record on one edge (channel
-        delay faults): routed like a fresh record but bypassing the
+        delay faults): routed as a fresh batch of one but bypassing the
         channel hook, so a delayed record is not re-faulted."""
         edge = self.graph.edges[edge_idx]
         targets = self._instances[edge.target]
-        self._route_record(
-            edge, edge_idx, (edge_idx, from_index), targets, from_index, record
+        self._route_batch(
+            edge, edge_idx, (edge_idx, from_index), targets, from_index,
+            RecordBatch([record]),
         )
 
     # -- introspection -----------------------------------------------------

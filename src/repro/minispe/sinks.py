@@ -22,9 +22,6 @@ class CollectSink(Operator):
         super().__init__(name)
         self.collected: List[Record] = []
 
-    def process(self, record: Record) -> None:
-        self.collected.append(record)
-
     def process_batch(self, records: List[Record]) -> None:
         self.collected.extend(records)
 
@@ -59,9 +56,6 @@ class CallbackSink(Operator):
         self._callback = callback
         self._watermark_callback = watermark_callback
 
-    def process(self, record: Record) -> None:
-        self._callback(record)
-
     def process_batch(self, records: List[Record]) -> None:
         callback = self._callback
         for record in records:
@@ -81,9 +75,6 @@ class CountingSink(Operator):
     def __init__(self, name: str = "counting_sink") -> None:
         super().__init__(name)
         self.count = 0
-
-    def process(self, record: Record) -> None:
-        self.count += 1
 
     def process_batch(self, records: List[Record]) -> None:
         self.count += len(records)

@@ -70,18 +70,6 @@ class WindowedAggregateOperator(Operator):
         # state=KeyedState(store=make_state_store("lsm")) to spill).
         self._accumulators: KeyedState = state or KeyedState()
 
-    def process(self, record: Record) -> None:
-        for window in self._assigner.assign(record.timestamp):
-            if self._assigner.is_session():
-                window = self._merge_session(record.key, window)
-            state_key = (record.key, window)
-            acc = self._accumulators.peek(state_key)
-            if acc is None:
-                acc = self._init()
-            self._accumulators.put(state_key, self._add(acc, record.value))
-            if self._trigger.on_element(record, window):
-                self._fire(state_key)
-
     def process_batch(self, records: List[Record]) -> None:
         assigner_assign = self._assigner.assign
         is_session = self._assigner.is_session()
@@ -102,7 +90,7 @@ class WindowedAggregateOperator(Operator):
                     acc = init()
                 put(state_key, add(acc, value))
                 if on_element(record, window):
-                    self._fire(state_key)
+                    self.output_batch(self._fire([state_key]))
 
     def _merge_session(self, key: Any, proto: Window) -> Window:
         """Merge ``proto`` with this key's overlapping session windows."""
@@ -130,23 +118,27 @@ class WindowedAggregateOperator(Operator):
             if self._trigger.on_watermark(watermark, state_key[1])
         ]
         # Deterministic emission order: by window, then key representation.
-        for state_key in sorted(ready, key=lambda sk: (sk[1], repr(sk[0]))):
-            self._fire(state_key)
+        ready.sort(key=lambda sk: (sk[1], repr(sk[0])))
+        self.output_batch(self._fire(ready))
         self.output(watermark)
 
-    def _fire(self, state_key: Tuple[Any, Window]) -> None:
-        key, window = state_key
-        acc = self._accumulators.peek(state_key)
-        if acc is None:
-            return
-        self._accumulators.remove(state_key)
-        self.output(
-            Record(
-                timestamp=window.max_timestamp(),
-                value=WindowResult(key=key, window=window, value=self._finish(acc)),
-                key=key,
+    def _fire(self, state_keys: List[Tuple[Any, Window]]) -> List[Record]:
+        """Close the given ``(key, window)`` accumulators; their results."""
+        results: List[Record] = []
+        for state_key in state_keys:
+            acc = self._accumulators.peek(state_key)
+            if acc is None:
+                continue
+            self._accumulators.remove(state_key)
+            key, window = state_key
+            results.append(
+                Record(
+                    window.max_timestamp(),
+                    WindowResult(key=key, window=window, value=self._finish(acc)),
+                    key,
+                )
             )
-        )
+        return results
 
     def snapshot(self) -> Any:
         return self._accumulators.snapshot()
@@ -199,23 +191,11 @@ class WindowedJoinOperator(TwoInputOperator):
         # window -> key -> ([left values], [right values])
         self._buffers: Dict[Window, Dict[Any, Tuple[List[Any], List[Any]]]] = {}
 
-    def process_left(self, record: Record) -> None:
-        self._buffer(record, side=0)
-
-    def process_right(self, record: Record) -> None:
-        self._buffer(record, side=1)
-
     def process_left_batch(self, records: List[Record]) -> None:
         self._buffer_batch(records, side=0)
 
     def process_right_batch(self, records: List[Record]) -> None:
         self._buffer_batch(records, side=1)
-
-    def _buffer(self, record: Record, side: int) -> None:
-        for window in self._assigner.assign(record.timestamp):
-            per_key = self._buffers.setdefault(window, {})
-            sides = per_key.setdefault(record.key, ([], []))
-            sides[side].append((record.value, record.timestamp))
 
     def _buffer_batch(self, records: List[Record], side: int) -> None:
         assign = self._assigner.assign
@@ -250,6 +230,7 @@ class WindowedJoinOperator(TwoInputOperator):
         per_key = self._buffers.pop(window, None)
         if per_key is None:
             return
+        results: List[Record] = []
         for key in sorted(per_key, key=repr):
             left_values, right_values = per_key[key]
             for left, left_ts in left_values:
@@ -257,13 +238,14 @@ class WindowedJoinOperator(TwoInputOperator):
                     # Result event time = newest contributing tuple, the
                     # same convention as the shared join, so latency
                     # comparisons between the SUTs are apples-to-apples.
-                    self.output(
+                    results.append(
                         Record(
-                            timestamp=max(left_ts, right_ts),
-                            value=self._result_fn(key, left, right, window),
-                            key=key,
+                            max(left_ts, right_ts),
+                            self._result_fn(key, left, right, window),
+                            key,
                         )
                     )
+        self.output_batch(results)
 
     def snapshot(self) -> Any:
         return {

@@ -325,6 +325,7 @@ class AStreamServer:
         self._started_monotonic = time.monotonic()
         self._manual_now_ms = 0
         self._last_sequence = 0
+        self._last_changelog_ms = 0
         self._shutdown_checkpoint: Optional[int] = None
         self._closed = False
 
@@ -342,6 +343,24 @@ class AStreamServer:
             self._manual_now_ms = max(self._manual_now_ms, int(at_ms))
             return int(at_ms)
         return self.now_ms()
+
+    def _control_time(self, frame: Dict[str, Any]) -> int:
+        """The event time of a ``create_query``/``delete_query`` frame.
+
+        Epochs only move forward: a changelog stamped behind one already
+        applied is refused by the operators' epoch timelines — after its
+        marker has reached some of them.  Such a frame is rejected here,
+        before the request reaches the session, so the connection and
+        the engine stay usable.
+        """
+        at_ms = frame.get("at_ms")
+        if at_ms is not None and int(at_ms) < self._last_changelog_ms:
+            raise ProtocolError(
+                "bad_time",
+                f"at_ms {at_ms} lies before the last applied changelog "
+                f"at {self._last_changelog_ms}",
+            )
+        return self._observe_time(at_ms)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -591,6 +610,9 @@ class AStreamServer:
     def _note_changelogs(self, changelogs: List[Changelog]) -> None:
         for changelog in changelogs:
             self._last_sequence = max(self._last_sequence, changelog.sequence)
+            self._last_changelog_ms = max(
+                self._last_changelog_ms, changelog.timestamp_ms
+            )
 
     async def _announce_flushed(self, changelogs: List[Changelog]) -> None:
         """Resolve batched-mode waiters with their changelog sequence."""
@@ -869,7 +891,7 @@ class AStreamServer:
                     "bad_slo", f"slo_ms must be a positive number, "
                     f"got {frame.get('slo_ms')!r}"
                 ) from None
-        now = self._observe_time(frame.get("at_ms"))
+        now = self._control_time(frame)
         with self.gate.locked():
             try:
                 decision = self.admission.submit(query, now)
@@ -931,7 +953,7 @@ class AStreamServer:
         self, session: SessionState, frame: Dict[str, Any]
     ) -> Dict[str, Any]:
         query_id = str(frame["query_id"])
-        now = self._observe_time(frame.get("at_ms"))
+        now = self._control_time(frame)
         with self.gate.locked():
             parked = any(
                 request.query.query_id == query_id

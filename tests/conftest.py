@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.engine import AStreamEngine, EngineConfig
 from repro.minispe.cluster import ClusterSpec, SimulatedCluster
+from repro.minispe.record import RecordBatch
 from repro.workloads.datagen import DataTuple
 
 
@@ -24,6 +25,19 @@ def field_tuple(key: int, **field_values: int) -> DataTuple:
             raise ValueError(f"field names look like f0..f4, got {name!r}")
         fields[int(name[1:])] = value
     return DataTuple(key=key, fields=tuple(fields))
+
+
+def flat_collector(out: list):
+    """An operator collector that appends emitted elements to ``out``,
+    unpacking each emitted batch into its records."""
+
+    def collect(element) -> None:
+        if isinstance(element, RecordBatch):
+            out.extend(element.records)
+        else:
+            out.append(element)
+
+    return collect
 
 
 @pytest.fixture

@@ -10,11 +10,15 @@ hammered with random predicates and tuples:
   never both accept a tuple;
 * the compiled sharing plan (covering groups ∨ residuals ∨ direct
   entries) is extensionally equal to evaluating every per-query
-  predicate independently — the optimizer is a pure rewrite.
+  predicate independently — the optimizer is a pure rewrite;
+* the selection operator that runs those plans tags the same tuples
+  identically whether they arrive as single records, a row-built batch
+  or a columnar batch.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.changelog import Changelog, QueryActivation
 from repro.core.planner import (
     compile_selection_plan,
     covering,
@@ -22,9 +26,17 @@ from repro.core.planner import (
     overlaps,
     subsumes,
 )
-from repro.core.query import Comparison, FieldPredicate, TruePredicate
+from repro.core.query import (
+    CallablePredicate,
+    Comparison,
+    FieldPredicate,
+    SelectionQuery,
+    TruePredicate,
+)
+from repro.core.selection import EPOCH_TAG, QS_TAG, SharedSelectionOperator
 from repro.core.sql import ConjunctionPredicate
-from tests.conftest import make_tuple
+from repro.minispe.record import ChangelogMarker, Record, RecordBatch
+from tests.conftest import flat_collector, make_tuple
 
 # Constants and field values share one small domain so boundary hits
 # (v == constant, equal constants across predicates) are common.
@@ -118,3 +130,93 @@ def test_compiled_plan_is_exact_rewrite(predicates, record):
     columns = [[record.fields[f]] for f in range(5)]
     for group in plan.groups:
         assert group.bind_columns(columns)(0) == group.evaluate(record)
+
+
+def _tag_run(predicates, rows, timestamps, udf_at_ms, udf_floor, shape):
+    """Tag ``rows`` delivered in one input ``shape``; what an observer sees.
+
+    Epoch 1 (from t=0) holds one query per predicate; epoch 2 (from
+    ``udf_at_ms``, which may fall anywhere inside the batch's event
+    times) adds a black-box UDF query.
+    """
+    operator = SharedSelectionOperator("A")
+    tagged = []
+    operator.set_collector(flat_collector(tagged))
+    queries = [
+        SelectionQuery(stream="A", predicate=predicate, query_id=f"p{slot}")
+        for slot, predicate in enumerate(predicates)
+    ]
+    udf = SelectionQuery(
+        stream="A",
+        predicate=CallablePredicate(lambda value: value.fields[0] > udf_floor),
+        query_id="udf",
+    )
+    for sequence, at_ms, created in (
+        (1, 0, list(enumerate(queries))),
+        (2, udf_at_ms, [(len(queries), udf)]),
+    ):
+        activations = tuple(
+            QueryActivation(query, slot, at_ms) for slot, query in created
+        )
+        operator.on_marker(
+            ChangelogMarker(
+                timestamp=at_ms,
+                changelog=Changelog(
+                    sequence=sequence,
+                    timestamp_ms=at_ms,
+                    created=activations,
+                    width_after=len(queries) + 1,
+                ),
+            )
+        )
+    records = [
+        Record(timestamp, row, row.key)
+        for timestamp, row in zip(timestamps, rows)
+    ]
+    if shape == "single":
+        for record in records:
+            operator.process(record)
+    elif shape == "rows":
+        operator.process_batch(records)
+    else:
+        operator.process_columnar(
+            RecordBatch.from_columns(
+                timestamps,
+                [row.key for row in rows],
+                [[row.fields[f] for row in rows] for f in range(5)],
+                lambda key, fields: make_tuple(key=key, fields=fields),
+            )
+        )
+    return (
+        [
+            (r.timestamp, r.value, r.key, r.tags[QS_TAG], r.tags[EPOCH_TAG])
+            for r in tagged
+            if isinstance(r, Record)
+        ],
+        operator.records_dropped,
+        operator.predicate_evaluations,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    predicates=st.lists(_predicates, min_size=1, max_size=6),
+    rows=st.lists(_tuples, min_size=1, max_size=10),
+    data=st.data(),
+)
+def test_tagging_is_independent_of_input_shape(predicates, rows, data):
+    """Single records, a row-built batch and a columnar batch of the same
+    tuples get identical tags and charge identical counters — also when a
+    UDF query's epoch starts at an event time inside the batch."""
+    times = st.integers(min_value=0, max_value=100)
+    timestamps = data.draw(
+        st.lists(times, min_size=len(rows), max_size=len(rows))
+    )
+    udf_at_ms = data.draw(times)
+    udf_floor = data.draw(st.integers(min_value=0, max_value=20))
+    single, rows_built, columnar = (
+        _tag_run(predicates, rows, timestamps, udf_at_ms, udf_floor, shape)
+        for shape in ("single", "rows", "columnar")
+    )
+    assert rows_built == single
+    assert columnar == single

@@ -11,7 +11,7 @@ from repro.core.query import (
 )
 from repro.core.selection import EPOCH_TAG, QS_TAG, SharedSelectionOperator
 from repro.minispe.record import ChangelogMarker, Record
-from tests.conftest import field_tuple
+from tests.conftest import field_tuple, flat_collector
 
 
 def _selection_query(name: str, stream="A", predicate=None) -> SelectionQuery:
@@ -36,7 +36,7 @@ def _marker(sequence, ts, created=(), deleted=(), width=0) -> ChangelogMarker:
 def _wired(stream="A") -> (SharedSelectionOperator, List):
     operator = SharedSelectionOperator(stream)
     out: List = []
-    operator.set_collector(out.append)
+    operator.set_collector(flat_collector(out))
     return operator, out
 
 
@@ -157,7 +157,7 @@ class TestPredicateDeduplication:
     def test_dedup_disabled_evaluates_per_query(self):
         operator = SharedSelectionOperator("A", dedup_predicates=False)
         collected = []
-        operator.set_collector(collected.append)
+        operator.set_collector(flat_collector(collected))
         predicate = FieldPredicate(0, Comparison.GT, 5)
         q1 = _selection_query("q1", predicate=predicate)
         q2 = _selection_query("q2", predicate=predicate)
@@ -182,7 +182,7 @@ class TestPredicateDeduplication:
         def run(dedup):
             operator = SharedSelectionOperator("A", dedup_predicates=dedup)
             collected = []
-            operator.set_collector(collected.append)
+            operator.set_collector(flat_collector(collected))
             queries = [
                 _selection_query(
                     f"q{i}", predicate=FieldPredicate(i % 2, Comparison.GE, 50)

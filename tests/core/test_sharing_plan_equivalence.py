@@ -13,7 +13,7 @@ from repro.core.selection import QS_TAG
 from repro.core.serde import query_from_dict, query_to_dict
 from repro.core.sql import ConjunctionPredicate, parse_query
 from repro.minispe.record import Record
-from tests.conftest import field_tuple, go_live, make_engine
+from tests.conftest import field_tuple, flat_collector, go_live, make_engine
 
 SQL = "SELECT * FROM A WHERE A.F0 >= 25 AND A.F0 <= 40"
 
@@ -66,7 +66,7 @@ def test_shared_group_tags_both_queries_identically():
     go_live(engine, [parse_query(SQL), _doc_query("doc-3")])
     operator = engine.selection_operators("A")[0]
     tagged = []
-    operator.set_collector(tagged.append)
+    operator.set_collector(flat_collector(tagged))
     operator.process(Record(timestamp=5, value=field_tuple(1, f0=30), key=1))
     operator.process(Record(timestamp=6, value=field_tuple(1, f0=80), key=1))
     records = [element for element in tagged if isinstance(element, Record)]

@@ -3,9 +3,13 @@
 Full SC1/SC2 scenario runs are repeated with ``batch_size`` 1, 7, and 64
 and the per-query outputs compared byte-for-byte: the vectorized batch
 path (RecordBatch routing, ``process_batch`` operators, batched driver
-pushes) is a pure encoding of the per-record element sequence.  The same
-holds under a seeded chaos :class:`FaultPlan` — whole-batch retries
-after supervised recovery must not duplicate or lose a single tuple.
+pushes) is a pure encoding of the per-record element sequence — down to
+the global order in which results reach the query channels, which pins
+that a fired window leaving as one batch delivers exactly as its results
+did one by one.  The same holds under a seeded chaos :class:`FaultPlan`
+— whole-batch retries after supervised recovery must not duplicate or
+lose a single tuple, also when the fault strikes in the middle of a
+fired window's result batch.
 """
 
 import pytest
@@ -69,14 +73,34 @@ def _fault_plan() -> FaultPlan:
     return plan
 
 
-def _run_astream(schedule, batch_size: int, plan: FaultPlan = None):
+def _mid_window_fault_plan(router: str) -> FaultPlan:
+    """The deliver hook raises on the 3rd result of a fired window."""
+    plan = FaultPlan(name="mid-window-fire")
+    plan.add(
+        FaultEvent(at_ms=4_000, kind=FaultKind.OPERATOR_EXCEPTION,
+                   vertex=router, after_records=2, repeat=1)
+    )
+    return plan
+
+
+def _run_astream(schedule, batch_size: int, plan: FaultPlan = None,
+                 deliveries: list = None):
+    """Run one schedule; ``deliveries`` (when given) collects the global
+    ``on_deliver`` call sequence as (query id, timestamp, value)."""
     qos = QoSMonitor(sample_every=32)
     cluster = SimulatedCluster(ClusterSpec(nodes=4))
+
+    def on_deliver(query_id, timestamp):
+        if deliveries is not None:
+            value = engine.results(query_id)[-1].value
+            deliveries.append((query_id, timestamp, repr(value)))
+        qos.on_deliver(query_id, timestamp)
+
     engine = AStreamEngine(
         EngineConfig(streams=STREAMS, parallelism=1,
                      log_inputs=plan is not None),
         cluster=cluster,
-        on_deliver=qos.on_deliver,
+        on_deliver=on_deliver,
     )
     supervisor = None
     if plan is not None:
@@ -136,15 +160,24 @@ class TestAStreamBatchEquivalence:
     @pytest.mark.parametrize("scenario", [_sc1, _sc2], ids=["sc1", "sc2"])
     def test_outputs_byte_equal_across_batch_sizes(self, scenario):
         schedule = scenario()
-        _, reference, _ = _run_astream(schedule, batch_size=1)
+        reference_order = []
+        _, reference, _ = _run_astream(
+            schedule, batch_size=1, deliveries=reference_order
+        )
         assert reference and any(reference.values())
         for batch_size in BATCH_SIZES[1:]:
-            _, outputs, _ = _run_astream(schedule, batch_size=batch_size)
+            order = []
+            _, outputs, _ = _run_astream(
+                schedule, batch_size=batch_size, deliveries=order
+            )
             assert set(outputs) == set(reference)
             for query_id in reference:
                 assert outputs[query_id] == reference[query_id], (
                     f"batch_size={batch_size} diverged on {query_id}"
                 )
+            assert order == reference_order, (
+                f"batch_size={batch_size} changed the delivery order"
+            )
 
     @pytest.mark.parametrize("scenario", [_sc1, _sc2], ids=["sc1", "sc2"])
     def test_outputs_byte_equal_under_chaos(self, scenario):
@@ -160,6 +193,22 @@ class TestAStreamBatchEquivalence:
                 assert outputs[query_id] == oracle[query_id], (
                     f"chaos batch_size={batch_size} diverged on {query_id}"
                 )
+
+    @pytest.mark.parametrize(
+        "scenario, router",
+        [(_sc1, "router:join:A~B"), (_sc2, "router:agg:A")],
+        ids=["sc1", "sc2"],
+    )
+    def test_fault_inside_a_fired_window_batch(self, scenario, router):
+        schedule = scenario()
+        _, oracle, _ = _run_astream(schedule, batch_size=1)
+        for batch_size in BATCH_SIZES:
+            _, outputs, supervisor = _run_astream(
+                schedule, batch_size=batch_size,
+                plan=_mid_window_fault_plan(router),
+            )
+            assert supervisor.recovery_count >= 1, batch_size
+            assert outputs == oracle, f"batch_size={batch_size}"
 
     def test_chaos_batch_runs_are_seed_deterministic(self):
         schedule = _sc1()

@@ -32,19 +32,14 @@ def _records(count: int, key_mod: int = 3) -> List[Record]:
 
 
 class _BatchProbe(Operator):
-    """Observes how elements arrive: batched or one by one."""
+    """Observes the batches data arrives in."""
 
     def __init__(self):
         super().__init__("batch_probe")
-        self.single: List[Record] = []
         self.batches: List[List[Record]] = []
         self.received: List[Record] = []
         """All records in arrival order, however they were delivered."""
         self.watermarks: List[int] = []
-
-    def process(self, record):
-        self.single.append(record)
-        self.received.append(record)
 
     def process_batch(self, records):
         self.batches.append(list(records))
@@ -92,7 +87,6 @@ class TestPushMany:
         count = runtime.push_many("src", _records(10), batch_size=4)
         assert count == 10
         assert [len(b) for b in probes[0].batches] == [4, 4, 2]
-        assert probes[0].single == []
 
     def test_control_elements_flush_pending_batch(self):
         runtime, probes = _probe_runtime()
@@ -246,9 +240,9 @@ class TestFaultHooksInsideBatches:
         with pytest.raises(Boom):
             runtime.push_many("src", records, batch_size=5)
         # The hook fired per record: everything before the faulted record
-        # was processed one at a time, nothing after it was.
-        assert [r.value for r in probes[0].single] == [0, 1, 2]
-        assert probes[0].batches == []
+        # was processed one at a time (as batches of one), nothing after
+        # it was.
+        assert [[r.value for r in b] for b in probes[0].batches] == [[0], [1], [2]]
 
 
 class TestBatchedHelper:

@@ -14,11 +14,12 @@ from repro.minispe.operators import (
     TwoInputOperator,
 )
 from repro.minispe.record import ChangelogMarker, Record, Watermark
+from tests.conftest import flat_collector
 
 
 def _collecting(operator: Operator) -> List:
     out: List = []
-    operator.set_collector(out.append)
+    operator.set_collector(flat_collector(out))
     operator.open(OperatorContext(operator.name, 0, 1))
     return out
 

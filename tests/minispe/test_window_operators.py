@@ -21,6 +21,8 @@ from repro.minispe.windows import (
 
 import pytest
 
+from tests.conftest import flat_collector
+
 
 def _sum_aggregate(assigner):
     return WindowedAggregateOperator(
@@ -34,7 +36,7 @@ def _sum_aggregate(assigner):
 def _run_aggregate(assigner, records, watermark_ts):
     collected: List[Record] = []
     operator = _sum_aggregate(assigner)
-    operator.set_collector(collected.append)
+    operator.set_collector(flat_collector(collected))
     for record in records:
         operator.process(record)
     operator.on_watermark(Watermark(timestamp=watermark_ts))
@@ -117,7 +119,7 @@ class TestWindowedAggregate:
 
         collected = []
         fresh = _sum_aggregate(TumblingWindows(1_000))
-        fresh.set_collector(collected.append)
+        fresh.set_collector(flat_collector(collected))
         fresh.restore(snapshot)
         fresh.on_watermark(Watermark(timestamp=2_000))
         results = [
@@ -132,7 +134,7 @@ class TestWindowedJoin:
     def _run_join(self, records_left, records_right, watermark_ts, assigner=None):
         collected: List[Record] = []
         operator = WindowedJoinOperator(assigner or TumblingWindows(1_000))
-        operator.set_collector(collected.append)
+        operator.set_collector(flat_collector(collected))
         for record in records_left:
             operator.process_left(record)
         for record in records_right:

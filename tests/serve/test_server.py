@@ -69,6 +69,26 @@ class TestControlPlane:
         assert client.ping()  # session survived
         client.close()
 
+    def test_stale_at_ms_is_an_error_not_a_disconnect(self, make_server):
+        """A control frame timed behind an applied changelog is refused
+        before it reaches the session: error frame, same connection."""
+        handle = make_server()
+        client = _client(handle)
+        first = client.create_query(sql=SQL_SELECT, at_ms=1_000)
+        with pytest.raises(ServeError) as excinfo:
+            client.create_query(sql=SQL_SELECT, at_ms=400)
+        assert excinfo.value.code == "bad_time"
+        with pytest.raises(ServeError) as excinfo:
+            client.delete_query(first.query_id, at_ms=999)
+        assert excinfo.value.code == "bad_time"
+        # Connection and engine are still usable: a normal create works.
+        result = client.create_query(sql=SQL_SELECT, at_ms=1_000)
+        assert result.status == "admit"
+        assert result.sequence > first.sequence
+        assert client.reconnects == 0
+        assert client.stats()["active_queries"] == 2
+        client.close()
+
     def test_delete_unknown_query_is_an_error(self, make_server):
         handle = make_server()
         client = _client(handle)
