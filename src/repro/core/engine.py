@@ -46,6 +46,7 @@ from repro.core.shared_join import SharedJoinOperator
 from repro.minispe.checkpoint import incremental_delta
 from repro.minispe.cluster import SimulatedCluster
 from repro.minispe.graph import JobGraph, Partitioning
+from repro.minispe.operators import Operator
 from repro.minispe.record import (
     ChangelogMarker,
     CheckpointBarrier,
@@ -56,6 +57,7 @@ from repro.minispe.record import (
 from repro.minispe.runtime import JobRuntime
 from repro.obs import Observability
 from repro.obs.cost import attribute_costs, slots_of
+from repro.obs.registry import gauge_snapshot, merge_snapshots
 
 logger = logging.getLogger("repro.core.engine")
 
@@ -230,10 +232,9 @@ class AStreamEngine:
             if self.config.collect_sharing_stats
             else {}
         )
-        self._selections: Dict[str, List[SharedSelectionOperator]] = {}
-        self._joins: Dict[str, List[SharedJoinOperator]] = {}
-        self._aggregations: Dict[str, List[SharedAggregationOperator]] = {}
-        self._routers: Dict[str, List[RouterOperator]] = {}
+        # Operator instances deployed in this process, by graph vertex
+        # (empty on a process-backend coordinator: its shards own them).
+        self._operators: Dict[str, List[Operator]] = {}
         self._stage_names: set = set()
         # Spill root for the lsm backend.  Created before the graph so
         # operator factories can place their stores under it; owned (and
@@ -310,8 +311,8 @@ class AStreamEngine:
         graph = JobGraph(self.JOB_NAME)
         parallelism = self._parallelism
 
-        def register(holder: Dict[str, list], key: str, operator):
-            holder.setdefault(key, []).append(operator)
+        def register(vertex: str, operator):
+            self._operators.setdefault(vertex, []).append(operator)
             # Shared operators emit control-plane events (slice
             # create/expire) when the engine observes; None keeps their
             # watermark path unchanged.
@@ -322,9 +323,8 @@ class AStreamEngine:
             name = f"router:{stage_key}"
             graph.add_operator(
                 name,
-                lambda sk=stage_key: register(
-                    self._routers,
-                    sk,
+                lambda sk=stage_key, n=name: register(
+                    n,
                     RouterOperator(sk, self.channels, profile=config.profile),
                 ),
                 parallelism=parallelism,
@@ -336,9 +336,8 @@ class AStreamEngine:
             select_key = f"select:{stream}"
             graph.add_operator(
                 select_key,
-                lambda s=stream: register(
-                    self._selections,
-                    s,
+                lambda s=stream, k=select_key: register(
+                    k,
                     SharedSelectionOperator(
                         s,
                         profile=config.profile,
@@ -356,11 +355,7 @@ class AStreamEngine:
             agg_key = f"agg:{stream}"
             graph.add_operator(
                 agg_key,
-                lambda k=agg_key: register(
-                    self._aggregations,
-                    k,
-                    self._make_aggregation(k),
-                ),
+                lambda k=agg_key: register(k, self._make_aggregation(k)),
                 parallelism=parallelism,
             )
             graph.connect(select_key, agg_key, Partitioning.HASH)
@@ -378,7 +373,6 @@ class AStreamEngine:
                 graph.add_operator(
                     join_key,
                     lambda k=join_key: register(
-                        self._joins,
                         k,
                         SharedJoinOperator(
                             k,
@@ -406,9 +400,7 @@ class AStreamEngine:
                 graph.add_operator(
                     cascade_agg_key,
                     lambda k=cascade_agg_key: register(
-                        self._aggregations,
-                        k,
-                        self._make_aggregation(k),
+                        k, self._make_aggregation(k)
                     ),
                     parallelism=parallelism,
                 )
@@ -736,12 +728,9 @@ class AStreamEngine:
         if not self.config.log_inputs:
             raise RuntimeError("recovery needs EngineConfig(log_inputs=True)")
         started_ns = time.perf_counter_ns() if self.obs is not None else 0
-        # Fresh instances: clear operator registries so introspection and
-        # component stats point at the recovered topology only.
-        self._selections.clear()
-        self._joins.clear()
-        self._aggregations.clear()
-        self._routers.clear()
+        # Fresh instances: clear the operator registry so introspection
+        # and stats point at the recovered topology only.
+        self._operators.clear()
         self.runtime = self._make_runtime()
         checkpoint = self._checkpoints[-1] if self._checkpoints else None
         if checkpoint is not None:
@@ -891,151 +880,67 @@ class AStreamEngine:
         """Queries currently live (post-changelog)."""
         return self.session.registry.active_count
 
+    def stats_snapshot(self) -> Dict[str, dict]:
+        """Every deployed operator's counters, as one merged snapshot.
+
+        Walks the deployed instances, collects each one's
+        :meth:`~repro.minispe.operators.Operator.stats` under an
+        ``operator=<vertex>`` label (plus the runtime's per-vertex input
+        count) and merges parallel instances by each stat's own hint.
+        Entries have the :meth:`MetricsRegistry.snapshot` gauge shape, so
+        :func:`~repro.obs.registry.merge_snapshots` combines shards the
+        same way.  Every stats view below is a projection of this — the
+        process backend overrides only this method.
+        """
+        records_in = self.runtime.records_processed()
+        per_instance = [
+            gauge_snapshot(
+                {"operator_records_in": (count, "sum")}, operator=vertex
+            )
+            for vertex, count in records_in.items()
+        ]
+        for vertex, operators in self._operators.items():
+            for op in operators:
+                per_instance.append(gauge_snapshot(op.stats(), operator=vertex))
+        return merge_snapshots(per_instance)
+
+    _COMPONENT_STATS = {
+        "predicate_evaluations": ("predicate_evaluations", ("select",)),
+        "selection_dropped": ("records_dropped", ("select",)),
+        "bitset_ops": ("bitset_ops", ("join", "agg")),
+        "router_copies": ("copies", ("router",)),
+        "join_pairs_computed": ("pairs_computed", ("join",)),
+        "join_pairs_reused": ("pairs_reused", ("join",)),
+        "results_emitted": ("results_emitted", ("join", "agg")),
+        "late_records_dropped": ("late_records_dropped", ("join", "agg")),
+        "selection_ns": ("profile_ns", ("select",)),
+        "shared_op_ns": ("profile_ns", ("join", "agg")),
+        "router_ns": ("profile_ns", ("router",)),
+    }
+    """``component_stats`` key → (operator stat, operator kinds summed)."""
+
     def component_stats(self) -> Dict[str, float]:
         """Aggregate per-component counters (Figure 18's breakdown)."""
-        stats = {
-            "predicate_evaluations": 0,
-            "selection_dropped": 0,
-            "bitset_ops": 0,
-            "router_copies": 0,
-            "join_pairs_computed": 0,
-            "join_pairs_reused": 0,
-            "results_emitted": 0,
-            "late_records_dropped": 0,
-            "selection_ns": 0,
-            "shared_op_ns": 0,
-            "router_ns": 0,
-        }
-        for operators in self._selections.values():
-            for op in operators:
-                stats["predicate_evaluations"] += op.predicate_evaluations
-                stats["selection_dropped"] += op.records_dropped
-                stats["selection_ns"] += op.profile_ns
-        for operators in self._joins.values():
-            for op in operators:
-                stats["bitset_ops"] += op.bitset_ops
-                stats["join_pairs_computed"] += op.pairs_computed
-                stats["join_pairs_reused"] += op.pairs_reused
-                stats["results_emitted"] += op.results_emitted
-                stats["late_records_dropped"] += op.late_records_dropped
-                stats["shared_op_ns"] += op.profile_ns
-        for operators in self._aggregations.values():
-            for op in operators:
-                stats["bitset_ops"] += op.bitset_ops
-                stats["results_emitted"] += op.results_emitted
-                stats["late_records_dropped"] += op.late_records_dropped
-                stats["shared_op_ns"] += op.profile_ns
-        for operators in self._routers.values():
-            for op in operators:
-                stats["router_copies"] += op.copies
-                stats["router_ns"] += op.profile_ns
+        stats = dict.fromkeys(self._COMPONENT_STATS, 0)
+        for entry in self.stats_snapshot().values():
+            kind = entry["labels"]["operator"].partition(":")[0]
+            for key, (name, kinds) in self._COMPONENT_STATS.items():
+                if entry["name"] == name and kind in kinds:
+                    stats[key] += entry["value"]
         return stats
 
     # -- observability -----------------------------------------------------------------
 
     def _refresh_obs_gauges(self) -> None:
-        """Pull live operator/engine state into the metrics registry.
-
-        Counters on the operators are plain attributes (kept cheap for
-        the data path); snapshotting copies them into labelled gauges so
-        one registry snapshot carries the whole engine picture.  Additive
-        state merges with ``sum`` across shards; replicated facts
-        (registry width, active query count) merge with ``max``.
-        """
+        """Publish :meth:`stats_snapshot` and the engine-level facts as
+        labelled registry gauges, so one registry snapshot carries the
+        whole engine picture.  Engine facts are replicated on every
+        shard and merge with ``max``."""
         registry = self.obs.registry
-        for stream, operators in self._selections.items():
-            scope = registry.scope(operator=f"select:{stream}")
-            for op in operators:
-                scope.gauge("predicate_evaluations").set(
-                    op.predicate_evaluations
-                )
-                scope.gauge("records_dropped").set(op.records_dropped)
-                scope.gauge("active_query_count", merge="max").set(
-                    op.active_query_count
-                )
-                sharing = op.sharing_group_stats()
-                scope.gauge("sharing_groups", merge="max").set(
-                    sharing["groups"]
-                )
-                scope.gauge("sharing_grouped_slots", merge="max").set(
-                    sharing["grouped_slots"]
-                )
-                scope.gauge("sharing_cover_skips").set(
-                    sharing["cover_skips"]
-                )
-                scope.gauge("sharing_residual_checks").set(
-                    sharing["residual_checks"]
-                )
-        for join_key, operators in self._joins.items():
-            scope = registry.scope(operator=join_key)
-            for op in operators:
-                scope.gauge("slices_left").set(len(op._left))
-                scope.gauge("slices_right").set(len(op._right))
-                scope.gauge("slices_created").set(
-                    op._left.created_total + op._right.created_total
-                )
-                scope.gauge("slices_expired").set(
-                    op._left.expired_total + op._right.expired_total
-                )
-                scope.gauge("tuples_stored").set(op.tuples_stored)
-                scope.gauge("pair_cache_size").set(len(op._pair_cache))
-                scope.gauge("changelog_table_size").set(len(op._changelogs))
-                scope.gauge("pairs_computed").set(op.pairs_computed)
-                scope.gauge("pairs_reused").set(op.pairs_reused)
-                scope.gauge("results_emitted").set(op.results_emitted)
-                scope.gauge("late_records_dropped").set(
-                    op.late_records_dropped
-                )
-                scope.gauge("bitset_ops").set(op.bitset_ops)
-        for agg_key, operators in self._aggregations.items():
-            scope = registry.scope(operator=agg_key)
-            for op in operators:
-                scope.gauge("slices").set(len(op._slices))
-                scope.gauge("slices_created").set(op._slices.created_total)
-                scope.gauge("slices_expired").set(op._slices.expired_total)
-                scope.gauge("session_windows").set(len(op._session_state))
-                scope.gauge("changelog_table_size").set(len(op._changelogs))
-                scope.gauge("partial_updates").set(op.partial_updates)
-                scope.gauge("results_emitted").set(op.results_emitted)
-                scope.gauge("late_records_dropped").set(
-                    op.late_records_dropped
-                )
-                scope.gauge("bitset_ops").set(op.bitset_ops)
-                store_stats = op.state_store_stats()
-                if store_stats is not None:
-                    scope.gauge("spilled_bytes").set(
-                        store_stats["spilled_bytes"]
-                    )
-                    scope.gauge("spill_segments").set(store_stats["segments"])
-                    scope.gauge("spill_memtable_entries").set(
-                        store_stats["memtable_entries"]
-                    )
-                    scope.gauge("spill_flushes").set(store_stats["flushes"])
-                arr_stats = op.arrangement_stats()
-                if arr_stats is not None:
-                    scope.gauge("arrangement_count", merge="max").set(1)
-                    scope.gauge("reader_leases").set(
-                        arr_stats["reader_leases"]
-                    )
-                    scope.gauge("arranged_deltas").set(
-                        arr_stats["arranged_deltas"]
-                    )
-                    scope.gauge("arranged_keys").set(
-                        arr_stats["arranged_keys"]
-                    )
-                    scope.gauge("compaction_debt").set(
-                        arr_stats["compaction_debt"]
-                    )
-                    scope.gauge("backfilled_windows").set(
-                        arr_stats["backfilled_windows"]
-                    )
-        for router_key, operators in self._routers.items():
-            scope = registry.scope(operator=f"router:{router_key}")
-            for op in operators:
-                scope.gauge("copies").set(op.copies)
-                scope.gauge("fan_out").set(len(op._slot_to_query))
-        for vertex, count in self.runtime.records_processed().items():
-            registry.gauge("operator_records_in", operator=vertex).set(count)
+        for entry in self.stats_snapshot().values():
+            registry.gauge(
+                entry["name"], merge=entry["merge"], **entry["labels"]
+            ).set(entry["value"])
         registry.gauge("active_queries", merge="max").set(
             self.active_query_count
         )
@@ -1100,38 +1005,12 @@ class AStreamEngine:
         zero groups.
         """
         summary: Dict[str, Dict] = {}
-        for stream, operators in sorted(self._selections.items()):
-            merged = {
-                "groups": 0,
-                "grouped_slots": 0,
-                "direct_predicates": 0,
-                "folded_unsatisfiable_slots": 0,
-                "group_evaluations": 0,
-                "cover_skips": 0,
-                "index_probes": 0,
-                "residual_checks": 0,
-            }
-            for op in operators:
-                stats = op.sharing_group_stats()
-                # Shape is replicated across parallel instances (every
-                # instance sees the full slot table): merge with max;
-                # counters are additive work: merge with sum.
-                for key in (
-                    "groups",
-                    "grouped_slots",
-                    "direct_predicates",
-                    "folded_unsatisfiable_slots",
-                ):
-                    merged[key] = max(merged[key], stats[key])
-                for key in (
-                    "group_evaluations",
-                    "cover_skips",
-                    "index_probes",
-                    "residual_checks",
-                ):
-                    merged[key] += stats[key]
-            summary[stream] = merged
-        return summary
+        for entry in self.stats_snapshot().values():
+            kind, _, stream = entry["labels"]["operator"].partition(":")
+            if kind == "select" and entry["name"].startswith("sharing_"):
+                key = entry["name"][len("sharing_"):]
+                summary.setdefault(stream, {})[key] = entry["value"]
+        return dict(sorted(summary.items()))
 
     # -- cost attribution ----------------------------------------------------
 
@@ -1158,9 +1037,9 @@ class AStreamEngine:
         """
         streams: Dict[str, List[Dict]] = {}
         unattributed = 0.0
-        for stream, operators in sorted(self._selections.items()):
+        for stream in sorted(self.config.streams):
             entries: List[Dict] = []
-            for op in operators:
+            for op in self.selection_operators(stream):
                 profile = op.cost_profile()
                 unattributed += profile.get("unattributed", 0.0)
                 for kind in ("direct", "groups"):
@@ -1232,62 +1111,48 @@ class AStreamEngine:
 
     def selection_operators(self, stream: str) -> List[SharedSelectionOperator]:
         """Live shared-selection instances for a stream."""
-        return self._selections.get(stream, [])
+        return self._operators.get(f"select:{stream}", [])
 
     def join_operators(self, join_key: str) -> List[SharedJoinOperator]:
         """Live shared-join instances for a cascade stage."""
-        return self._joins.get(join_key, [])
+        return self._operators.get(join_key, [])
 
     def aggregation_operators(self, agg_key: str) -> List[SharedAggregationOperator]:
         """Live shared-aggregation instances for a stage."""
-        return self._aggregations.get(agg_key, [])
+        return self._operators.get(agg_key, [])
+
+    _STATE_SUMMARY = (
+        "spilled_bytes",
+        "spill_segments",
+        "spill_entries",
+        "spill_flushes",
+        "spill_compactions",
+        "arrangement_count",
+        "reader_leases",
+        "arranged_deltas",
+        "arranged_keys",
+        "compaction_debt",
+        "backfilled_windows",
+        "backfilled_results",
+    )
+    """Storage-plane stats ``state_summary`` totals (zero when the
+    backend or arrangements are off and no operator reports them)."""
 
     def state_summary(self) -> Dict[str, Any]:
-        """Storage-plane rollup across the live shared aggregations.
+        """Storage-plane rollup across the shared aggregations.
 
-        Aggregates the spill-store stats (lsm backend) and the
-        arrangement gauges (shared arrangements) of every in-process
-        aggregation instance — the numbers the serve layer and the
-        inspector panel surface.
+        Totals the spill-store stats (lsm backend) and the arrangement
+        stats (shared arrangements) of every aggregation instance — the
+        numbers the serve layer and the inspector panel surface.
         """
         summary: Dict[str, Any] = {
             "state_backend": self.config.state_backend,
             "shared_arrangements": self.config.shared_arrangements,
-            "spilled_bytes": 0,
-            "spill_segments": 0,
-            "spill_entries": 0,
-            "spill_flushes": 0,
-            "spill_compactions": 0,
-            "arrangement_count": 0,
-            "reader_leases": 0,
-            "arranged_deltas": 0,
-            "arranged_keys": 0,
-            "compaction_debt": 0,
-            "backfilled_windows": 0,
-            "backfilled_results": 0,
+            **dict.fromkeys(self._STATE_SUMMARY, 0),
         }
-        for operators in self._aggregations.values():
-            for op in operators:
-                store_stats = op.state_store_stats()
-                if store_stats is not None:
-                    summary["spilled_bytes"] += store_stats["spilled_bytes"]
-                    summary["spill_segments"] += store_stats["segments"]
-                    summary["spill_entries"] += store_stats["entries"]
-                    summary["spill_flushes"] += store_stats["flushes"]
-                    summary["spill_compactions"] += store_stats["compactions"]
-                arr_stats = op.arrangement_stats()
-                if arr_stats is not None:
-                    summary["arrangement_count"] += 1
-                    summary["reader_leases"] += arr_stats["reader_leases"]
-                    summary["arranged_deltas"] += arr_stats["arranged_deltas"]
-                    summary["arranged_keys"] += arr_stats["arranged_keys"]
-                    summary["compaction_debt"] += arr_stats["compaction_debt"]
-                    summary["backfilled_windows"] += arr_stats[
-                        "backfilled_windows"
-                    ]
-                    summary["backfilled_results"] += arr_stats[
-                        "backfilled_results"
-                    ]
+        for entry in self.stats_snapshot().values():
+            if entry["name"] in self._STATE_SUMMARY:
+                summary[entry["name"]] += entry["value"]
         return summary
 
     def describe(self) -> str:

@@ -153,20 +153,15 @@ class AStreamShardProgram(ShardProgram):
         if kind == "collect":
             return self.engine.channels.snapshot()
         if kind == "stats":
+            # In observe mode the shard's full registry + trace also ride
+            # this op's ack (take_obs with unlimited=True: it is
+            # synchronous), so one round-trip refreshes every view.
             return {
                 "records_processed": self.engine.runtime.records_processed(),
-                "component_stats": self.engine.component_stats(),
-                "sharing_summary": self.engine.sharing_summary(),
-                "state_summary": self.engine.state_summary(),
+                "snapshot": self.engine.stats_snapshot(),
+                "cost": self.engine._raw_cost_profile(),
             }
         if kind == "drain":
-            return True
-        if kind == "cost":
-            return self.engine._raw_cost_profile()
-        if kind == "obs":
-            # The telemetry payload itself rides the ack (take_obs with
-            # unlimited=True, since this is a synchronous op); the reply
-            # only confirms the shard processed the request.
             return True
         if kind == "profile":
             return self._profile_report()
@@ -328,16 +323,15 @@ class ProcessAStreamEngine(AStreamEngine):
         steps), newest last, capped — the resize-latency gate's input."""
         self._merged_at_op_count = -1
         self._shut_down = False
-        self._final_component_stats: Optional[Dict[str, float]] = None
-        self._final_sharing_summary: Optional[Dict[str, Dict]] = None
+        # (merged stats snapshot, merged raw cost profile) captured at
+        # shutdown: every stats view stays readable without the pool.
+        self._final_stats: Optional[Tuple[Dict[str, dict], Dict]] = None
         # Observe mode: latest full per-shard telemetry (replace
         # semantics — registries/stage totals are cumulative on the
         # worker) plus incrementally absorbed events and drained traces.
         self._shard_registry: Dict[int, dict] = {}
         self._shard_trace: Dict[int, dict] = {}
         self._worker_profiles: Dict[int, str] = {}
-        self._final_obs_snapshot: Optional[Dict] = None
-        self._final_cost_profile: Optional[Dict] = None
         self._wire_spans: List[dict] = []
         super().__init__(
             config,
@@ -479,81 +473,27 @@ class ProcessAStreamEngine(AStreamEngine):
         """Flush frame buffers and await every worker acknowledgement."""
         self.runtime.drain()
 
-    def component_stats(self) -> Dict[str, float]:
-        """Per-component counters summed across all shards."""
-        if self._final_component_stats is not None:
-            return dict(self._final_component_stats)
-        totals: Dict[str, float] = {}
-        for stats in self.runtime.collect_stats():
-            for name, value in stats.get("component_stats", {}).items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
+    def _collect_stats(self) -> Tuple[Dict[str, dict], Dict]:
+        """Every shard's stats snapshot and raw cost profile, each merged
+        into one (the cached finals after :meth:`shutdown`)."""
+        if self._final_stats is not None:
+            return self._final_stats
+        replies = self.runtime.collect_stats()
+        return (
+            merge_snapshots(reply["snapshot"] for reply in replies),
+            merge_cost_profiles(reply["cost"] for reply in replies),
+        )
 
-    _SHARING_SHAPE_KEYS = (
-        "groups",
-        "grouped_slots",
-        "direct_predicates",
-        "folded_unsatisfiable_slots",
-    )
+    def stats_snapshot(self) -> Dict[str, dict]:
+        """The shards' stats snapshots merged by each stat's hint — the
+        coordinator deploys no operators of its own."""
+        return self._collect_stats()[0]
 
-    def sharing_summary(self) -> Dict[str, Dict]:
-        """Semantic-overlap optimizer summary merged across shards.
-
-        Every shard compiles the identical slot table, so plan *shape*
-        (group/slot counts) is replicated and merges with ``max``;
-        evaluation counters measure per-shard work and merge with
-        ``sum`` — the same convention the obs gauges use.
-        """
-        if self._final_sharing_summary is not None:
-            return {
-                stream: dict(entry)
-                for stream, entry in self._final_sharing_summary.items()
-            }
-        merged: Dict[str, Dict] = {}
-        for stats in self.runtime.collect_stats():
-            for stream, entry in stats.get("sharing_summary", {}).items():
-                into = merged.setdefault(stream, dict.fromkeys(entry, 0))
-                for key, value in entry.items():
-                    if key in self._SHARING_SHAPE_KEYS:
-                        into[key] = max(into[key], value)
-                    else:
-                        into[key] += value
-        return merged
-
-    def state_summary(self) -> Dict[str, Any]:
-        """Storage-plane rollup summed across all shard engines.
-
-        The coordinator holds no aggregation operators of its own; the
-        gauges (spilled bytes, arrangement sizes, backfill counters) are
-        additive per-shard work and merge with ``sum``, while the
-        backend/arrangements flags are configuration facts replicated on
-        every shard.
-        """
-        merged: Dict[str, Any] = {
-            "state_backend": self.config.state_backend,
-            "shared_arrangements": self.config.shared_arrangements,
-        }
-        for stats in self.runtime.collect_stats():
-            for key, value in stats.get("state_summary", {}).items():
-                if key in ("state_backend", "shared_arrangements"):
-                    continue
-                merged[key] = merged.get(key, 0) + value
-        return merged
-
-    def cost_profile(self) -> Dict:
-        """Per-query cost weights merged across all shard engines.
-
-        Workers ship *raw* (slot-mask-keyed) profiles — their session
-        registries are never driven, so only the coordinator can map
-        slots to query ids.  The coordinator merges them with
-        :func:`repro.obs.cost.merge_cost_profiles` (counters sum, keyed
-        by stream + member set — the sharing_summary() convention) and
-        resolves the masks against its own registry.
-        """
-        if self._final_cost_profile is not None:
-            return self._final_cost_profile
-        merged = merge_cost_profiles(self.runtime.pool.sync(("cost",)))
-        return self._resolve_cost_profile(merged)
+    def _raw_cost_profile(self) -> Dict:
+        """The shards' raw (slot-mask-keyed) cost profiles, merged; the
+        inherited :meth:`cost_profile` resolves the masks against the
+        coordinator's registry — worker registries are never driven."""
+        return self._collect_stats()[1]
 
     def take_wire_spans(self) -> List[dict]:
         """Drain per-shard wall spans of traced batches (observe mode:
@@ -564,48 +504,30 @@ class ProcessAStreamEngine(AStreamEngine):
 
     # -- telemetry (merged from shards) -------------------------------------
 
-    def _pull_shard_obs(self) -> None:
-        """Force fresh unlimited acks carrying every shard's snapshot."""
-        self.runtime.pool.sync(("obs",))
-
     def obs_snapshot(self) -> Dict:
         """Cluster-wide telemetry: coordinator + every shard, merged.
 
         The combined registry keeps per-shard addressability (worker
         entries gain a ``shard`` label) alongside the coordinator's
-        control-plane metrics, and adds ``shard_records{shard=N}`` /
-        ``straggler_skew`` gauges computed from per-shard source input
-        counts.  Trace snapshots merge across shards, so the breakdown
-        covers work wherever it ran.
+        control-plane metrics and cluster-total operator gauges, and
+        adds ``shard_records{shard=N}`` / ``straggler_skew`` gauges.
+        Trace snapshots merge across shards, so the breakdown covers
+        work wherever it ran.  After :meth:`shutdown` it is rebuilt from
+        the telemetry the final stats round-trip carried back.
         """
         if self.obs is None:
             raise RuntimeError("telemetry needs EngineConfig(observe=True)")
-        if self._shut_down:
-            if self._final_obs_snapshot is None:
-                raise RuntimeError("engine shut down before a snapshot")
-            return self._final_obs_snapshot
-        self._pull_shard_obs()
+        # Live, this is the round-trip whose acks refresh _shard_registry
+        # and _shard_trace.
         self._refresh_obs_gauges()
-        # The selection stage sees every input record routed to its
-        # shard exactly once per stream, so per-shard select input
-        # counts measure the key-partitioning balance.
-        shard_records = {
-            shard: sum(
-                entry["value"]
-                for entry in snapshot.values()
-                if entry["name"] == "operator_records_in"
-                and entry["labels"].get("operator", "").startswith("select:")
+        shard_records = self._shard_input_records()
+        for shard, count in shard_records.items():
+            self.obs.registry.gauge("shard_records", shard=str(shard)).set(
+                count
             )
-            for shard, snapshot in self._shard_registry.items()
-        }
         if shard_records:
-            for shard, count in shard_records.items():
-                self.obs.registry.gauge(
-                    "shard_records", shard=str(shard)
-                ).set(count)
-            mean = sum(shard_records.values()) / len(shard_records)
             self.obs.registry.gauge("straggler_skew").set(
-                max(shard_records.values()) / mean if mean else 0.0
+                self.straggler_skew_estimate() or 0.0
             )
         combined = merge_snapshots(
             [self.obs.registry.snapshot()]
@@ -647,7 +569,7 @@ class ProcessAStreamEngine(AStreamEngine):
     def shutdown(self) -> None:
         """Merge final results, cache stats, and stop the worker pool.
 
-        Results, component stats, the final telemetry snapshot, and the
+        Results, every stats view, the telemetry snapshot, and the
         worker profiles stay readable afterwards (from coordinator-side
         caches), so sweeps can shut each run's pool down eagerly instead
         of accumulating live worker processes.
@@ -655,22 +577,14 @@ class ProcessAStreamEngine(AStreamEngine):
         if self._shut_down:
             return
         self._refresh_results()
-        self._final_component_stats = self.component_stats()
-        self._final_sharing_summary = self.sharing_summary()
-        try:
-            self._final_cost_profile = self.cost_profile()
-        except ShardWorkerError:
-            logger.warning("final cost-profile collection failed", exc_info=True)
+        # In observe mode the same round-trip carries back each shard's
+        # final registry and trace for obs_snapshot().
+        self._final_stats = self._collect_stats()
         if self.config.profile:
             try:
                 self.worker_profiles()
             except ShardWorkerError:
                 logger.warning("worker profile collection failed", exc_info=True)
-        if self.obs is not None:
-            try:
-                self._final_obs_snapshot = self.obs_snapshot()
-            except ShardWorkerError:
-                logger.warning("final telemetry collection failed", exc_info=True)
         self._shut_down = True
         super().shutdown()
 
@@ -781,16 +695,14 @@ class ProcessAStreamEngine(AStreamEngine):
             ),
         }
 
-    def straggler_skew_estimate(self) -> Optional[float]:
-        """max/mean shard input from the *cached* per-shard telemetry.
+    def _shard_input_records(self) -> Dict[int, float]:
+        """Input records per shard, from the cached shard telemetry.
 
-        Reuses whatever registry snapshots the unlimited-ack stream has
-        already carried back — no pool round-trip — so the autoscaler
-        can consult it every tick.  None without telemetry data.
+        The selection stage sees every input record routed to its shard
+        exactly once per stream, so per-shard select input counts
+        measure the key-partitioning balance.
         """
-        if not self._shard_registry:
-            return None
-        shard_records = {
+        return {
             shard: sum(
                 entry["value"]
                 for entry in snapshot.values()
@@ -799,6 +711,17 @@ class ProcessAStreamEngine(AStreamEngine):
             )
             for shard, snapshot in self._shard_registry.items()
         }
+
+    def straggler_skew_estimate(self) -> Optional[float]:
+        """max/mean shard input from the *cached* per-shard telemetry.
+
+        Reuses whatever registry snapshots the unlimited-ack stream has
+        already carried back — no pool round-trip — so the autoscaler
+        can consult it every tick.  None without telemetry data.
+        """
+        shard_records = self._shard_input_records()
+        if not shard_records:
+            return None
         mean = sum(shard_records.values()) / len(shard_records)
         if not mean:
             return None

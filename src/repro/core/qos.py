@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.minispe.metrics import Histogram
+from repro.obs.registry import Histogram
 
 
 @dataclass

@@ -302,6 +302,15 @@ class RouterOperator(Operator):
         """Queries currently routed by this instance."""
         return len(self._slot_to_query)
 
+    def stats(self) -> Dict[str, Tuple[float, str]]:
+        """Result copies made (additive) and the routed-query fan-out
+        (every instance holds the same slot table: max)."""
+        return {
+            "copies": (self.copies, "sum"),
+            "fan_out": (len(self._slot_to_query), "max"),
+            "profile_ns": (self.profile_ns, "sum"),
+        }
+
     def snapshot(self) -> Any:
         return {
             "slot_to_query": dict(self._slot_to_query),

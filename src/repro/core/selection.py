@@ -377,11 +377,19 @@ class SharedSelectionOperator(Operator):
         plus one per residual filter checked — the actual work done, so
         the ablation benches read sharing wins straight off this counter.
         """
-        total = self._evaluations + self._retired_group_stats["evaluations"]
+        return self._evaluations + self._lifetime_group_stats()["evaluations"]
+
+    def _lifetime_group_stats(self) -> Dict[str, int]:
+        """Sharing-group work counters over the operator lifetime: the
+        live epoch views' groups plus the retired-view bucket."""
+        lifetime = dict(self._retired_group_stats)
         for view in self._views:
             for group in view.plan.groups:
-                total += group.evaluations
-        return total
+                lifetime["evaluations"] += group.evaluations
+                lifetime["cover_skips"] += group.cover_skips
+                lifetime["index_probes"] += group.index_probes
+                lifetime["residual_checks"] += group.residual_checks
+        return lifetime
 
     @property
     def active_query_count(self) -> int:
@@ -396,13 +404,7 @@ class SharedSelectionOperator(Operator):
         including pruned views.
         """
         plan = self._views[-1].plan
-        lifetime = dict(self._retired_group_stats)
-        for view in self._views:
-            for group in view.plan.groups:
-                lifetime["evaluations"] += group.evaluations
-                lifetime["cover_skips"] += group.cover_skips
-                lifetime["index_probes"] += group.index_probes
-                lifetime["residual_checks"] += group.residual_checks
+        lifetime = self._lifetime_group_stats()
         return {
             "groups": len(plan.groups),
             "grouped_slots": plan.grouped_slots,
@@ -414,6 +416,36 @@ class SharedSelectionOperator(Operator):
             "index_probes": lifetime["index_probes"],
             "residual_checks": lifetime["residual_checks"],
             "plan": plan.describe(),
+        }
+
+    def stats(self) -> Dict[str, Tuple[float, str]]:
+        """Selection counters plus the sharing optimizer's shape and work.
+
+        Plan shape is replicated — every parallel instance and shard
+        compiles the identical slot table — so it merges with ``max``;
+        evaluation counters measure each instance's own work and merge
+        with ``sum``.
+        """
+        sharing = self.sharing_group_stats()
+        return {
+            "predicate_evaluations": (
+                self._evaluations + sharing["group_evaluations"],
+                "sum",
+            ),
+            "records_dropped": (self.records_dropped, "sum"),
+            "profile_ns": (self.profile_ns, "sum"),
+            "active_query_count": (self.active_query_count, "max"),
+            "sharing_groups": (sharing["groups"], "max"),
+            "sharing_grouped_slots": (sharing["grouped_slots"], "max"),
+            "sharing_direct_predicates": (sharing["direct_predicates"], "max"),
+            "sharing_folded_unsatisfiable_slots": (
+                sharing["folded_unsatisfiable_slots"],
+                "max",
+            ),
+            "sharing_group_evaluations": (sharing["group_evaluations"], "sum"),
+            "sharing_cover_skips": (sharing["cover_skips"], "sum"),
+            "sharing_index_probes": (sharing["index_probes"], "sum"),
+            "sharing_residual_checks": (sharing["residual_checks"], "sum"),
         }
 
     def cost_profile(self) -> Dict[str, Any]:
@@ -464,13 +496,6 @@ class SharedSelectionOperator(Operator):
         # cross-shard sharing_summary() merge sums them), and a
         # checkpoint-restore must roll them back to checkpoint time so
         # input-log replay re-accumulates exactly once.
-        lifetime = dict(self._retired_group_stats)
-        for view in self._views:
-            for group in view.plan.groups:
-                lifetime["evaluations"] += group.evaluations
-                lifetime["cover_skips"] += group.cover_skips
-                lifetime["index_probes"] += group.index_probes
-                lifetime["residual_checks"] += group.residual_checks
         return {
             "slot_predicates": dict(self._slot_predicates),
             "views": [
@@ -478,7 +503,7 @@ class SharedSelectionOperator(Operator):
                 for view in self._views
             ],
             "evaluations": self._evaluations,
-            "group_stats": lifetime,
+            "group_stats": self._lifetime_group_stats(),
         }
 
     def restore(self, snapshot: Any) -> None:

@@ -492,20 +492,44 @@ class SharedAggregationOperator(Operator):
         """Slices currently retained."""
         return len(self._slices)
 
-    def state_store_stats(self) -> Optional[Dict[str, Any]]:
-        """Spill-store stats (segments, spilled bytes); None on memory."""
-        if self._store_host is None:
-            return None
-        return self._store_host.stats()
-
-    def arrangement_stats(self) -> Optional[Dict[str, Any]]:
-        """Arrangement gauges (+ backfill counters); None when off."""
-        if self._arrangement is None:
-            return None
-        stats = self._arrangement.stats()
-        stats["backfilled_windows"] = self.backfilled_windows
-        stats["backfilled_results"] = self.backfilled_results
-        return stats
+    def stats(self) -> Dict[str, Tuple[float, str]]:
+        """Slice/session sizes and work counters, plus the storage plane
+        where configured: spill-store entries on the lsm backend,
+        arrangement entries with shared arrangements.  All additive."""
+        values = {
+            "slices": len(self._slices),
+            "slices_created": self._slices.created_total,
+            "slices_expired": self._slices.expired_total,
+            "session_windows": len(self._session_state),
+            "changelog_table_size": len(self._changelogs),
+            "partial_updates": self.partial_updates,
+            "results_emitted": self.results_emitted,
+            "late_records_dropped": self.late_records_dropped,
+            "bitset_ops": self.bitset_ops,
+            "profile_ns": self.profile_ns,
+        }
+        if self._store_host is not None:
+            store = self._store_host.stats()
+            values.update(
+                spilled_bytes=store["spilled_bytes"],
+                spill_segments=store["segments"],
+                spill_entries=store["entries"],
+                spill_memtable_entries=store["memtable_entries"],
+                spill_flushes=store["flushes"],
+                spill_compactions=store["compactions"],
+            )
+        if self._arrangement is not None:
+            arranged = self._arrangement.stats()
+            values.update(
+                arrangement_count=1,
+                reader_leases=arranged["reader_leases"],
+                arranged_deltas=arranged["arranged_deltas"],
+                arranged_keys=arranged["arranged_keys"],
+                compaction_debt=arranged["compaction_debt"],
+                backfilled_windows=self.backfilled_windows,
+                backfilled_results=self.backfilled_results,
+            )
+        return {name: (value, "sum") for name, value in values.items()}
 
     # -- checkpointing ---------------------------------------------------------
 

@@ -457,6 +457,27 @@ class SharedJoinOperator(TwoInputOperator):
         """Entries in the computation history."""
         return len(self._pair_cache)
 
+    def stats(self) -> Dict[str, Tuple[float, str]]:
+        """Slice-store sizes and the Figure 18 work counters; every
+        instance owns its own key range, so all of it is additive."""
+        left, right = self._left, self._right
+        values = {
+            "slices_left": len(left),
+            "slices_right": len(right),
+            "slices_created": left.created_total + right.created_total,
+            "slices_expired": left.expired_total + right.expired_total,
+            "tuples_stored": self.tuples_stored,
+            "pair_cache_size": len(self._pair_cache),
+            "changelog_table_size": len(self._changelogs),
+            "pairs_computed": self.pairs_computed,
+            "pairs_reused": self.pairs_reused,
+            "results_emitted": self.results_emitted,
+            "late_records_dropped": self.late_records_dropped,
+            "bitset_ops": self.bitset_ops,
+            "profile_ns": self.profile_ns,
+        }
+        return {name: (value, "sum") for name, value in values.items()}
+
     def snapshot(self) -> Any:
         import copy
 

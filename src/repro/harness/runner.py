@@ -20,6 +20,7 @@ throughput is derived through the calibrated cluster speed-up
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -28,6 +29,7 @@ from repro.core.engine import AStreamEngine, EngineConfig
 from repro.core.parallel_engine import ProcessAStreamEngine
 from repro.core.qos import QoSMonitor
 from repro.minispe.cluster import ClusterSpec, SimulatedCluster
+from repro.minispe.parallel import ShardWorkerError
 from repro.harness.metrics import ScenarioMetrics
 from repro.workloads.driver import (
     AStreamAdapter,
@@ -37,6 +39,8 @@ from repro.workloads.driver import (
 )
 from repro.workloads.querygen import QueryGenerator
 from repro.workloads.scenarios import WorkloadSchedule, sc1_schedule, sc2_schedule
+
+logger = logging.getLogger("repro.harness.runner")
 
 
 @dataclass
@@ -222,8 +226,8 @@ def run_scenario(
         # across members) feeds the inspector's cost panel.
         try:
             metrics.obs_snapshot["cost"] = engine.cost_attribution()
-        except Exception:
-            pass
+        except ShardWorkerError:
+            logger.warning("cost attribution unavailable", exc_info=True)
     if config.backend == "process":
         # Stop the worker pool now; merged results and cached component
         # stats stay readable on the engine, and sweeps don't pile up

@@ -18,8 +18,9 @@ needs operator-internal access to:
 * keyed and operator state with snapshot support (:mod:`repro.minispe.state`)
   plus a checkpoint coordinator and replay-based recovery
   (:mod:`repro.minispe.checkpoint`);
-* metrics primitives (:mod:`repro.minispe.metrics`) and a simulated cluster
-  with a deployment-cost model (:mod:`repro.minispe.cluster`).
+* a simulated cluster with a deployment-cost model
+  (:mod:`repro.minispe.cluster`); the metrics primitives re-exported here
+  live in :mod:`repro.obs.registry`.
 
 The engine executes the data path for real (tuples are materialised,
 predicates evaluated, joins computed); only the *cluster* is simulated.
@@ -52,7 +53,7 @@ from repro.minispe.runtime import JobRuntime
 from repro.minispe.state import KeyedState, OperatorState
 from repro.minispe.checkpoint import CheckpointCoordinator, SourceLog
 from repro.minispe.cluster import ClusterSpec, SimulatedCluster
-from repro.minispe.metrics import Counter, Gauge, Histogram, MetricRegistry
+from repro.obs.registry import Counter, Gauge, Histogram
 
 __all__ = [
     "ChangelogMarker",
@@ -67,7 +68,6 @@ __all__ = [
     "JobRuntime",
     "KeyedState",
     "MapOperator",
-    "MetricRegistry",
     "Operator",
     "OperatorState",
     "Partitioning",

@@ -30,7 +30,7 @@ does not expose, which is why this substrate exists.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.minispe.record import (
     ChangelogMarker,
@@ -116,6 +116,21 @@ class Operator:
 
     def restore(self, snapshot: Any) -> None:
         """Restore this instance's state from :meth:`snapshot` output."""
+
+    # -- introspection -----------------------------------------------------
+
+    def stats(self) -> Dict[str, Tuple[float, str]]:
+        """This instance's counters: name → ``(value, merge hint)``.
+
+        The one place an operator declares what it counts.  The hint says
+        how values combine across parallel instances and shards —
+        ``"sum"`` for additive work or state, ``"max"`` for facts every
+        instance reports identically — and is the ``merge=`` argument of
+        :meth:`repro.obs.registry.MetricsRegistry.gauge`.  Called off the
+        data path, so it may compute (``len`` of a store, a walk over
+        plan groups); the hot path keeps bumping plain attributes.
+        """
+        return {}
 
     # -- emission ----------------------------------------------------------
 

@@ -1,13 +1,13 @@
-"""Hierarchical, label-scoped metrics registry (ISSUE 4 tentpole).
+"""The metrics module: primitives and the label-scoped registry.
 
-Built on the dependency-free primitives in :mod:`repro.minispe.metrics`:
-a metric here is a ``(name, labels)`` pair, where labels identify the
+:class:`Counter` / :class:`Gauge` / :class:`Histogram` are
+dependency-free primitives (the QoS and SLO trackers use them bare).  A
+registry metric is a ``(name, labels)`` pair, where labels identify the
 scope it was recorded in — ``operator="join:A~B"``, ``shard="2"``,
 ``query="q17"`` and so on.  :class:`MetricsRegistry` hands out live
-:class:`~repro.minispe.metrics.Counter` / ``Gauge`` / ``Histogram``
-objects (lazily created, cached per key) so hot paths pay one dict hit
-at *instrumentation-site setup* and plain attribute arithmetic at record
-time.
+primitives (lazily created, cached per key) so hot paths pay one dict
+hit at *instrumentation-site setup* and plain attribute arithmetic at
+record time.
 
 Snapshots are plain JSON-able dicts so they cross process boundaries as
 pickled ack payloads and land in JSONL/Prometheus exports unchanged:
@@ -17,20 +17,21 @@ pickled ack payloads and land in JSONL/Prometheus exports unchanged:
   additive state like live slices, ``max`` for global facts like the
   query-set width that every shard reports identically);
 * histograms snapshot to count/sum/min/max/percentiles plus a small
-  deterministic :meth:`~repro.minispe.metrics.Histogram.reservoir`, so
-  merged percentiles can be re-estimated from the union of reservoirs.
+  deterministic :meth:`Histogram.reservoir`, so merged percentiles can
+  be re-estimated from the union of reservoirs.
 
 :func:`merge_snapshots` combines per-shard snapshots into cluster
 totals; :func:`relabel_snapshot` stamps a snapshot with extra labels
 (the coordinator tags each worker's snapshot with ``shard=N`` before
-merging, keeping per-shard stats addressable).
+merging, keeping per-shard stats addressable);
+:func:`gauge_snapshot` renders an operator's ``stats()`` in the same
+shape.  The ``sum``/``max`` merge convention lives here and nowhere else.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Tuple
-
-from repro.minispe.metrics import Counter, Gauge, Histogram
 
 MetricKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 """(metric name, sorted ``(label, value)`` pairs)."""
@@ -52,6 +53,144 @@ def render_key(name: str, labels: Dict[str, str]) -> str:
         return name
     body = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
     return f"{name}{{{body}}}"
+
+
+class Counter:
+    """A monotonically increasing count."""
+
+    def __init__(self, name: str = "counter") -> None:
+        self.name = name
+        self.value = 0
+
+    def inc(self, amount: int = 1) -> None:
+        """Increase the counter (``amount`` must be non-negative)."""
+        if amount < 0:
+            raise ValueError(f"counter increment must be >= 0, got {amount}")
+        self.value += amount
+
+    def reset(self) -> None:
+        """Reset the counter to zero."""
+        self.value = 0
+
+
+class Gauge:
+    """A point-in-time value."""
+
+    def __init__(self, name: str = "gauge", initial: float = 0.0) -> None:
+        self.name = name
+        self.value = initial
+
+    def set(self, value: float) -> None:
+        """Set the current value."""
+        self.value = value
+
+
+class Histogram:
+    """Record samples; report count/mean/min/max/percentiles.
+
+    Keeps all samples (experiments here are bounded); ``max_samples``
+    enables simple reservoir-free truncation for long benchmark runs.
+    """
+
+    def __init__(self, name: str = "histogram", max_samples: int = 1_000_000) -> None:
+        self.name = name
+        self._samples: List[float] = []
+        self._max_samples = max_samples
+        self._dropped = 0
+        self._sorted: Optional[List[float]] = None
+
+    def record(self, value: float) -> None:
+        """Add one sample."""
+        if len(self._samples) >= self._max_samples:
+            self._dropped += 1
+            return
+        self._samples.append(value)
+        self._sorted = None
+
+    def _ordered(self) -> List[float]:
+        # Sorted view cached between mutations: the dashboard reads many
+        # percentiles per snapshot and must not re-sort per call.
+        if self._sorted is None:
+            self._sorted = sorted(self._samples)
+        return self._sorted
+
+    @property
+    def count(self) -> int:
+        """Number of recorded samples (excluding dropped)."""
+        return len(self._samples)
+
+    @property
+    def dropped(self) -> int:
+        """Samples dropped after hitting ``max_samples``."""
+        return self._dropped
+
+    def mean(self) -> float:
+        """Arithmetic mean (0.0 when empty)."""
+        if not self._samples:
+            return 0.0
+        return sum(self._samples) / len(self._samples)
+
+    def minimum(self) -> float:
+        """Smallest sample (0.0 when empty)."""
+        return min(self._samples) if self._samples else 0.0
+
+    def maximum(self) -> float:
+        """Largest sample (0.0 when empty)."""
+        return max(self._samples) if self._samples else 0.0
+
+    def percentile(self, p: float) -> float:
+        """The ``p``-th percentile (nearest-rank; 0 <= p <= 100).
+
+        Boundary semantics are pinned explicitly: ``p=0`` is the
+        minimum, ``p=100`` is the maximum, and a single-sample
+        histogram returns that sample for every ``p`` — the nearest-rank
+        index is clamped into ``[1, n]`` so float rounding at the
+        reservoir boundaries can never index outside the samples.
+        """
+        if not 0 <= p <= 100:
+            raise ValueError(f"percentile must be in [0, 100], got {p}")
+        if not self._samples:
+            return 0.0
+        ordered = self._ordered()
+        size = len(ordered)
+        if p <= 0:
+            return ordered[0]
+        if p >= 100:
+            return ordered[-1]
+        rank = min(size, max(1, math.ceil(p / 100 * size)))
+        return ordered[rank - 1]
+
+    def quantiles(self, ps: Iterable[float]) -> List[float]:
+        """Bulk :meth:`percentile`: one sort, many read-offs."""
+        return [self.percentile(p) for p in ps]
+
+    def samples(self) -> List[float]:
+        """A copy of the raw samples."""
+        return list(self._samples)
+
+    def reservoir(self, size: int = 64) -> List[float]:
+        """Up to ``size`` samples evenly strided across the sorted data.
+
+        A deterministic order-statistic sketch: concatenating the
+        reservoirs of several histograms and reading percentiles off the
+        union approximates the merged distribution, which is how
+        cross-process snapshots merge without shipping every sample.
+        """
+        if size < 1:
+            raise ValueError(f"reservoir size must be >= 1, got {size}")
+        ordered = self._ordered()
+        if len(ordered) <= size:
+            return list(ordered)
+        if size == 1:
+            return [ordered[-1]]
+        step = (len(ordered) - 1) / (size - 1)
+        return [ordered[round(i * step)] for i in range(size)]
+
+    def reset(self) -> None:
+        """Drop all samples."""
+        self._samples.clear()
+        self._dropped = 0
+        self._sorted = None
 
 
 class MetricsScope:
@@ -158,13 +297,12 @@ class MetricsRegistry:
             }
         for key, gauge in self._gauges.items():
             name, labels = key
-            view[render_key(name, dict(labels))] = {
-                "name": name,
-                "labels": dict(labels),
-                "type": "gauge",
-                "merge": self._gauge_merge[key],
-                "value": gauge.value,
-            }
+            view.update(
+                gauge_snapshot(
+                    {name: (gauge.value, self._gauge_merge[key])},
+                    **dict(labels),
+                )
+            )
         for (name, labels), histogram in self._histograms.items():
             entry = {
                 "name": name,
@@ -181,6 +319,24 @@ class MetricsRegistry:
                 entry[f"p{p:g}"] = value
             view[render_key(name, dict(labels))] = entry
         return view
+
+
+def gauge_snapshot(
+    stats: Dict[str, Tuple[float, str]], **labels: str
+) -> Dict[str, dict]:
+    """An operator's ``stats()`` as snapshot gauge entries under
+    ``labels`` — the shape :func:`merge_snapshots` combines."""
+    labels = {k: str(v) for k, v in labels.items()}
+    return {
+        render_key(name, labels): {
+            "name": name,
+            "labels": dict(labels),
+            "type": "gauge",
+            "merge": merge,
+            "value": value,
+        }
+        for name, (value, merge) in stats.items()
+    }
 
 
 def relabel_snapshot(snapshot: Dict[str, dict], **labels: str) -> Dict[str, dict]:

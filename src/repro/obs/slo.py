@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, List, Optional
 
-from repro.minispe.metrics import Histogram
+from repro.obs.registry import Histogram
 
 DEFAULT_OBJECTIVE = 0.99
 """Fraction of deliveries that must meet the latency target."""

@@ -15,14 +15,22 @@ to host a server inside any synchronous program::
 from __future__ import annotations
 
 import asyncio
+import logging
 import threading
+import time
 from typing import Any, Coroutine, Optional
 
 from repro.serve.server import AStreamServer, ServeConfig
 
+logger = logging.getLogger("repro.serve.hosting")
+
 
 class ServerThread:
     """One server hosted on a dedicated event-loop thread."""
+
+    STOP_TIMEOUT_S = 60.0
+    """Bound on :meth:`stop`: graceful drain + final checkpoint + pool
+    teardown, then the thread's exit."""
 
     def __init__(
         self,
@@ -34,6 +42,7 @@ class ServerThread:
         self._loop = asyncio.new_event_loop()
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
+        self._crash: Optional[Exception] = None
         self._thread = threading.Thread(
             target=self._main, name="astream-serve", daemon=True
         )
@@ -60,8 +69,12 @@ class ServerThread:
 
         try:
             self._loop.run_until_complete(boot())
-        except Exception:
-            pass
+        except Exception as error:
+            if error is not self._startup_error:
+                # A crash after startup has no waiting creator to tell:
+                # log it now and let stop() re-raise it.
+                logger.exception("server thread crashed")
+                self._crash = error
         finally:
             self._loop.close()
 
@@ -75,13 +88,42 @@ class ServerThread:
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result(60)
 
     def stop(self) -> None:
-        """Gracefully stop the server and wait for the thread to exit."""
+        """Gracefully stop the server and wait for the thread to exit.
+
+        Safe to call when the server is already stopping or stopped (a
+        wire ``shutdown`` frame stops it from inside): the thread then
+        exits — closing the loop — whether or not this call's own stop
+        request ever got to run, so the wait is on *either* the request
+        finishing or the thread exiting.  Raises what the server raised
+        if it crashed or failed to stop, and ``RuntimeError`` if the
+        thread is still alive after :attr:`STOP_TIMEOUT_S`.
+        """
+        deadline = time.monotonic() + self.STOP_TIMEOUT_S
         if self._thread.is_alive():
+            request = self.server.stop()
             try:
-                self.run(self.server.stop())
-            except Exception:
-                pass
-        self.join(10)
+                stopping = asyncio.run_coroutine_threadsafe(request, self._loop)
+            except RuntimeError:  # the loop closed under us: already stopped
+                request.close()
+            else:
+                while (
+                    not stopping.done()
+                    and self._thread.is_alive()
+                    and time.monotonic() < deadline
+                ):
+                    self._thread.join(0.01)
+                if stopping.done():
+                    stopping.result()  # re-raise a failed stop
+                elif not self._thread.is_alive():
+                    request.close()  # never ran: the loop closed first
+        self._thread.join(max(0.0, deadline - time.monotonic()))
+        if self._thread.is_alive():
+            raise RuntimeError(
+                f"server thread still alive {self.STOP_TIMEOUT_S:g} s "
+                "after stop()"
+            )
+        if self._crash is not None:
+            raise self._crash
 
     def join(self, timeout_s: float = 10.0) -> None:
         """Wait for the hosting thread to finish."""

@@ -1,8 +1,9 @@
-"""Tests for metrics primitives."""
+"""Tests for the metrics primitives (they live in ``repro.obs.registry``;
+this file keeps its path so the test ids stay stable)."""
 
 import pytest
 
-from repro.minispe.metrics import Counter, Gauge, Histogram, MetricRegistry
+from repro.obs.registry import Counter, Gauge, Histogram
 
 
 class TestCounter:
@@ -126,24 +127,3 @@ class TestHistogram:
         histogram.record(1)
         histogram.reset()
         assert histogram.count == 0
-
-
-class TestMetricRegistry:
-    def test_lazy_creation_and_reuse(self):
-        registry = MetricRegistry()
-        counter = registry.counter("c")
-        counter.inc()
-        assert registry.counter("c").value == 1
-
-    def test_counter_value_missing(self):
-        assert MetricRegistry().counter_value("nope") is None
-
-    def test_snapshot(self):
-        registry = MetricRegistry()
-        registry.counter("c").inc(2)
-        registry.gauge("g").set(1.5)
-        registry.histogram("h").record(10)
-        snapshot = registry.snapshot()
-        assert snapshot["c"] == 2
-        assert snapshot["g"] == 1.5
-        assert snapshot["h.mean"] == 10

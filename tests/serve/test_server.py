@@ -13,10 +13,12 @@ import urllib.request
 
 import pytest
 
+from repro.core.engine import AStreamEngine, EngineConfig
 from repro.serve import AsyncServeClient, ServeClient, ServeError
 from repro.workloads.datagen import DataTuple
 from repro.workloads.driver import RetryPolicy
 from repro.workloads.querygen import QueryGenerator
+from tests.obs import test_stats_surface as stats_surface
 
 SQL_SELECT = "SELECT * FROM A WHERE A.F0 > 10"
 
@@ -327,6 +329,34 @@ class TestOpsSurface:
         assert stats["backend"] == "inline"
         assert stats["active_queries"] == 1
         assert stats["sessions_connected"] == 1
+        client.close()
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_stats_frame_reads_the_engine_stats_snapshot(
+        self, make_server, backend
+    ):
+        # ISSUE 19: the frame's sharing block is a projection of the one
+        # stats snapshot, so it equals the in-process engine's view of
+        # the same input on both backends.
+        reference = stats_surface.run(
+            AStreamEngine(EngineConfig(streams=("A", "B"), parallelism=1))
+        )
+        expected = reference.sharing_summary()
+        reference.shutdown()
+        assert expected["A"]["cover_skips"] > 0
+
+        handle = make_server(backend=backend, workers=2)
+        client = _client(handle)
+        for sql in stats_surface.SQLS:
+            client.create_query(sql=sql, at_ms=0)
+        by_stream = {"A": [], "B": []}
+        for stream, ts, value in stats_surface.events():
+            by_stream[stream].append((ts, value))
+        for stream, batch in by_stream.items():
+            assert client.push(stream, batch) == len(batch)
+        client.watermark(stats_surface.TUPLES)
+        client.drain()
+        assert client.stats()["sharing"] == expected
         client.close()
 
     def test_obs_snapshot_over_the_wire(self, make_server):
