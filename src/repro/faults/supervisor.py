@@ -34,6 +34,7 @@ from repro.core.admission import AdmissionController
 from repro.core.engine import RecoveryInfo
 from repro.core.qos import QoSMonitor
 from repro.faults.injector import FaultInjector, FaultRecord
+from repro.minispe.checkpoint import CheckpointFailed
 from repro.minispe.cluster import SimulatedCluster
 
 logger = logging.getLogger("repro.faults.supervisor")
@@ -273,9 +274,9 @@ class Supervisor:
         self._last_checkpoint_ms = now_ms
         try:
             self.engine.checkpoint()
-        except Exception:
-            # CheckpointFailed / incomplete snapshot: skip this round, the
-            # previous checkpoint stays authoritative for recovery.
+        except CheckpointFailed:
+            # Incomplete snapshot: skip this round, the previous
+            # checkpoint stays authoritative for recovery.
             self.checkpoint_failures += 1
             return
         self.checkpoints_taken += 1

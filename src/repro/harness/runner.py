@@ -24,11 +24,15 @@ import logging
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.baseline import BaselineDeploymentModel, QueryAtATimeEngine
+from repro.baseline import (
+    BaselineDeploymentModel, QueryAtATimeEngine, UnsustainableWorkload,
+)
 from repro.core.engine import AStreamEngine, EngineConfig
 from repro.core.parallel_engine import ProcessAStreamEngine
 from repro.core.qos import QoSMonitor
-from repro.minispe.cluster import ClusterSpec, SimulatedCluster
+from repro.minispe.cluster import (
+    ClusterCapacityError, ClusterSpec, SimulatedCluster,
+)
 from repro.minispe.parallel import ShardWorkerError
 from repro.harness.metrics import ScenarioMetrics
 from repro.workloads.driver import (
@@ -275,7 +279,7 @@ def sustainable_query_search(
                     batches=max(2, int(config.duration_s) // 3),
                     kind=kind,
                 )
-        except Exception:
+        except (UnsustainableWorkload, ClusterCapacityError):
             return False
         if not metrics.sustained:
             return False

@@ -1,11 +1,21 @@
-"""Client SDKs for the stream service: sync sockets and asyncio.
+"""Client SDK for the stream service: one session core, two transports.
 
-Both clients speak the frame protocol of :mod:`repro.serve.protocol`
-and wrap the driver's :class:`~repro.workloads.driver.RetryPolicy` into
-a transport-level resilience loop:
+:class:`_SessionCore` is the client half of the frame protocol of
+:mod:`repro.serve.protocol` with no socket and no event loop in it: it
+builds every request, owns the seq / credit / subscription bookkeeping,
+tells the reply to an outstanding request from streamed data, and says
+how long to back off before a re-dial.  :class:`ServeClient` (a blocking
+socket on the caller's thread) and :class:`AsyncServeClient` (asyncio
+streams + a reader task) only move bytes for it — dial, send, read one
+frame, sleep — and share their request methods via :class:`_ClientAPI`.
+
+The driver's :class:`~repro.workloads.driver.RetryPolicy` becomes a
+transport-level resilience loop:
 
 * **reconnect** — a dropped connection (or an ack timeout) triggers a
-  fresh dial with seeded exponential backoff;
+  fresh dial with seeded exponential backoff; a *refusal* during the
+  re-dial handshake (bad token, protocol mismatch) is not retryable and
+  propagates as :class:`ServeError`;
 * **resubscribe** — subscriptions the client holds are re-issued after
   every reconnect (the server's re-subscribe is idempotent, so nothing
   double-delivers);
@@ -14,11 +24,6 @@ a transport-level resilience loop:
   re-sent verbatim and the server either applies it or replays the
   cached reply, so a create/delete lands exactly once no matter how
   many times the wire fails under it.
-
-:class:`ServeClient` is the blocking flavour (tests, benchmarks, simple
-scripts); :class:`AsyncServeClient` is the asyncio flavour with a
-background reader task that routes streamed ``result`` frames into
-per-query queues while request/reply traffic proceeds.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ import struct
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from itertools import count
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.query import Query
 from repro.core.router import QueryOutput
@@ -46,10 +52,10 @@ from repro.serve.protocol import (
     encode_push_binary,
     read_frame,
     read_frame_sock,
-    write_frame,
-    write_frame_sock,
 )
 from repro.workloads.driver import RetryPolicy
+
+Frame = Dict[str, Any]  # one decoded protocol frame
 
 
 class ServeError(RuntimeError):
@@ -75,11 +81,11 @@ class ControlResult:
     sequence: Optional[int] = None
     """Changelog sequence at which the request took effect (None while
     the server's batched flush has not applied it yet)."""
-    raw: Optional[Dict[str, Any]] = None
+    raw: Optional[Frame] = None
     """The full reply frame, for fields the dataclass does not lift."""
 
 
-def _decode_reply(frame: Dict[str, Any]) -> ControlResult:
+def _decode_reply(frame: Frame) -> ControlResult:
     """Lift an ack frame into a :class:`ControlResult`."""
     return ControlResult(
         status=str(frame.get("status", "ok")),
@@ -89,156 +95,285 @@ def _decode_reply(frame: Dict[str, Any]) -> ControlResult:
     )
 
 
+_DECODERS: Dict[str, Callable[[Frame], Any]] = {
+    "fetch_results": lambda reply: [
+        output_from_dict(doc) for doc in reply.get("outputs", [])
+    ],
+    "stats": lambda reply: reply.get("stats", {}),
+    "obs_snapshot": lambda reply: {
+        "snapshot": reply.get("snapshot", {}),
+        "events": reply.get("events", []),
+    },
+    "ping": lambda reply: reply.get("t") == "pong",
+}
+"""Request kind → how its reply becomes the public return value (every
+other sequenced kind answers with an ack: :func:`_decode_reply`)."""
+
+
+def _checked(reply: Frame) -> Frame:
+    """Pass a reply frame through; an ``error`` reply raises."""
+    if reply.get("t") == "error":
+        raise ServeError(reply["code"], reply["message"])
+    return reply
+
+
+def _frame(kind: str, **fields: Any) -> Frame:
+    """Assemble one frame (Nones omitted)."""
+    present = {k: v for k, v in fields.items() if v is not None}
+    return {"t": kind, **present}
+
+
+def _control_frame(kind: str, seq: int, **fields: Any) -> Frame:
+    """Assemble one sequenced control frame (Nones omitted)."""
+    return _frame(kind, seq=seq, **fields)
+
+
+class _Op(NamedTuple):
+    """One request the core built, ready for a transport to carry:
+    ``frame`` is what the reply is matched against (a binary push has
+    only a stub here), ``raw`` the wire image (encoded once, re-sent
+    verbatim on retries) and ``finish`` turns the reply frame into the
+    public return value (``None``: no reply comes, as for ``watermark``)."""
+
+    frame: Frame
+    raw: bytes
+    finish: Optional[Callable[[Frame], Any]]
+
+
 class _SessionCore:
-    """Client state shared by both SDK flavours."""
+    """The client half of the protocol as a sans-IO state machine:
+    requests come out as bytes (:meth:`hello`) or :class:`_Op` values,
+    incoming frames go in through :meth:`welcome` and :meth:`receive`,
+    and nothing here blocks, sleeps or touches a socket."""
 
     def __init__(
         self,
-        host: str,
-        port: int,
         client_id: str,
         token: Optional[str],
         retry: Optional[RetryPolicy],
-        codec: str = CODEC_BINARY,
+        codec: str,
+        trace_sample_every: int,
+        deliver: Callable[[str, List[QueryOutput]], None],
     ) -> None:
-        self.host = host
-        self.port = port
         self.client_id = client_id
         self.token = token
         self.retry = retry or RetryPolicy()
         self.rng = random.Random(self.retry.seed)
+        self.ack_timeout_s = self.retry.ack_timeout_ms / 1_000.0
+        """How long a transport waits for one reply before re-dialling."""
         if codec not in (CODEC_BINARY, CODEC_JSON):
             raise ValueError(f"unknown codec {codec!r}")
-        self.codec_preference = codec
+        self.offered_codecs = sorted({codec, CODEC_JSON})  # JSON: the fallback
         self.codec = CODEC_JSON
         """The codec the *server* granted at the last handshake; stays
         JSON against servers that never heard of codec negotiation."""
         self.seq = 0
         self.credits = 0
         self.server_info: Dict[str, Any] = {}
+        self.reconnects = 0
         self.subscriptions: Dict[str, bool] = {}
         """query_id → from_start flag, replayed after reconnects."""
-        self.results: Dict[str, Deque[Tuple[QueryOutput, int]]] = {}
-        """query_id → queued ``(output, dropped_before_it)`` pairs."""
-        self.events: Deque[Dict[str, Any]] = deque()
+        self.tagged: Dict[int, Any] = {}
+        """``seq`` → the waiter of an outstanding sequenced request."""
+        self.untagged: deque = deque()
+        """Waiters of outstanding un-sequenced requests (push, ping):
+        the server answers in order, so replies are matched FIFO."""
+        self.deliver = deliver
+        """The transport's sink for a ``result`` frame's decoded
+        outputs, called as ``deliver(query_id, outputs)``."""
+        self.shed: Dict[str, int] = {}
+        """query_id → results the server reported shedding."""
+        self.events: List[Frame] = []
         """Out-of-band ``query_event`` frames, oldest first."""
-        self.reconnects = 0
+        self.trace_every = max(0, trace_sample_every)
+        """Stamp every Nth :meth:`push` with a wire trace context (0:
+        never).  The server closes the trace at subscriber delivery and
+        returns its span breakdown on the push ack, harvested into
+        :attr:`trace_summaries` / :attr:`wire_latencies_ms`."""
+        self.pushes = 0
+        self.trace_summaries: deque = deque(maxlen=256)
+        self.wire_latencies_ms: List[float] = []
+
+    # -- handshake and retry policy ------------------------------------------
+
+    def hello(self) -> bytes:
+        """The handshake frame for a (re)connect."""
+        return encode_frame(_frame(
+            "hello",
+            protocol=PROTOCOL_VERSION,
+            client_id=self.client_id,
+            codecs=self.offered_codecs,
+            token=self.token,
+        ))
+
+    def welcome(self, reply: Optional[Frame]) -> List[_Op]:
+        """Adopt the server's ``hello_ack`` (a refusal raises); returns
+        the ``subscribe`` requests that restore the subscriptions."""
+        if reply is None:
+            raise ConnectionLost("server closed during handshake")
+        _checked(reply)
+        self.server_info = reply.get("server", {})
+        self.credits = int(reply.get("credits", 0))
+        granted = reply.get("codec")
+        self.codec = granted if granted in self.offered_codecs else CODEC_JSON
+        return [
+            self.subscribe(query_id, from_start)
+            for query_id, from_start in list(self.subscriptions.items())
+        ]
+
+    def next_redial(self, tries: int, frame: Frame, error: Exception) -> float:
+        """Seconds to back off before the re-dial that follows the
+        ``tries``-th failed attempt at sending ``frame``; raises once
+        the retry policy is exhausted."""
+        if tries >= self.retry.max_attempts:
+            raise ConnectionLost(
+                f"request {frame.get('t')} failed after "
+                f"{self.retry.max_attempts} attempts: {error!r}"
+            ) from error
+        self.reconnects += 1
+        return self.retry.backoff_ms(tries, self.rng) / 1_000.0
+
+    # -- request builders ----------------------------------------------------
 
     def next_seq(self) -> int:
         """Allocate the next client sequence number."""
         self.seq += 1
         return self.seq
 
-    def hello_frame(self) -> Dict[str, Any]:
-        """The handshake frame for a (re)connect."""
-        frame: Dict[str, Any] = {
-            "t": "hello",
-            "protocol": PROTOCOL_VERSION,
-            "client_id": self.client_id,
-            "codecs": (
-                [CODEC_BINARY, CODEC_JSON]
-                if self.codec_preference == CODEC_BINARY
-                else [CODEC_JSON]
-            ),
-        }
-        if self.token is not None:
-            frame["token"] = self.token
-        return frame
+    def control(self, kind: str, **fields: Any) -> _Op:
+        """One sequenced control request (``None`` fields omitted)."""
+        frame = _control_frame(kind, self.next_seq(), **fields)
+        finish = _DECODERS.get(kind, _decode_reply)
+        return _Op(frame, encode_frame(frame), finish)
 
-    def adopt_codec(self, reply: Dict[str, Any]) -> None:
-        """Record the codec the server granted in its ``hello_ack``."""
-        granted = reply.get("codec", CODEC_JSON)
-        self.codec = (
-            granted if granted in (CODEC_BINARY, CODEC_JSON) else CODEC_JSON
+    def subscribe(self, query_id: str, from_start: bool) -> _Op:
+        """``subscribe``, remembered for replay after reconnects."""
+        self.subscriptions[query_id] = from_start
+        return self.control(
+            "subscribe", query_id=query_id, from_start=from_start
         )
 
-    def absorb(self, frame: Dict[str, Any]) -> None:
-        """File one streamed (non-reply) frame into client-side queues."""
+    def unsubscribe(self, query_id: str) -> _Op:
+        """``unsubscribe``, and stop replaying the subscription."""
+        self.subscriptions.pop(query_id, None)
+        return self.control("unsubscribe", query_id=query_id)
+
+    def ping(self) -> _Op:
+        """``ping`` → whether a ``pong`` came back."""
+        frame = {"t": "ping"}
+        return _Op(frame, encode_frame(frame), _DECODERS["ping"])
+
+    def watermark(self, timestamp: int, stream: Optional[str]) -> _Op:
+        """``watermark`` (the server sends no reply)."""
+        frame = _frame("watermark", timestamp=timestamp, stream=stream)
+        return _Op(frame, encode_frame(frame), None)
+
+    def push(self, stream: str, events: List[Tuple[int, Any]]) -> _Op:
+        """``push`` → the accepted count; every Nth one trace-stamped."""
+        trace = None
+        if self.trace_every:
+            self.pushes += 1
+            if self.pushes % self.trace_every == 0:
+                trace = (new_trace_id(), time.monotonic_ns())
+        raw = self.encode_push(stream, events, trace)
+        return _Op({"t": "push"}, raw, self.finish_push)
+
+    def encode_push(
+        self,
+        stream: str,
+        events: List[Tuple[int, Any]],
+        trace: Optional[Tuple[int, int]] = None,
+    ) -> bytes:
+        """The wire image of one push frame in the session codec."""
+        if self.codec == CODEC_BINARY:
+            try:
+                return encode_push_binary(stream, events, trace=trace)
+            except (ProtocolError, struct.error, TypeError,
+                    AttributeError, ValueError):
+                pass  # the columns cannot carry these events: use JSON
+        stamp = trace and {"id": trace[0], "ingest_ns": trace[1]}
+        return encode_frame(_frame(
+            "push", stream=stream, events=encode_events(events), trace=stamp
+        ))
+
+    def finish_push(self, reply: Frame) -> int:
+        """Absorb one ``push_ack``: credits, trace summary → accepted."""
+        self.credits = int(reply.get("credits", self.credits))
+        summary = reply.get("trace")
+        if summary:
+            self.trace_summaries.append(summary)
+            e2e_ns = summary.get("e2e_ns")
+            if e2e_ns is not None:
+                self.wire_latencies_ms.append(e2e_ns / 1e6)
+        return int(reply.get("accepted", 0))
+
+    # -- reply matching ------------------------------------------------------
+
+    def expect(self, seq: Optional[int], waiter: Any) -> None:
+        """Register a request about to be sent: its ``seq`` (``None``
+        for the kinds answered in send order) and whatever the transport
+        wants back from :meth:`receive` when the reply arrives."""
+        if seq is None:
+            self.untagged.append(waiter)
+        else:
+            self.tagged[seq] = waiter
+
+    def forget(self, seq: Optional[int], waiter: Any) -> None:
+        """Stop waiting for one request (no-op once it is settled)."""
+        if self.tagged.get(seq) is waiter:
+            del self.tagged[seq]
+        elif waiter in self.untagged:
+            self.untagged.remove(waiter)
+
+    def abandon(self) -> List[Any]:
+        """The transport died: drop (and return) every waiter."""
+        orphans = [*self.tagged.values(), *self.untagged]
+        self.tagged.clear()
+        self.untagged.clear()
+        return orphans
+
+    def receive(self, frame: Frame) -> Any:
+        """Take one incoming frame: *the* reply, or streamed data?
+
+        Returns the waiter of the outstanding request the frame answers
+        (:func:`_checked` turns the frame into its outcome), or ``None``
+        after filing a streamed ``result`` / ``query_event`` frame or
+        dropping a reply nobody waits for any more (a late ack).
+        """
         kind = frame.get("t")
+        if kind in ("ack", "results"):
+            return self.tagged.pop(frame.get("seq"), None)
+        if kind in ("push_ack", "pong"):
+            return self.untagged.popleft() if self.untagged else None
+        if kind == "error":
+            seq = frame.get("seq")
+            if seq is not None:
+                return self.tagged.pop(seq, None)
+            return self.untagged.popleft() if self.untagged else None
         if kind == "result":
-            queue = self.results.setdefault(frame["query_id"], deque())
+            query_id, outputs = frame["query_id"], frame["outputs"]
+            if not frame.get("_decoded", False):
+                outputs = [output_from_dict(doc) for doc in outputs]
+            self.deliver(query_id, outputs)
             dropped = int(frame.get("dropped", 0))
-            outputs = frame["outputs"]
-            decoded = frame.get("_decoded", False)
-            for index, document in enumerate(outputs):
-                queue.append(
-                    (document if decoded else output_from_dict(document),
-                     dropped if index == 0 else 0)
-                )
-            if dropped and not outputs:
-                # Shedding with nothing left to deliver still must
-                # surface: file a gap-only marker.
-                queue.append((None, dropped))  # type: ignore[arg-type]
+            if dropped:
+                self.shed[query_id] = self.shed.get(query_id, 0) + dropped
         elif kind == "query_event":
             self.events.append(frame)
-        # pong and stray acks are dropped silently.
-
-    def take_results(self, query_id: str) -> Tuple[List[QueryOutput], int]:
-        """Drain queued streamed results for a query; ``(outputs, shed)``."""
-        queue = self.results.get(query_id)
-        if not queue:
-            return [], 0
-        outputs: List[QueryOutput] = []
-        shed = 0
-        while queue:
-            output, dropped = queue.popleft()
-            shed += dropped
-            if output is not None:
-                outputs.append(output)
-        return outputs, shed
+        return None
 
 
-def _control_frame(
-    kind: str, seq: int, **fields: Any
-) -> Dict[str, Any]:
-    """Assemble one sequenced control frame (Nones omitted)."""
-    frame: Dict[str, Any] = {"t": kind, "seq": seq}
-    for key, value in fields.items():
-        if value is not None:
-            frame[key] = value
-    return frame
+class _ClientAPI:
+    """The request methods of both clients, written once.
 
+    Each names its frame and fields, lets the session core build the
+    request, and hands it to the transport's ``_call(op)``.  Return
+    annotations give the value a call resolves to: :class:`ServeClient`
+    returns it, :class:`AsyncServeClient` returns an awaitable of it.
+    """
 
-class ServeClient:
-    """Blocking client for the stream service (sockets + retries)."""
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        client_id: str = "client",
-        token: Optional[str] = None,
-        retry: Optional[RetryPolicy] = None,
-        connect_timeout_s: float = 5.0,
-        codec: str = CODEC_BINARY,
-        coalesce_tuples: int = 512,
-        trace_sample_every: int = 0,
-    ) -> None:
-        self._core = _SessionCore(host, port, client_id, token, retry,
-                                  codec=codec)
-        self._connect_timeout_s = connect_timeout_s
-        self._sock: Optional[socket.socket] = None
-        self._coalesce = max(1, coalesce_tuples)
-        """Tuples buffered by :meth:`push_nowait` before a frame ships."""
-        self._ingest_buffer: List[Tuple[int, Any]] = []
-        self._ingest_stream: Optional[str] = None
-        self._in_flight = 0
-        """Pipelined push frames sent but not yet acknowledged."""
-        self._ingest_accepted = 0
-        self._trace_every = max(0, trace_sample_every)
-        """Stamp every Nth :meth:`push` with a wire trace context
-        (0 disables tracing; 1 traces every push).  The server closes
-        each trace at subscriber delivery and piggybacks the span
-        breakdown on the push ack — harvested into
-        :attr:`trace_summaries` / :attr:`wire_latencies_ms`."""
-        self._push_seq = 0
-        self.trace_summaries: deque = deque(maxlen=256)
-        """Closed wire traces returned on push acks, newest last."""
-        self.wire_latencies_ms: List[float] = []
-        """End-to-end latency (ms) of every closed wire trace."""
-        self.connect()
-
-    # -- connection management ---------------------------------------------
+    _core: _SessionCore
+    _call: Callable[[_Op], Any]
 
     @property
     def reconnects(self) -> int:
@@ -255,41 +390,185 @@ class ServeClient:
         """The wire codec the server granted (``json``/``binary``)."""
         return self._core.codec
 
+    @property
+    def trace_summaries(self) -> deque:
+        """Closed wire traces returned on push acks, newest last."""
+        return self._core.trace_summaries
+
+    @property
+    def wire_latencies_ms(self) -> List[float]:
+        """End-to-end latency (ms) of every closed wire trace."""
+        return self._core.wire_latencies_ms
+
+    # -- control plane -----------------------------------------------------
+
+    def create_query(
+        self,
+        query: Optional[Query] = None,
+        sql: Optional[str] = None,
+        at_ms: Optional[int] = None,
+        slo_ms: Optional[float] = None,
+    ) -> ControlResult:
+        """Create one ad-hoc query (a :class:`Query` or SQL text).
+
+        ``slo_ms`` declares a wire-to-delivery latency SLO target for
+        the query; the server tracks its burn rate and feeds it to the
+        autoscaler and QoS shedding.
+        """
+        if (query is None) == (sql is None):
+            raise ValueError("pass exactly one of query= or sql=")
+        document = query_to_dict(query) if query is not None else None
+        return self._call(self._core.control(
+            "create_query", query=document, sql=sql, at_ms=at_ms, slo_ms=slo_ms
+        ))
+
+    def delete_query(
+        self, query_id: str, at_ms: Optional[int] = None
+    ) -> ControlResult:
+        """Delete one live query."""
+        return self._call(
+            self._core.control("delete_query", query_id=query_id, at_ms=at_ms)
+        )
+
+    # -- data plane --------------------------------------------------------
+
+    def push(self, stream: str, events: List[Tuple[int, Any]]) -> int:
+        """Push one event micro-batch; returns the accepted count.
+
+        On a binary-negotiated session the batch ships as columnar
+        int64 arrays; events the columns cannot carry (a non-standard
+        payload type, an int64 overflow) fall back to the JSON form.
+        With ``trace_sample_every`` set, every Nth push is stamped with
+        a wire trace context; the closed trace comes back on the ack.
+        """
+        return self._call(self._core.push(stream, events))
+
+    def watermark(
+        self, timestamp: int, stream: Optional[str] = None
+    ) -> None:
+        """Advance the server's event time (fires due windows)."""
+        return self._call(self._core.watermark(timestamp, stream))
+
+    # -- results -----------------------------------------------------------
+
+    def subscribe(
+        self, query_id: str, from_start: bool = True
+    ) -> ControlResult:
+        """Start streaming a query's results to this client."""
+        return self._call(self._core.subscribe(query_id, from_start))
+
+    def unsubscribe(self, query_id: str) -> ControlResult:
+        """Stop streaming a query's results."""
+        return self._call(self._core.unsubscribe(query_id))
+
+    def fetch_results(self, query_id: str) -> List[QueryOutput]:
+        """Pull a query's full retained result set (canonical order)."""
+        op = self._core.control("fetch_results", query_id=query_id)
+        return self._call(op)
+
+    def take_events(self) -> List[Dict[str, Any]]:
+        """Drain out-of-band ``query_event`` notifications."""
+        events, self._core.events = self._core.events, []
+        return events
+
+    # -- ops ---------------------------------------------------------------
+
+    def ping(self) -> bool:
+        """Round-trip liveness probe."""
+        return self._call(self._core.ping())
+
+    def stats(self) -> Dict[str, Any]:
+        """The server's live stats block."""
+        return self._call(self._core.control("stats"))
+
+    def obs_snapshot(self) -> Dict[str, Any]:
+        """The server's telemetry snapshot + recent events."""
+        return self._call(self._core.control("obs_snapshot"))
+
+    def chaos_kill_worker(self, shard: int = 0) -> ControlResult:
+        """SIGKILL one shard worker (process backend chaos hook)."""
+        op = self._core.control("chaos", op="kill_worker", shard=shard)
+        return self._call(op)
+
+    def resize(self, workers: int) -> ControlResult:
+        """Start a live worker-pool resize (process backend).
+
+        Returns once the migration has begun; the server's ticker
+        completes the per-shard restores while ingest keeps flowing.
+        The reply's ``raw["migration_active"]`` reports whether shards
+        are still pending.
+        """
+        return self._call(self._core.control("resize", workers=workers))
+
+    def drain(self, checkpoint: Optional[bool] = None) -> ControlResult:
+        """Settle all in-flight work server-side (optionally checkpoint)."""
+        return self._call(self._core.control("drain", checkpoint=checkpoint))
+
+    def shutdown(self) -> ControlResult:
+        """Ask the server to drain, checkpoint, and exit."""
+        return self._call(self._core.control("shutdown"))
+
+
+class ServeClient(_ClientAPI):
+    """Blocking client for the stream service (sockets + retries)."""
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        client_id: str = "client",
+        token: Optional[str] = None,
+        retry: Optional[RetryPolicy] = None,
+        connect_timeout_s: float = 5.0,
+        codec: str = CODEC_BINARY,
+        coalesce_tuples: int = 512,
+        trace_sample_every: int = 0,
+    ) -> None:
+        results: Dict[str, List[QueryOutput]] = {}
+        self._results = results
+        """query_id → streamed outputs not yet taken.  The core's sink
+        holds this dict, not the client: no cycle keeps a socket open."""
+
+        def sink(query_id: str, outputs: List[QueryOutput]) -> None:
+            results.setdefault(query_id, []).extend(outputs)
+
+        self._core = _SessionCore(
+            client_id, token, retry, codec, trace_sample_every, sink
+        )
+        self._address = (host, port)
+        self._connect_timeout_s = connect_timeout_s
+        self._sock: Optional[socket.socket] = None
+        self._coalesce = max(1, coalesce_tuples)
+        """Tuples buffered by :meth:`push_nowait` before a frame ships."""
+        self._ingest_buffer: List[Tuple[int, Any]] = []
+        self._ingest_stream: Optional[str] = None
+        self._ingest_accepted = 0
+        self.connect()
+
+    # -- transport -----------------------------------------------------------
+
     def connect(self) -> None:
         """Dial, handshake, and resubscribe (used for reconnects too)."""
         self.close_transport()
         sock = socket.create_connection(
-            (self._core.host, self._core.port),
-            timeout=self._connect_timeout_s,
+            self._address, timeout=self._connect_timeout_s
         )
-        sock.settimeout(self._core.retry.ack_timeout_ms / 1_000.0)
-        write_frame_sock(sock, self._core.hello_frame())
-        reply = read_frame_sock(sock)
-        if reply is None:
+        try:
+            sock.settimeout(self._core.ack_timeout_s)
+            sock.sendall(self._core.hello())
+            replay = self._core.welcome(read_frame_sock(sock))
+        except BaseException:
             sock.close()
-            raise ConnectionLost("server closed during handshake")
-        if reply.get("t") == "error":
-            sock.close()
-            raise ServeError(reply["code"], reply["message"])
-        self._core.server_info = reply.get("server", {})
-        self._core.credits = int(reply.get("credits", 0))
-        self._core.adopt_codec(reply)
+            raise
         self._sock = sock
-        # Pipelined frames in flight died with the old connection; the
-        # coalescing buffer (never sent) survives and flushes later.
-        self._in_flight = 0
-        for query_id, from_start in list(self._core.subscriptions.items()):
-            self._request(
-                _control_frame(
-                    "subscribe",
-                    self._core.next_seq(),
-                    query_id=query_id,
-                    from_start=from_start,
-                )
-            )
+        for op in replay:
+            self._call(op)
 
     def close_transport(self) -> None:
         """Drop the socket without touching session state."""
+        # Pipelined frames in flight die with the connection; the
+        # coalescing buffer (never sent) survives and flushes later.
+        self._core.abandon()
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -309,165 +588,61 @@ class ServeClient:
         """Context-manager exit: close the transport."""
         self.close()
 
-    def _reconnect(self, attempt: int) -> None:
-        delay_ms = self._core.retry.backoff_ms(attempt, self._core.rng)
-        time.sleep(delay_ms / 1_000.0)
-        self._core.reconnects += 1
-        self.connect()
-
-    # -- the retry loop ----------------------------------------------------
-
-    def _exchange_once(
-        self, frame: Dict[str, Any], raw: Optional[bytes] = None
-    ) -> Dict[str, Any]:
-        """One send + read-until-reply exchange on the live socket.
-
-        ``raw`` carries a pre-encoded wire image (the binary push path);
-        ``frame`` is still used for reply matching.
-        """
-        if self._in_flight or self._ingest_buffer:
-            # Order barrier: pipelined ingest fully lands before any
-            # other frame leaves the client.
-            self._drain_ingest()
+    def _send(self, raw: bytes) -> None:
         if self._sock is None:
             raise ConnectionLost("not connected")
         try:
-            if raw is not None:
-                self._sock.sendall(raw)
-            else:
-                write_frame_sock(self._sock, frame)
-            while True:
-                reply = read_frame_sock(self._sock)
-                if reply is None:
-                    raise ConnectionLost("server closed the connection")
-                kind = reply.get("t")
-                if kind == "error":
-                    if reply.get("seq") in (None, frame.get("seq")):
-                        raise ServeError(reply["code"], reply["message"])
-                    continue
-                if kind in ("ack", "results") and (
-                    "seq" not in frame or reply.get("seq") == frame["seq"]
-                ):
-                    return reply
-                if kind == "push_ack" and frame.get("t") == "push":
-                    return reply
-                if kind == "pong" and frame.get("t") == "ping":
-                    return reply
-                self._core.absorb(reply)
-        except (OSError, socket.timeout) as error:
+            self._sock.sendall(raw)
+        except OSError as error:
+            self._core.abandon()
             raise ConnectionLost(str(error)) from error
 
-    def _request(
-        self, frame: Dict[str, Any], raw: Optional[bytes] = None
-    ) -> Dict[str, Any]:
+    def _read_frame(self) -> Frame:
+        if self._sock is None:
+            raise ConnectionLost("not connected")
+        try:
+            return read_frame_sock(self._sock)
+        except OSError as error:  # EOF, reset, or the ack timeout
+            self._core.abandon()
+            raise ConnectionLost(str(error)) from error
+
+    # -- the retry loop ----------------------------------------------------
+
+    def _call(self, op: _Op) -> Any:
+        if op.finish is None:
+            self._drain_ingest()
+            return self._send(op.raw)
+        return op.finish(self._request(op.frame, op.raw))
+
+    def _request(self, frame: Frame, raw: Optional[bytes] = None) -> Frame:
         """Send one frame and return its reply, retrying per policy.
 
-        The same frame — same client ``seq`` — is re-sent verbatim after
-        every reconnect, so the server's idempotency cache guarantees a
-        control request applies exactly once.
+        The same frame (``raw`` is its wire image) — same client ``seq``
+        — is re-sent verbatim after every reconnect, so the server's
+        idempotency cache makes a control request apply exactly once.
         """
-        policy = self._core.retry
-        last: Optional[Exception] = None
-        for attempt in range(1, policy.max_attempts + 1):
+        raw = encode_frame(frame) if raw is None else raw
+        seq, waiter = frame.get("seq"), object()
+        for attempt in count(1):
             try:
-                return self._exchange_once(frame, raw)
-            except ConnectionLost as error:
-                last = error
-                if attempt >= policy.max_attempts:
-                    break
-                try:
-                    self._reconnect(attempt)
-                except (OSError, ConnectionLost) as redial_error:
-                    last = redial_error
-        raise ConnectionLost(
-            f"request {frame.get('t')} failed after "
-            f"{policy.max_attempts} attempts: {last}"
-        )
+                if attempt > 1:
+                    self.connect()
+                # Order barrier: pipelined ingest fully lands before
+                # any other frame leaves the client.
+                self._drain_ingest()
+                self._core.expect(seq, waiter)
+                self._send(raw)
+                while True:
+                    reply = self._read_frame()
+                    if self._core.receive(reply) is waiter:
+                        return _checked(reply)
+            except OSError as error:  # ConnectionLost, or a failed re-dial
+                delay_s = self._core.next_redial(attempt, frame, error)
+            finally:
+                self._core.forget(seq, waiter)
+            time.sleep(delay_s)
 
-    # -- control plane -----------------------------------------------------
-
-    def create_query(
-        self,
-        query: Optional[Query] = None,
-        sql: Optional[str] = None,
-        at_ms: Optional[int] = None,
-        slo_ms: Optional[float] = None,
-    ) -> ControlResult:
-        """Create one ad-hoc query (a :class:`Query` or SQL text).
-
-        ``slo_ms`` declares a wire-to-delivery latency SLO target for
-        the query; the server tracks its burn rate and feeds it to the
-        autoscaler and QoS shedding.
-        """
-        if (query is None) == (sql is None):
-            raise ValueError("pass exactly one of query= or sql=")
-        frame = _control_frame(
-            "create_query",
-            self._core.next_seq(),
-            query=query_to_dict(query) if query is not None else None,
-            sql=sql,
-            at_ms=at_ms,
-            slo_ms=slo_ms,
-        )
-        return _decode_reply(self._request(frame))
-
-    def delete_query(
-        self, query_id: str, at_ms: Optional[int] = None
-    ) -> ControlResult:
-        """Delete one live query."""
-        frame = _control_frame(
-            "delete_query",
-            self._core.next_seq(),
-            query_id=query_id,
-            at_ms=at_ms,
-        )
-        return _decode_reply(self._request(frame))
-
-    # -- data plane --------------------------------------------------------
-
-    def push(self, stream: str, events: List[Tuple[int, Any]]) -> int:
-        """Push one event micro-batch; returns the accepted count.
-
-        On a binary-negotiated session the batch ships as columnar
-        int64 arrays; events the columns cannot carry (a non-standard
-        payload type, an int64 overflow) fall back to the JSON form.
-        With ``trace_sample_every`` set, every Nth push is stamped with
-        a wire trace context; the closed trace comes back on the ack.
-        """
-        trace = None
-        if self._trace_every:
-            self._push_seq += 1
-            if self._push_seq % self._trace_every == 0:
-                trace = (new_trace_id(), time.monotonic_ns())
-        raw = self._encode_push_wire(stream, events, trace)
-        reply = self._request({"t": "push"}, raw)
-        self._core.credits = int(reply.get("credits", self._core.credits))
-        summary = reply.get("trace")
-        if summary:
-            self.trace_summaries.append(summary)
-            e2e_ns = summary.get("e2e_ns")
-            if e2e_ns is not None:
-                self.wire_latencies_ms.append(e2e_ns / 1e6)
-        return int(reply.get("accepted", 0))
-
-    def _encode_push_wire(
-        self,
-        stream: str,
-        events: List[Tuple[int, Any]],
-        trace: Optional[Tuple[int, int]] = None,
-    ) -> bytes:
-        """The wire image of one push frame in the session codec."""
-        if self._core.codec == CODEC_BINARY:
-            try:
-                return encode_push_binary(stream, events, trace=trace)
-            except (ProtocolError, struct.error, TypeError,
-                    AttributeError, ValueError):
-                pass
-        frame = {"t": "push", "stream": stream,
-                 "events": encode_events(events)}
-        if trace is not None:
-            frame["trace"] = {"id": trace[0], "ingest_ns": trace[1]}
-        return encode_frame(frame)
+    # -- pipelined ingest, streamed results --------------------------------
 
     def push_nowait(self, stream: str, events: List[Tuple[int, Any]]) -> None:
         """Buffer events for pipelined ingest (the high-throughput path).
@@ -496,97 +671,29 @@ class ServeClient:
         flush (acks harvested opportunistically along the way included).
         """
         self._drain_ingest()
-        accepted = self._ingest_accepted
-        self._ingest_accepted = 0
+        accepted, self._ingest_accepted = self._ingest_accepted, 0
         return accepted
 
     def _drain_ingest(self) -> None:
         self._flush_ingest_frame()
-        while self._in_flight:
+        while self._core.untagged:
             self._read_ingest_ack()
 
     def _flush_ingest_frame(self) -> None:
         if not self._ingest_buffer:
             return
         stream, events = self._ingest_stream, self._ingest_buffer
-        self._ingest_buffer = []
-        self._ingest_stream = None
-        raw = self._encode_push_wire(stream, events)
-        if self._sock is None:
-            raise ConnectionLost("not connected")
-        try:
-            self._sock.sendall(raw)
-        except OSError as error:
-            self._in_flight = 0
-            raise ConnectionLost(str(error)) from error
-        self._in_flight += 1
+        self._ingest_stream, self._ingest_buffer = None, []
+        self._send(self._core.encode_push(stream, events))
+        self._core.expect(None, "pipelined push")
         window = max(1, self._core.credits)
-        while self._in_flight >= window:
+        while len(self._core.untagged) >= window:
             self._read_ingest_ack()
 
     def _read_ingest_ack(self) -> None:
-        if self._sock is None:
-            self._in_flight = 0
-            raise ConnectionLost("not connected")
-        try:
-            reply = read_frame_sock(self._sock)
-        except (OSError, socket.timeout) as error:
-            self._in_flight = 0
-            raise ConnectionLost(str(error)) from error
-        if reply is None:
-            self._in_flight = 0
-            raise ConnectionLost("server closed the connection")
-        kind = reply.get("t")
-        if kind == "push_ack":
-            self._in_flight -= 1
-            self._ingest_accepted += int(reply.get("accepted", 0))
-            self._core.credits = int(
-                reply.get("credits", self._core.credits)
-            )
-        elif kind == "error":
-            self._in_flight = max(0, self._in_flight - 1)
-            raise ServeError(reply["code"], reply["message"])
-        else:
-            self._core.absorb(reply)
-
-    def watermark(
-        self, timestamp: int, stream: Optional[str] = None
-    ) -> None:
-        """Advance the server's event time (fires due windows)."""
-        if self._in_flight or self._ingest_buffer:
-            self._drain_ingest()
-        frame: Dict[str, Any] = {"t": "watermark", "timestamp": timestamp}
-        if stream is not None:
-            frame["stream"] = stream
-        if self._sock is None:
-            raise ConnectionLost("not connected")
-        try:
-            write_frame_sock(self._sock, frame)
-        except OSError as error:
-            raise ConnectionLost(str(error)) from error
-
-    # -- results -----------------------------------------------------------
-
-    def subscribe(
-        self, query_id: str, from_start: bool = True
-    ) -> ControlResult:
-        """Start streaming a query's results to this client."""
-        self._core.subscriptions[query_id] = from_start
-        frame = _control_frame(
-            "subscribe",
-            self._core.next_seq(),
-            query_id=query_id,
-            from_start=from_start,
-        )
-        return _decode_reply(self._request(frame))
-
-    def unsubscribe(self, query_id: str) -> ControlResult:
-        """Stop streaming a query's results."""
-        self._core.subscriptions.pop(query_id, None)
-        frame = _control_frame(
-            "unsubscribe", self._core.next_seq(), query_id=query_id
-        )
-        return _decode_reply(self._request(frame))
+        reply = self._read_frame()
+        if self._core.receive(reply) is not None:
+            self._ingest_accepted += self._core.finish_push(_checked(reply))
 
     def take_results(
         self, query_id: str, wait_ms: int = 0
@@ -597,95 +704,26 @@ class ServeClient:
         result for ``query_id`` is queued or the wait elapses.
         """
         deadline = time.monotonic() + wait_ms / 1_000.0
-        while wait_ms > 0 and not self._core.results.get(query_id):
+        # A shed count ends the wait too: it must surface even when the
+        # server had nothing left to deliver with it.
+        shed = self._core.shed
+        while not (self._results.get(query_id) or query_id in shed):
             remaining = deadline - time.monotonic()
             if remaining <= 0 or self._sock is None:
                 break
             self._sock.settimeout(max(remaining, 0.01))
             try:
-                frame = read_frame_sock(self._sock)
+                self._core.receive(read_frame_sock(self._sock))
             except socket.timeout:
                 break
             except OSError as error:
                 raise ConnectionLost(str(error)) from error
             finally:
-                self._sock.settimeout(
-                    self._core.retry.ack_timeout_ms / 1_000.0
-                )
-            if frame is None:
-                raise ConnectionLost("server closed the connection")
-            self._core.absorb(frame)
-        return self._core.take_results(query_id)
-
-    def fetch_results(self, query_id: str) -> List[QueryOutput]:
-        """Pull a query's full retained result set (canonical order)."""
-        frame = _control_frame(
-            "fetch_results", self._core.next_seq(), query_id=query_id
-        )
-        reply = self._request(frame)
-        return [output_from_dict(doc) for doc in reply.get("outputs", [])]
-
-    def take_events(self) -> List[Dict[str, Any]]:
-        """Drain out-of-band ``query_event`` notifications."""
-        events = list(self._core.events)
-        self._core.events.clear()
-        return events
-
-    # -- ops ---------------------------------------------------------------
-
-    def ping(self) -> bool:
-        """Round-trip liveness probe."""
-        return self._request({"t": "ping"}).get("t") == "pong"
-
-    def stats(self) -> Dict[str, Any]:
-        """The server's live stats block."""
-        reply = self._request(_control_frame("stats", self._core.next_seq()))
-        return reply.get("stats", {})
-
-    def obs_snapshot(self) -> Dict[str, Any]:
-        """The server's telemetry snapshot + recent events."""
-        reply = self._request(
-            _control_frame("obs_snapshot", self._core.next_seq())
-        )
-        return {
-            "snapshot": reply.get("snapshot", {}),
-            "events": reply.get("events", []),
-        }
-
-    def chaos_kill_worker(self, shard: int = 0) -> ControlResult:
-        """SIGKILL one shard worker (process backend chaos hook)."""
-        frame = _control_frame(
-            "chaos", self._core.next_seq(), op="kill_worker", shard=shard
-        )
-        return _decode_reply(self._request(frame))
-
-    def resize(self, workers: int) -> ControlResult:
-        """Start a live worker-pool resize (process backend).
-
-        Returns once the migration has begun; the server's ticker
-        completes the per-shard restores while ingest keeps flowing.
-        The reply's ``raw["migration_active"]`` reports whether shards
-        are still pending.
-        """
-        frame = _control_frame(
-            "resize", self._core.next_seq(), workers=workers
-        )
-        return _decode_reply(self._request(frame))
-
-    def drain(self, checkpoint: Optional[bool] = None) -> ControlResult:
-        """Settle all in-flight work server-side (optionally checkpoint)."""
-        frame = _control_frame(
-            "drain", self._core.next_seq(), checkpoint=checkpoint
-        )
-        return _decode_reply(self._request(frame))
-
-    def shutdown(self) -> ControlResult:
-        """Ask the server to drain, checkpoint, and exit."""
-        frame = _control_frame("shutdown", self._core.next_seq())
-        return _decode_reply(self._request(frame))
+                self._sock.settimeout(self._core.ack_timeout_s)
+        return self._results.pop(query_id, []), shed.pop(query_id, 0)
 
 
-class AsyncServeClient:
+class AsyncServeClient(_ClientAPI):
     """Asyncio client: background reader + per-query result queues."""
 
     def __init__(
@@ -698,71 +736,34 @@ class AsyncServeClient:
         codec: str = CODEC_BINARY,
         trace_sample_every: int = 0,
     ) -> None:
-        self._core = _SessionCore(host, port, client_id, token, retry,
-                                  codec=codec)
-        self._trace_every = max(0, trace_sample_every)
-        self._push_seq = 0
-        self.trace_summaries: deque = deque(maxlen=256)
-        """Closed wire traces returned on push acks, newest last."""
-        self.wire_latencies_ms: List[float] = []
-        """End-to-end latency (ms) of every closed wire trace."""
-        self._reader: Optional[asyncio.StreamReader] = None
+        self._core = _SessionCore(
+            client_id, token, retry, codec, trace_sample_every, self._deliver
+        )
+        self._address = (host, port)
         self._writer: Optional[asyncio.StreamWriter] = None
         self._reader_task: Optional[asyncio.Task] = None
-        self._replies: Dict[int, asyncio.Future] = {}
-        self._untagged: Deque[asyncio.Future] = deque()
-        """Futures for un-sequenced exchanges (push_ack/pong), FIFO."""
         self._queues: Dict[str, asyncio.Queue] = {}
-        self.shed: Dict[str, int] = {}
+        self.shed = self._core.shed
         """query_id → results the server reported shedding."""
         self._closed = False
 
-    # -- connection management ---------------------------------------------
-
-    @property
-    def reconnects(self) -> int:
-        """Times the transport was re-dialled after the first connect."""
-        return self._core.reconnects
-
-    @property
-    def server_info(self) -> Dict[str, Any]:
-        """The server's handshake self-description."""
-        return self._core.server_info
-
-    @property
-    def codec(self) -> str:
-        """The wire codec the server granted (``json``/``binary``)."""
-        return self._core.codec
+    # -- transport -----------------------------------------------------------
 
     async def connect(self) -> "AsyncServeClient":
         """Dial, handshake, start the reader, resubscribe."""
         await self._teardown_transport()
-        reader, writer = await asyncio.open_connection(
-            self._core.host, self._core.port
-        )
-        write_frame(writer, self._core.hello_frame())
-        await writer.drain()
-        reply = await read_frame(reader)
-        if reply is None:
+        reader, writer = await asyncio.open_connection(*self._address)
+        try:
+            writer.write(self._core.hello())
+            await writer.drain()
+            replay = self._core.welcome(await read_frame(reader))
+        except BaseException:
             writer.close()
-            raise ConnectionLost("server closed during handshake")
-        if reply.get("t") == "error":
-            writer.close()
-            raise ServeError(reply["code"], reply["message"])
-        self._core.server_info = reply.get("server", {})
-        self._core.credits = int(reply.get("credits", 0))
-        self._core.adopt_codec(reply)
-        self._reader, self._writer = reader, writer
+            raise
+        self._writer = writer
         self._reader_task = asyncio.create_task(self._read_loop(reader))
-        for query_id, from_start in list(self._core.subscriptions.items()):
-            await self._request(
-                _control_frame(
-                    "subscribe",
-                    self._core.next_seq(),
-                    query_id=query_id,
-                    from_start=from_start,
-                )
-            )
+        for op in replay:
+            await self._call(op)
         return self
 
     async def close(self) -> None:
@@ -790,22 +791,15 @@ class AsyncServeClient:
             self._writer.close()
             try:
                 await self._writer.wait_closed()
-            except (ConnectionError, OSError):
+            except OSError:
                 pass
             self._writer = None
         self._fail_waiters(ConnectionLost("transport closed"))
 
     def _fail_waiters(self, error: Exception) -> None:
-        for future in list(self._replies.values()):
+        for future in self._core.abandon():
             if not future.done():
                 future.set_exception(error)
-        self._replies.clear()
-        while self._untagged:
-            future = self._untagged.popleft()
-            if not future.done():
-                future.set_exception(error)
-
-    # -- reader ------------------------------------------------------------
 
     async def _read_loop(self, reader: asyncio.StreamReader) -> None:
         try:
@@ -813,221 +807,59 @@ class AsyncServeClient:
                 frame = await read_frame(reader)
                 if frame is None:
                     raise ConnectionLost("server closed the connection")
-                self._route(frame)
-        except asyncio.CancelledError:
-            raise
-        except (ProtocolError, ConnectionError, OSError) as error:
+                future = self._core.receive(frame)
+                if future is not None and not future.done():
+                    future.set_result(frame)
+        except (ProtocolError, OSError) as error:
             self._fail_waiters(ConnectionLost(str(error)))
 
-    def _route(self, frame: Dict[str, Any]) -> None:
-        kind = frame.get("t")
-        if kind in ("ack", "results"):
-            future = self._replies.pop(frame.get("seq"), None)
-            if future is not None and not future.done():
-                future.set_result(frame)
-            return
-        if kind == "error":
-            seq = frame.get("seq")
-            future = self._replies.pop(seq, None) if seq is not None else None
-            if future is None and self._untagged:
-                future = self._untagged.popleft()
-            if future is not None and not future.done():
-                future.set_exception(
-                    ServeError(frame["code"], frame["message"])
-                )
-            return
-        if kind in ("push_ack", "pong"):
-            if self._untagged:
-                future = self._untagged.popleft()
-                if not future.done():
-                    future.set_result(frame)
-            return
-        if kind == "result":
-            queue = self._queues.setdefault(
-                frame["query_id"], asyncio.Queue()
-            )
-            decoded = frame.get("_decoded", False)
-            for document in frame["outputs"]:
-                queue.put_nowait(
-                    document if decoded else output_from_dict(document)
-                )
-            dropped = int(frame.get("dropped", 0))
-            if dropped:
-                self.shed[frame["query_id"]] = (
-                    self.shed.get(frame["query_id"], 0) + dropped
-                )
-            return
-        if kind == "query_event":
-            self._core.events.append(frame)
-
-    # -- the retry loop ----------------------------------------------------
-
-    async def _send(
-        self, frame: Dict[str, Any], raw: Optional[bytes] = None
-    ) -> None:
+    async def _send(self, raw: bytes) -> None:
         if self._writer is None:
             raise ConnectionLost("not connected")
         try:
-            if raw is not None:
-                self._writer.write(raw)
-            else:
-                write_frame(self._writer, frame)
+            self._writer.write(raw)
             await self._writer.drain()
-        except (ConnectionError, OSError) as error:
+        except OSError as error:
             raise ConnectionLost(str(error)) from error
 
-    async def _exchange_once(
-        self, frame: Dict[str, Any], raw: Optional[bytes] = None
-    ) -> Dict[str, Any]:
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        seq = frame.get("seq")
-        if seq is not None:
-            self._replies[seq] = future
-        else:
-            self._untagged.append(future)
-        try:
-            await self._send(frame, raw)
-            return await asyncio.wait_for(
-                future, timeout=self._core.retry.ack_timeout_ms / 1_000.0
-            )
-        except asyncio.TimeoutError as error:
-            raise ConnectionLost("ack timeout") from error
-        finally:
-            if seq is not None:
-                self._replies.pop(seq, None)
-            elif future in self._untagged:
-                self._untagged.remove(future)
+    # -- the retry loop ----------------------------------------------------
+
+    async def _call(self, op: _Op) -> Any:
+        if op.finish is None:
+            return await self._send(op.raw)
+        return op.finish(await self._request(op.frame, op.raw))
 
     async def _request(
-        self, frame: Dict[str, Any], raw: Optional[bytes] = None
-    ) -> Dict[str, Any]:
+        self, frame: Frame, raw: Optional[bytes] = None
+    ) -> Frame:
         """Send + await reply with reconnect/backoff/resubmit per policy."""
-        policy = self._core.retry
-        last: Optional[Exception] = None
-        for attempt in range(1, policy.max_attempts + 1):
+        raw = encode_frame(frame) if raw is None else raw
+        seq = frame.get("seq")
+        for attempt in count(1):
+            future = asyncio.get_running_loop().create_future()
             try:
-                return await self._exchange_once(frame, raw)
-            except ConnectionLost as error:
-                last = error
-                if self._closed or attempt >= policy.max_attempts:
-                    break
-                delay_ms = policy.backoff_ms(attempt, self._core.rng)
-                await asyncio.sleep(delay_ms / 1_000.0)
-                try:
-                    self._core.reconnects += 1
+                if attempt > 1:
                     await self.connect()
-                except (OSError, ConnectionLost, ServeError) as redial:
-                    last = redial
-        raise ConnectionLost(
-            f"request {frame.get('t')} failed after "
-            f"{policy.max_attempts} attempts: {last}"
-        )
+                self._core.expect(seq, future)
+                await self._send(raw)
+                return _checked(await asyncio.wait_for(
+                    future, timeout=self._core.ack_timeout_s
+                ))
+            except (OSError, asyncio.TimeoutError) as error:
+                # ConnectionLost, the ack timeout, or a failed re-dial.
+                if self._closed:
+                    raise
+                delay_s = self._core.next_redial(attempt, frame, error)
+            finally:
+                self._core.forget(seq, future)
+            await asyncio.sleep(delay_s)
 
-    # -- API (mirrors ServeClient) -----------------------------------------
+    # -- streamed results --------------------------------------------------
 
-    async def create_query(
-        self,
-        query: Optional[Query] = None,
-        sql: Optional[str] = None,
-        at_ms: Optional[int] = None,
-        slo_ms: Optional[float] = None,
-    ) -> ControlResult:
-        """Create one ad-hoc query (a :class:`Query` or SQL text)."""
-        if (query is None) == (sql is None):
-            raise ValueError("pass exactly one of query= or sql=")
-        frame = _control_frame(
-            "create_query",
-            self._core.next_seq(),
-            query=query_to_dict(query) if query is not None else None,
-            sql=sql,
-            at_ms=at_ms,
-            slo_ms=slo_ms,
-        )
-        return _decode_reply(await self._request(frame))
-
-    async def delete_query(
-        self, query_id: str, at_ms: Optional[int] = None
-    ) -> ControlResult:
-        """Delete one live query."""
-        frame = _control_frame(
-            "delete_query",
-            self._core.next_seq(),
-            query_id=query_id,
-            at_ms=at_ms,
-        )
-        return _decode_reply(await self._request(frame))
-
-    async def push(self, stream: str, events: List[Tuple[int, Any]]) -> int:
-        """Push one event micro-batch; returns the accepted count.
-
-        Columnar-encoded on binary sessions, with the same JSON
-        fallback as :meth:`ServeClient.push`.  ``trace_sample_every``
-        stamps every Nth push with a wire trace context, exactly as the
-        blocking client does.
-        """
-        trace: Optional[Tuple[int, int]] = None
-        if self._trace_every:
-            self._push_seq += 1
-            if self._push_seq % self._trace_every == 0:
-                trace = (new_trace_id(), time.monotonic_ns())
-        raw: Optional[bytes] = None
-        if self._core.codec == CODEC_BINARY:
-            try:
-                raw = encode_push_binary(stream, events, trace=trace)
-            except (ProtocolError, struct.error, TypeError,
-                    AttributeError, ValueError):
-                raw = None
-        if raw is not None:
-            frame: Dict[str, Any] = {"t": "push"}
-        else:
-            frame = {
-                "t": "push",
-                "stream": stream,
-                "events": encode_events(events),
-            }
-            if trace is not None:
-                frame["trace"] = {"id": trace[0], "ingest_ns": trace[1]}
-        reply = await self._request(frame, raw)
-        self._core.credits = int(reply.get("credits", self._core.credits))
-        summary = reply.get("trace")
-        if summary:
-            self.trace_summaries.append(summary)
-            e2e_ns = summary.get("e2e_ns")
-            if e2e_ns is not None:
-                self.wire_latencies_ms.append(e2e_ns / 1e6)
-        return int(reply.get("accepted", 0))
-
-    async def watermark(
-        self, timestamp: int, stream: Optional[str] = None
-    ) -> None:
-        """Advance the server's event time (fires due windows)."""
-        frame: Dict[str, Any] = {"t": "watermark", "timestamp": timestamp}
-        if stream is not None:
-            frame["stream"] = stream
-        await self._send(frame)
-
-    async def subscribe(
-        self, query_id: str, from_start: bool = True
-    ) -> ControlResult:
-        """Start streaming a query's results to this client."""
-        self._core.subscriptions[query_id] = from_start
-        self._queues.setdefault(query_id, asyncio.Queue())
-        frame = _control_frame(
-            "subscribe",
-            self._core.next_seq(),
-            query_id=query_id,
-            from_start=from_start,
-        )
-        return _decode_reply(await self._request(frame))
-
-    async def unsubscribe(self, query_id: str) -> ControlResult:
-        """Stop streaming a query's results."""
-        self._core.subscriptions.pop(query_id, None)
-        frame = _control_frame(
-            "unsubscribe", self._core.next_seq(), query_id=query_id
-        )
-        return _decode_reply(await self._request(frame))
+    def _deliver(self, query_id: str, outputs: List[QueryOutput]) -> None:
+        queue = self._queues.setdefault(query_id, asyncio.Queue())
+        for output in outputs:
+            queue.put_nowait(output)
 
     async def next_result(
         self, query_id: str, timeout_s: Optional[float] = None
@@ -1035,8 +867,6 @@ class AsyncServeClient:
         """The next streamed result for a query (None on timeout)."""
         queue = self._queues.setdefault(query_id, asyncio.Queue())
         try:
-            if timeout_s is None:
-                return await queue.get()
             return await asyncio.wait_for(queue.get(), timeout=timeout_s)
         except asyncio.TimeoutError:
             return None
@@ -1045,64 +875,3 @@ class AsyncServeClient:
         """Streamed results queued locally for a query."""
         queue = self._queues.get(query_id)
         return queue.qsize() if queue is not None else 0
-
-    async def fetch_results(self, query_id: str) -> List[QueryOutput]:
-        """Pull a query's full retained result set (canonical order)."""
-        frame = _control_frame(
-            "fetch_results", self._core.next_seq(), query_id=query_id
-        )
-        reply = await self._request(frame)
-        return [output_from_dict(doc) for doc in reply.get("outputs", [])]
-
-    def take_events(self) -> List[Dict[str, Any]]:
-        """Drain out-of-band ``query_event`` notifications."""
-        events = list(self._core.events)
-        self._core.events.clear()
-        return events
-
-    async def ping(self) -> bool:
-        """Round-trip liveness probe."""
-        return (await self._request({"t": "ping"})).get("t") == "pong"
-
-    async def stats(self) -> Dict[str, Any]:
-        """The server's live stats block."""
-        reply = await self._request(
-            _control_frame("stats", self._core.next_seq())
-        )
-        return reply.get("stats", {})
-
-    async def obs_snapshot(self) -> Dict[str, Any]:
-        """The server's telemetry snapshot + recent events."""
-        reply = await self._request(
-            _control_frame("obs_snapshot", self._core.next_seq())
-        )
-        return {
-            "snapshot": reply.get("snapshot", {}),
-            "events": reply.get("events", []),
-        }
-
-    async def chaos_kill_worker(self, shard: int = 0) -> ControlResult:
-        """SIGKILL one shard worker (process backend chaos hook)."""
-        frame = _control_frame(
-            "chaos", self._core.next_seq(), op="kill_worker", shard=shard
-        )
-        return _decode_reply(await self._request(frame))
-
-    async def resize(self, workers: int) -> ControlResult:
-        """Start a live worker-pool resize (process backend)."""
-        frame = _control_frame(
-            "resize", self._core.next_seq(), workers=workers
-        )
-        return _decode_reply(await self._request(frame))
-
-    async def drain(self, checkpoint: Optional[bool] = None) -> ControlResult:
-        """Settle all in-flight work server-side (optionally checkpoint)."""
-        frame = _control_frame(
-            "drain", self._core.next_seq(), checkpoint=checkpoint
-        )
-        return _decode_reply(await self._request(frame))
-
-    async def shutdown(self) -> ControlResult:
-        """Ask the server to drain, checkpoint, and exit."""
-        frame = _control_frame("shutdown", self._core.next_seq())
-        return _decode_reply(await self._request(frame))

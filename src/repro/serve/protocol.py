@@ -239,12 +239,19 @@ def recv_exactly(sock: socket.socket, count: int) -> bytes:
 def read_frame_sock(
     sock: socket.socket, max_bytes: int = MAX_FRAME_BYTES
 ) -> Dict[str, Any]:
-    """Blocking-socket counterpart of :func:`read_frame`."""
+    """Blocking-socket counterpart of :func:`read_frame`.
+
+    EOF raises :class:`ConnectionError` (it never returns ``None``); an
+    oversized declared length is drained in bounded chunks that are not
+    retained, then reported as a :class:`ProtocolError`.
+    """
     (raw,) = _HEADER.unpack(recv_exactly(sock, HEADER_BYTES))
     binary = bool(raw & BINARY_FLAG)
     length = raw & _LENGTH_MASK
     if length > max_bytes:
-        recv_exactly(sock, length)
+        remaining = length
+        while remaining:
+            remaining -= len(recv_exactly(sock, min(remaining, 1 << 16)))
         raise ProtocolError(
             "frame_too_large",
             f"declared frame length {length} exceeds limit {max_bytes}",

@@ -1,5 +1,7 @@
 """Supervisor: detection, recovery, MTTR, checkpoints, load shedding."""
 
+import pytest
+
 from repro.baseline.engine import QueryAtATimeEngine
 from repro.core.admission import AdmissionController, AdmissionDecision
 from repro.core.qos import QoSMonitor, QoSThresholds
@@ -18,6 +20,7 @@ from repro.faults import (
     Supervisor,
     SupervisorPolicy,
 )
+from repro.minispe.checkpoint import CheckpointFailed
 from repro.minispe.cluster import ClusterSpec, SimulatedCluster
 from tests.conftest import field_tuple, go_live, make_engine
 
@@ -146,6 +149,27 @@ class TestCheckpointing:
         )
         supervisor.heartbeat(60_000)
         assert supervisor.checkpoints_taken == 0
+
+    def test_only_a_failed_checkpoint_is_counted_and_skipped(self):
+        engine, injector, supervisor = _supervised_engine(
+            FaultPlan(), checkpoint_interval_ms=1_000
+        )
+
+        def unacknowledged():
+            raise CheckpointFailed(7, "instance did not acknowledge")
+
+        engine.checkpoint = unacknowledged
+        supervisor.heartbeat(1_000)
+        assert supervisor.checkpoint_failures == 1
+        assert supervisor.checkpoints_taken == 0
+
+        def crash():
+            raise RuntimeError("planted")
+
+        engine.checkpoint = crash
+        with pytest.raises(RuntimeError, match="planted"):
+            supervisor.heartbeat(2_000)
+        assert supervisor.checkpoint_failures == 1
 
 
 class TestBaselineRecovery:

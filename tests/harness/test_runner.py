@@ -92,3 +92,24 @@ class TestSustainableSearch:
             config, low=1, high=8, min_throughput_tps=10.0
         )
         assert count >= 1
+
+    def test_capacity_error_reads_as_not_sustained(self, monkeypatch):
+        from repro.harness import runner
+        from repro.minispe.cluster import ClusterCapacityError
+
+        def full(*args, **kwargs):
+            raise ClusterCapacityError("cluster is full")
+
+        monkeypatch.setattr(runner, "run_scenario", full)
+        assert sustainable_query_search(_quick_config(), low=1, high=4) == 0
+
+    def test_a_crashing_probe_surfaces(self, monkeypatch):
+        # A bug in a probe run must not read as a capacity number.
+        from repro.harness import runner
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(runner, "run_scenario", crash)
+        with pytest.raises(RuntimeError, match="planted"):
+            sustainable_query_search(_quick_config(), low=1, high=4)

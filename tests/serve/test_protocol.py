@@ -147,6 +147,48 @@ class TestMalformedFrames:
         assert excinfo.value.code == "missing_field"
 
 
+class _ScriptedSocket:
+    """Just enough of a socket for :func:`read_frame_sock`: serves a
+    header, then zeros forever, and remembers how it was read."""
+
+    def __init__(self, header, payload_bytes):
+        self._header = header
+        self._left = payload_bytes
+        self.largest_recv = 0
+        self.payload_served = 0
+
+    def recv(self, count):
+        if self._header:
+            chunk, self._header = self._header[:count], self._header[count:]
+            return chunk
+        self.largest_recv = max(self.largest_recv, count)
+        served = min(count, self._left)
+        self._left -= served
+        self.payload_served += served
+        return bytes(served)
+
+
+class TestBlockingSocketReads:
+    def test_oversized_frame_is_drained_in_bounded_chunks(self):
+        # A hostile length prefix must not make the reader buffer the
+        # declared size before it complains.
+        declared = 4 * MAX_FRAME_BYTES
+        sock = _ScriptedSocket(struct.pack(">I", declared), declared)
+        with pytest.raises(ProtocolError) as excinfo:
+            read_frame_sock(sock)
+        assert excinfo.value.code == "frame_too_large"
+        assert sock.payload_served == declared  # the stream stays in sync
+        assert sock.largest_recv <= 1 << 16
+
+    def test_eof_raises_instead_of_returning_none(self):
+        with pytest.raises(ConnectionError):
+            read_frame_sock(_ScriptedSocket(b"", 0))
+        with pytest.raises(ConnectionError):  # also mid-drain
+            read_frame_sock(
+                _ScriptedSocket(struct.pack(">I", MAX_FRAME_BYTES + 1), 10)
+            )
+
+
 class TestEventCodec:
     def test_events_roundtrip(self):
         events = [
