@@ -357,9 +357,16 @@ class SharingGroup:
         anchor_intervals.extend(
             norm.interval_for(field_index) for norm, _ in residual_members
         )
-        hull = anchor_intervals[0]
-        for interval in anchor_intervals[1:]:
-            hull = hull.hull(interval)
+        # Interval.hull folded over every member, without the temporaries.
+        low, low_exclusive = min(
+            (interval.low, not interval.low_inclusive)
+            for interval in anchor_intervals
+        )
+        high, high_inclusive = max(
+            (interval.high, interval.high_inclusive)
+            for interval in anchor_intervals
+        )
+        hull = Interval(low, not low_exclusive, high, bool(high_inclusive))
         self.cover = hull
         self._hull_start = hull.start_key
         self._hull_end = hull.end_key
@@ -394,6 +401,22 @@ class SharingGroup:
             mask |= slots
         self._residuals = residuals
         self.slots_mask = mask
+
+    def fresh(self) -> "SharingGroup":
+        """This group's compiled index under new, zeroed counters.
+
+        Epoch views whose anchor did not change share one compiled index
+        (cover, cuts, segment masks, residuals — never mutated after
+        ``__init__``); each view still counts its own work.
+        """
+        copy = SharingGroup.__new__(SharingGroup)
+        for name in self.__slots__:
+            setattr(copy, name, getattr(self, name))
+        copy.evaluations = 0
+        copy.cover_skips = 0
+        copy.index_probes = 0
+        copy.residual_checks = 0
+        return copy
 
     def evaluate(self, value: Any) -> int:
         """Slot bits of every member the tuple satisfies."""
@@ -499,6 +522,95 @@ class SelectionPlan:
         }
 
 
+_Member = Tuple[Optional[NormalizedPredicate], Predicate, int]
+"""(normalized form or None for a UDF, original predicate, slots-bitset)."""
+
+AnchorPlan = Tuple[List[Tuple[Predicate, int]], List[SharingGroup]]
+"""One anchor field's compiled share of a plan: (direct, groups)."""
+
+
+def sharing_anchor(normalized: Optional[NormalizedPredicate]) -> Optional[int]:
+    """The anchor field a predicate clusters on, or None when it stays out
+    of every group: black-box UDFs, constant true and constant false."""
+    if normalized is None or not normalized.satisfiable:
+        return None
+    return normalized.anchor_field
+
+
+def compile_anchor(anchor: int, members: Sequence[_Member]) -> AnchorPlan:
+    """Sweep one anchor field's members into overlap components.
+
+    Sorted by start key, a member joins the open component while its
+    interval begins before the component's furthest end.  A component
+    of one stays direct, larger ones become :class:`SharingGroup` s, both
+    in sweep order.  The result depends only on the member *set*, so a
+    changelog need only recompile the anchors whose members changed.
+    """
+    ordered = sorted(
+        (
+            (normalized.interval_for(anchor), normalized, predicate, slots)
+            for normalized, predicate, slots in members
+        ),
+        key=lambda entry: (entry[0].start_key, entry[0].end_key, entry[3]),
+    )
+    direct: List[Tuple[Predicate, int]] = []
+    groups: List[SharingGroup] = []
+
+    def flush(component: List[tuple]) -> None:
+        if len(component) == 1:
+            _, _, predicate, slots = component[0]
+            direct.append((predicate, slots))
+            return
+        singles: List[Tuple[Interval, int]] = []
+        residuals: List[Tuple[NormalizedPredicate, int]] = []
+        for interval, normalized, _, slots in component:
+            if len(normalized.constraints) == 1:
+                singles.append((interval, slots))
+            else:
+                residuals.append((normalized, slots))
+        groups.append(SharingGroup(anchor, singles, residuals))
+
+    component: List[tuple] = []
+    max_end: Optional[_Key] = None
+    for entry in ordered:
+        interval = entry[0]
+        if component and interval.start_key < max_end:
+            component.append(entry)
+            max_end = max(max_end, interval.end_key)
+            continue
+        if component:
+            flush(component)
+        component = [entry]
+        max_end = interval.end_key
+    if component:
+        flush(component)
+    return direct, groups
+
+
+def assemble_plan(
+    loose: Sequence[_Member], anchors: Dict[int, AnchorPlan]
+) -> SelectionPlan:
+    """One view's plan from its unanchored members and compiled anchors.
+
+    ``loose`` holds the members :func:`sharing_anchor` leaves out, in
+    pair order: UDFs and constant-true predicates are evaluated direct,
+    constant-false ones fold away.  Anchors follow in field order.
+    Every group enters the plan as a :meth:`SharingGroup.fresh` copy, so
+    each view counts its own work over a shared compiled index.
+    """
+    plan = SelectionPlan()
+    for normalized, predicate, slots in loose:
+        if normalized is not None and not normalized.satisfiable:
+            plan.folded_slots |= slots
+        else:
+            plan.direct.append((predicate, slots))
+    for anchor in sorted(anchors):
+        direct, groups = anchors[anchor]
+        plan.direct.extend(direct)
+        plan.groups.extend(group.fresh() for group in groups)
+    return plan
+
+
 def compile_selection_plan(
     pairs: Sequence[Tuple[Predicate, int]],
     share_overlapping: bool = True,
@@ -508,76 +620,28 @@ def compile_selection_plan(
     Deterministic: the same pairs (and they are derived from the sorted
     slot table) compile to the same plan on every backend and after
     every recovery, which is what keeps sharded and restored runs
-    byte-equal to the inline oracle.
+    byte-equal to the inline oracle.  The selection operator maintains
+    the same plan incrementally (one :func:`compile_anchor` per changed
+    anchor); this from-scratch form is its test oracle.
     """
-    plan = SelectionPlan()
     if not share_overlapping:
-        plan.direct = list(pairs)
-        return plan
-
-    # anchor field -> [(normalized, original, slots)]
-    clusters: Dict[int, List[Tuple[NormalizedPredicate, Predicate, int]]] = {}
+        return SelectionPlan(direct=list(pairs))
+    loose: List[_Member] = []
+    clusters: Dict[int, List[_Member]] = {}
     for predicate, slots in pairs:
         normalized = normalize(predicate)
-        if normalized is None:  # black-box UDF: evaluate as-is
-            plan.direct.append((predicate, slots))
-            continue
-        if not normalized.satisfiable:  # constant-folded to false
-            plan.folded_slots |= slots
-            continue
-        anchor = normalized.anchor_field
-        if anchor is None:  # TruePredicate: constant true
-            plan.direct.append((predicate, slots))
-            continue
-        clusters.setdefault(anchor, []).append((normalized, predicate, slots))
-
-    for anchor in sorted(clusters):
-        members = clusters[anchor]
-        # Sweep the anchor intervals into overlap-connected components:
-        # sorted by start key, a member joins the open component while
-        # its interval begins before the component's furthest end.
-        members.sort(
-            key=lambda entry: (
-                entry[0].interval_for(anchor).start_key,
-                entry[0].interval_for(anchor).end_key,
-                entry[2],
-            )
-        )
-        component: List[Tuple[NormalizedPredicate, Predicate, int]] = []
-        max_end: Optional[_Key] = None
-        for entry in members:
-            interval = entry[0].interval_for(anchor)
-            if max_end is not None and interval.start_key < max_end:
-                component.append(entry)
-                max_end = max(max_end, interval.end_key)
-                continue
-            _flush_component(plan, anchor, component)
-            component = [entry]
-            max_end = interval.end_key
-        _flush_component(plan, anchor, component)
-    return plan
-
-
-def _flush_component(
-    plan: SelectionPlan,
-    anchor: int,
-    component: List[Tuple[NormalizedPredicate, Predicate, int]],
-) -> None:
-    """Emit one overlap component: direct when alone, grouped otherwise."""
-    if not component:
-        return
-    if len(component) == 1:
-        _, predicate, slots = component[0]
-        plan.direct.append((predicate, slots))
-        return
-    singles: List[Tuple[Interval, int]] = []
-    residuals: List[Tuple[NormalizedPredicate, int]] = []
-    for normalized, _, slots in component:
-        if len(normalized.constraints) == 1:
-            singles.append((normalized.interval_for(anchor), slots))
+        anchor = sharing_anchor(normalized)
+        if anchor is None:
+            loose.append((normalized, predicate, slots))
         else:
-            residuals.append((normalized, slots))
-    plan.groups.append(SharingGroup(anchor, singles, residuals))
+            clusters.setdefault(anchor, []).append((normalized, predicate, slots))
+    return assemble_plan(
+        loose,
+        {
+            anchor: compile_anchor(anchor, members)
+            for anchor, members in clusters.items()
+        },
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,12 @@ predicates are rewritten onto shared sub-plans (covering check +
 interval stabbing index + per-query residual filters).  The rewrite is
 exact, so the emitted qs-bitsets are byte-identical with the optimizer
 on or off.
+
+The distinct-predicate table and its per-anchor compiled plans are live
+state, maintained from each changelog's own created and deleted slots:
+a predicate is normalized once, when its first slot arrives, and a
+changelog recompiles only the anchor fields whose member set changed —
+a create costs one anchor, not the whole population.
 """
 
 from __future__ import annotations
@@ -26,15 +32,21 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 import operator as _compare
 
+from repro.core.bitset import QuerySet
 from repro.core.changelog import Changelog
 from repro.core.planner import (
+    AnchorPlan,
+    NormalizedPredicate,
     SelectionPlan,
-    compile_selection_plan,
+    assemble_plan,
+    compile_anchor,
     normalize,
+    sharing_anchor,
 )
 from repro.core.query import Comparison, FieldPredicate, Predicate, TruePredicate
 from repro.minispe.operators import Operator
@@ -65,14 +77,35 @@ class _EpochView:
     their bits OR-ed in together.  ``plan`` is the compiled evaluation
     plan over those pairs — overlapping predicates merged into covering
     groups with residual filters (the §7 sharing optimizer); it is a
-    derived cache, never snapshotted.
+    derived cache, never snapshotted.  Its groups share their compiled
+    index with the other views' but count work of their own.
     """
 
     start_ms: int
     sequence: int
     predicates: List[Tuple[Predicate, int]]
-    """(predicate, slots-bitset) pairs, one entry per distinct predicate."""
+    """(predicate, slots-bitset) pairs, one entry per distinct predicate,
+    ordered by lowest slot; the predicate is that slot's."""
     plan: SelectionPlan
+
+
+class _Entry:
+    """One distinct predicate of the live slot table."""
+
+    __slots__ = ("key", "predicate", "slots", "low", "normalized", "anchor")
+
+    def __init__(
+        self, key: Any, normalized: Optional[NormalizedPredicate]
+    ) -> None:
+        self.key = key
+        self.predicate: Optional[Predicate] = None
+        """The lowest slot's predicate, as a regroup from scratch picks."""
+        self.slots = 0
+        self.low = 0
+        """Lowest slot in ``slots``: orders the view's pairs."""
+        self.normalized = normalized
+        self.anchor = sharing_anchor(normalized)
+        """Anchor field whose compiled plan holds this entry, or None."""
 
 
 class SharedSelectionOperator(Operator):
@@ -109,7 +142,13 @@ class SharedSelectionOperator(Operator):
         covering groups with residual filters (ISSUE 8); disable to fall
         back to identical-only dedup."""
         self._slot_predicates: Dict[int, Predicate] = {}
-        self._views: List[_EpochView] = [self._make_view(0, 0, [])]
+        self._slot_entries: Dict[int, _Entry] = {}
+        self._entries: Dict[Any, _Entry] = {}
+        """Grouping key -> distinct predicate (see :meth:`_entry_key`)."""
+        self._anchor_entries: Dict[int, Dict[Any, _Entry]] = {}
+        self._anchor_plans: Dict[int, AnchorPlan] = {}
+        """Anchor field -> its compiled share of the current plan."""
+        self._views: List[_EpochView] = [self._make_view(0, 0)]
         self._view_starts: List[int] = [0]
         self.profile = profile
         self._evaluations = 0
@@ -124,22 +163,22 @@ class SharedSelectionOperator(Operator):
 
     # -- changelog handling ----------------------------------------------------
 
-    def _make_view(
-        self,
-        start_ms: int,
-        sequence: int,
-        predicates: List[Tuple[Predicate, int]],
-    ) -> _EpochView:
-        """Compile one epoch's predicate table into an evaluation plan."""
-        plan = compile_selection_plan(
-            predicates,
-            share_overlapping=self.share_overlapping and self.dedup_predicates,
-        )
+    def _make_view(self, start_ms: int, sequence: int) -> _EpochView:
+        """Snapshot the live tables as one epoch's view: the pairs in
+        lowest-slot order, the plan assembled from the compiled anchors."""
+        ordered = sorted(self._entries.values(), key=attrgetter("low"))
         return _EpochView(
             start_ms=start_ms,
             sequence=sequence,
-            predicates=predicates,
-            plan=plan,
+            predicates=[(entry.predicate, entry.slots) for entry in ordered],
+            plan=assemble_plan(
+                [
+                    (entry.normalized, entry.predicate, entry.slots)
+                    for entry in ordered
+                    if entry.anchor is None
+                ],
+                self._anchor_plans,
+            ),
         )
 
     def on_marker(self, marker: ChangelogMarker) -> None:
@@ -147,50 +186,110 @@ class SharedSelectionOperator(Operator):
         self.output(marker)
 
     def _apply_changelog(self, changelog: Changelog, timestamp_ms: int) -> None:
+        changes: Dict[int, Optional[Predicate]] = {}
         for deactivation in changelog.deleted:
-            self._slot_predicates.pop(deactivation.slot, None)
+            changes[deactivation.slot] = None
             if self.sharing_stats is not None:
                 self.sharing_stats.forget_slot(deactivation.slot)
         for activation in changelog.created:
-            if self.stream in activation.query.streams:
-                self._slot_predicates[activation.slot] = (
-                    activation.query.predicate_for(self.stream)
-                )
-            else:
-                # A created query that ignores this stream still voids the
-                # slot's previous meaning here; deletion above handled the
-                # reuse case, so nothing to add.
-                self._slot_predicates.pop(activation.slot, None)
-        view = self._make_view(
-            timestamp_ms, changelog.sequence, self._group_predicates()
-        )
-        self._views.append(view)
-        self._view_starts.append(timestamp_ms)
+            # A created query that ignores this stream still voids the
+            # slot's previous meaning here.
+            query = activation.query
+            changes[activation.slot] = (
+                query.predicate_for(self.stream)
+                if self.stream in query.streams
+                else None
+            )
+        self._update_slots(changes)
+        view = self._make_view(timestamp_ms, changelog.sequence)
+        if timestamp_ms == self._view_starts[-1]:
+            # _view_for takes the rightmost view starting at or before a
+            # timestamp, so the one this view shadows is never chosen
+            # again: retire it now rather than a retention period later.
+            self._retire_views([self._views[-1]])
+            self._views[-1] = view
+        else:
+            self._views.append(view)
+            self._view_starts.append(timestamp_ms)
 
-    def _group_predicates(self) -> List[Tuple[Predicate, int]]:
+    def _entry_key(self, slot: int, predicate: Predicate) -> Any:
         """Group slots by distinct predicate (identity for UDFs).
 
         Hashable value-predicates (the generated ``FieldPredicate`` and
         ``TruePredicate`` dataclasses) deduplicate by value; unhashable
-        black-box predicates fall back to one group per slot.
+        black-box predicates fall back to one group per object, and
+        without dedup every slot is its own entry.
         """
         if not self.dedup_predicates:
-            return [
-                (predicate, 1 << slot)
-                for slot, predicate in sorted(self._slot_predicates.items())
-            ]
-        groups: Dict[Any, Tuple[Predicate, int]] = {}
-        for slot, predicate in sorted(self._slot_predicates.items()):
-            try:
-                key = (type(predicate), hash(predicate), predicate)
-            except TypeError:
-                key = ("id", id(predicate))
-            existing = groups.get(key)
-            if existing is None:
-                groups[key] = (predicate, 1 << slot)
+            return ("slot", slot)
+        try:
+            return (type(predicate), hash(predicate), predicate)
+        except TypeError:
+            return ("id", id(predicate))
+
+    def _update_slots(self, changes: Dict[int, Optional[Predicate]]) -> None:
+        """Point each changed slot at its new predicate (None: vacated).
+
+        Touches only the entries those slots leave or join: a new
+        distinct predicate is normalized once, and only anchors whose
+        member set changed are recompiled.
+        """
+        before: Dict[Any, Tuple[_Entry, int]] = {}
+        for slot in changes:
+            entry = self._slot_entries.pop(slot, None)
+            if entry is not None:
+                del self._slot_predicates[slot]
+                before.setdefault(entry.key, (entry, entry.slots))
+                entry.slots &= ~(1 << slot)
+        share = self.share_overlapping and self.dedup_predicates
+        for slot, predicate in changes.items():
+            if predicate is None:
+                continue
+            key = self._entry_key(slot, predicate)
+            entry = self._entries.get(key)
+            if entry is None:
+                entry = _Entry(key, normalize(predicate) if share else None)
+                self._entries[key] = entry
+                if entry.anchor is not None:
+                    self._anchor_entries.setdefault(entry.anchor, {})[key] = entry
+            before.setdefault(key, (entry, entry.slots))
+            entry.slots |= 1 << slot
+            self._slot_entries[slot] = entry
+            self._slot_predicates[slot] = predicate
+        dirty = set()
+        for key, (entry, slots) in before.items():
+            if entry.slots:
+                entry.low = (entry.slots & -entry.slots).bit_length() - 1
+                entry.predicate = self._slot_predicates[entry.low]
             else:
-                groups[key] = (existing[0], existing[1] | (1 << slot))
-        return list(groups.values())
+                del self._entries[key]
+                if entry.anchor is not None:
+                    del self._anchor_entries[entry.anchor][key]
+            if entry.anchor is not None and entry.slots != slots:
+                dirty.add(entry.anchor)
+        for anchor in dirty:
+            members = self._anchor_entries[anchor]
+            if members:
+                self._anchor_plans[anchor] = compile_anchor(
+                    anchor,
+                    [
+                        (entry.normalized, entry.predicate, entry.slots)
+                        for entry in members.values()
+                    ],
+                )
+            else:
+                del self._anchor_entries[anchor]
+                del self._anchor_plans[anchor]
+
+    def _retable(self, table: Dict[int, Predicate]) -> None:
+        """Move the live tables to the slot table ``table``."""
+        changes: Dict[int, Optional[Predicate]] = {
+            slot: None for slot in self._slot_predicates if slot not in table
+        }
+        for slot, predicate in table.items():
+            if self._slot_predicates.get(slot) is not predicate:
+                changes[slot] = predicate
+        self._update_slots(changes)
 
     # -- tagging ---------------------------------------------------------------
 
@@ -232,8 +331,11 @@ class SharedSelectionOperator(Operator):
                     compiled.append((None, None, None, slots_mask))
                 else:
                     normalized = normalize(predicate)
-                    if normalized is None:
-                        break  # black box: needs the row value
+                    if normalized is None or not normalized.satisfiable:
+                        # A black box needs the row value; a contradiction
+                        # (direct only with sharing off) has no intervals
+                        # to check, so it takes the same fallback.
+                        break
                     checks = tuple(
                         (fields[f], iv.start_key, iv.end_key)
                         for f, iv in normalized.constraints
@@ -507,11 +609,21 @@ class SharedSelectionOperator(Operator):
         }
 
     def restore(self, snapshot: Any) -> None:
-        self._slot_predicates = dict(snapshot["slot_predicates"])
-        self._views = [
-            self._make_view(start, sequence, list(preds))
-            for start, sequence, preds in snapshot["views"]
-        ]
+        # Views are rebuilt through the changelog path: each one moves
+        # the live tables to its own slot table, so consecutive views
+        # recompile only the anchors that differ between them.
+        views = []
+        for start, sequence, predicates in snapshot["views"]:
+            self._retable(
+                {
+                    slot: predicate
+                    for predicate, slots in predicates
+                    for slot in QuerySet(slots)
+                }
+            )
+            views.append(self._make_view(start, sequence))
+        self._retable(snapshot["slot_predicates"])
+        self._views = views
         self._view_starts = [view.start_ms for view in self._views]
         # Freshly compiled views start their group counters at zero; the
         # snapshot's lifetime totals seed the retired bucket, replacing

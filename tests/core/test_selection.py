@@ -10,8 +10,9 @@ from repro.core.query import (
     TruePredicate,
 )
 from repro.core.selection import EPOCH_TAG, QS_TAG, SharedSelectionOperator
-from repro.minispe.record import ChangelogMarker, Record
-from tests.conftest import field_tuple, flat_collector
+from repro.core.sql import ConjunctionPredicate
+from repro.minispe.record import ChangelogMarker, Record, RecordBatch
+from tests.conftest import field_tuple, flat_collector, make_tuple
 
 
 def _selection_query(name: str, stream="A", predicate=None) -> SelectionQuery:
@@ -90,6 +91,29 @@ class TestTagging:
         records = [e for e in out if isinstance(e, Record)]
         assert records[0].tags[QS_TAG] == 0b1  # new predicate matched
 
+    def test_contradiction_never_matches_a_columnar_batch(self):
+        """With sharing off a contradiction stays a direct predicate; the
+        columnar binding must not read its empty interval list as true."""
+        operator = SharedSelectionOperator("A", share_overlapping=False)
+        out: List = []
+        operator.set_collector(flat_collector(out))
+        never = ConjunctionPredicate(
+            (
+                FieldPredicate(0, Comparison.GT, 5),
+                FieldPredicate(0, Comparison.LT, 3),
+            )
+        )
+        query = _selection_query("never", predicate=never)
+        operator.on_marker(_marker(1, 0, created=[(query, 0)], width=1))
+        operator.process_columnar(
+            RecordBatch.from_columns(
+                [10], [1], [[4], [0], [0], [0], [0]],
+                lambda key, fields: make_tuple(key=key, fields=fields),
+            )
+        )
+        assert [e for e in out if isinstance(e, Record)] == []
+        assert operator.records_dropped == 1
+
 
 class TestEventTimeEpochs:
     def test_late_record_tagged_under_its_epoch(self):
@@ -121,6 +145,33 @@ class TestEventTimeEpochs:
         assert dropped == 2  # epoch 0 and epoch 1 views gone
         # The view in force at 2500 must survive.
         assert operator._view_for(2_500).sequence == 2
+
+    def test_superseded_view_retired_with_its_counters(self):
+        """N changelogs at one event time leave one view; work tagged
+        under a view before it was superseded stays in the totals."""
+        operator, out = _wired()
+        counters = (
+            "predicate_evaluations",
+            "sharing_group_evaluations",
+            "sharing_cover_skips",
+            "sharing_index_probes",
+            "sharing_residual_checks",
+        )
+        for slot, constant in enumerate((10, 20, 30, 40)):
+            query = _selection_query(
+                f"q{slot}", predicate=FieldPredicate(0, Comparison.GE, constant)
+            )
+            operator.on_marker(_marker(slot + 1, 0, created=[(query, slot)]))
+            for f0 in (5, 25, 45):
+                operator.process(
+                    Record(timestamp=0, value=field_tuple(1, f0=f0), key=1)
+                )
+            before = {name: operator.stats()[name][0] for name in counters}
+            operator.on_marker(_marker(slot + 10, 0))  # supersedes, no change
+            assert len(operator._views) == 1
+            assert {name: operator.stats()[name][0] for name in counters} == before
+        assert before["sharing_group_evaluations"] > 0
+        assert operator._views[0].sequence == 13
 
 
 class TestSnapshot:

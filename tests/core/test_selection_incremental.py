@@ -1,0 +1,365 @@
+"""Incremental plan maintenance equals a from-scratch compile (ISSUE 25).
+
+The shared selection keeps its distinct-predicate table and per-anchor
+compiled plans as live state, updated only by each changelog's own
+created and deleted slots.  The oracle is what it replaced: regroup the
+whole slot table (today's ``_group_predicates``, copied below) and
+``compile_selection_plan`` it from scratch.  After every changelog every
+live view must match that oracle structurally, in its pairs, and in the
+bitsets it tags — on single records, row-built and columnar batches.
+
+A second test counts the work of one create, with no wall clock: the
+1,000th create normalizes at most one predicate and builds sharing
+groups only on the anchor field it lands on, as the 100th does; a
+delete gets the same bound.
+"""
+
+import copy
+from typing import Any, Dict, List, Tuple
+
+from hypothesis import given, settings, strategies as st
+
+from repro.core import planner, selection
+from repro.core.changelog import Changelog, QueryActivation, QueryDeactivation
+from repro.core.planner import compile_selection_plan, normalize, sharing_anchor
+from repro.core.query import (
+    CallablePredicate,
+    Comparison,
+    FieldPredicate,
+    Predicate,
+    SelectionQuery,
+    TruePredicate,
+)
+from repro.core.selection import EPOCH_TAG, QS_TAG, SharedSelectionOperator
+from repro.core.sql import ConjunctionPredicate
+from repro.minispe.record import ChangelogMarker, Record, RecordBatch
+from repro.workloads.querygen import QueryGenerator
+from tests.conftest import flat_collector, make_tuple
+
+
+class _OpaqueUdf(Predicate):
+    """A black-box predicate that cannot be hashed: grouped by identity."""
+
+    __hash__ = None
+
+    def __eq__(self, other: object) -> bool:
+        return self is other
+
+    def evaluate(self, value: Any) -> bool:
+        return value.fields[1] % 3 == 0
+
+
+_UDFS = (
+    CallablePredicate(lambda value: value.fields[0] > 4, "f0>4"),
+    CallablePredicate(lambda value: value.fields[2] < 3, "f2<3"),
+    _OpaqueUdf(),
+)
+
+_field_predicates = st.builds(
+    FieldPredicate,
+    field_index=st.integers(min_value=0, max_value=2),
+    op=st.sampled_from(list(Comparison)),
+    constant=st.integers(min_value=0, max_value=8),
+)
+_unsatisfiable = st.builds(
+    lambda field, constant: ConjunctionPredicate(
+        (
+            FieldPredicate(field, Comparison.GT, constant + 1),
+            FieldPredicate(field, Comparison.LT, constant),
+        )
+    ),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=8),
+)
+_predicates = st.one_of(
+    _field_predicates,
+    st.lists(_field_predicates, min_size=2, max_size=3).map(
+        lambda conjuncts: ConjunctionPredicate(tuple(conjuncts))
+    ),
+    st.just(TruePredicate()),
+    _unsatisfiable,
+    st.sampled_from(_UDFS),
+)
+_rows = st.lists(
+    st.lists(st.integers(min_value=-1, max_value=9), min_size=5, max_size=5),
+    min_size=1,
+    max_size=6,
+)
+_CONFIGS = (
+    {"dedup_predicates": True, "share_overlapping": True},
+    {"dedup_predicates": True, "share_overlapping": False},
+    {"dedup_predicates": False, "share_overlapping": True},
+)
+
+
+def _group_predicates(
+    table: Dict[int, Predicate], dedup: bool
+) -> List[Tuple[Predicate, int]]:
+    """The pre-incremental grouping, verbatim: the pairs oracle."""
+    if not dedup:
+        return [(predicate, 1 << slot) for slot, predicate in sorted(table.items())]
+    groups: Dict[Any, Tuple[Predicate, int]] = {}
+    for slot, predicate in sorted(table.items()):
+        try:
+            key = (type(predicate), hash(predicate), predicate)
+        except TypeError:
+            key = ("id", id(predicate))
+        existing = groups.get(key)
+        if existing is None:
+            groups[key] = (predicate, 1 << slot)
+        else:
+            groups[key] = (existing[0], existing[1] | (1 << slot))
+    return list(groups.values())
+
+
+def _shape(plan) -> tuple:
+    """Everything a compiled plan decides, counters excluded."""
+    return (
+        plan.direct,
+        plan.folded_slots,
+        [
+            (
+                group.field_index,
+                group.slots_mask,
+                group.member_count,
+                group.residual_count,
+                group.cover,
+                group._cuts,
+                group._segment_masks,
+                group._residuals,
+            )
+            for group in plan.groups
+        ],
+    )
+
+
+def _marker(sequence, at_ms, created=(), deleted=()) -> ChangelogMarker:
+    return ChangelogMarker(
+        timestamp=at_ms,
+        changelog=Changelog(
+            sequence=sequence,
+            timestamp_ms=at_ms,
+            created=tuple(
+                QueryActivation(query, slot, at_ms) for slot, query in created
+            ),
+            deleted=tuple(
+                QueryDeactivation(query_id, slot) for slot, query_id in deleted
+            ),
+        ),
+    )
+
+
+def _oracle_bits(plan, rows) -> Dict[int, int]:
+    expected = {}
+    for index, row in enumerate(rows):
+        bits = 0
+        for predicate, slots in plan.direct:
+            if predicate.evaluate(row):
+                bits |= slots
+        for group in plan.groups:
+            bits |= group.evaluate(row)
+        if bits:
+            expected[index] = bits
+    return expected
+
+
+def _tagged(operator, out, at_ms, rows, shape) -> Dict[int, Tuple[int, int]]:
+    """Row index -> (qs bits, epoch) for the rows ``operator`` keeps."""
+    out.clear()
+    records = [Record(at_ms, row, index) for index, row in enumerate(rows)]
+    if shape == "single":
+        for record in records:
+            operator.process(record)
+    elif shape == "rows":
+        operator.process_batch(records)
+    else:
+        operator.process_columnar(
+            RecordBatch.from_columns(
+                [at_ms] * len(rows),
+                list(range(len(rows))),
+                [[row.fields[f] for row in rows] for f in range(5)],
+                lambda key, fields: make_tuple(key=key, fields=fields),
+            )
+        )
+    return {
+        record.key: (record.tags[QS_TAG], record.tags[EPOCH_TAG])
+        for record in out
+        if isinstance(record, Record)
+    }
+
+
+def _check_views(operator, out, oracle_views, config, rows) -> None:
+    share = config["share_overlapping"] and config["dedup_predicates"]
+    assert [view.start_ms for view in operator._views] == [
+        start for start, _, _ in oracle_views
+    ]
+    groups = [group for view in operator._views for group in view.plan.groups]
+    assert len({id(group) for group in groups}) == len(groups)  # own counters
+    for view, (start, sequence, table) in zip(operator._views, oracle_views):
+        pairs = _group_predicates(table, config["dedup_predicates"])
+        assert view.sequence == sequence
+        assert view.predicates == pairs
+        scratch = compile_selection_plan(pairs, share_overlapping=share)
+        assert _shape(view.plan) == _shape(scratch)
+        expected = {
+            index: (bits, sequence)
+            for index, bits in _oracle_bits(scratch, rows).items()
+        }
+        for shape in ("single", "rows", "columnar"):
+            assert _tagged(operator, out, start, rows, shape) == expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    config=st.sampled_from(_CONFIGS),
+    pool=st.lists(_predicates, min_size=1, max_size=6),
+    raw_rows=_rows,
+    data=st.data(),
+)
+def test_every_view_matches_a_from_scratch_compile(config, pool, raw_rows, data):
+    rows = [make_tuple(key=0, fields=fields) for fields in raw_rows]
+    operator = SharedSelectionOperator("A", **config)
+    out: List = []
+    operator.set_collector(flat_collector(out))
+    table: Dict[int, Predicate] = {}
+    oracle_views = [(0, 0, {})]
+    steps = data.draw(st.integers(min_value=1, max_value=7))
+    restore_at = data.draw(st.integers(min_value=0, max_value=steps))
+    now_ms = 0
+    for sequence in range(1, steps + 1):
+        if sequence == restore_at:
+            snapshot = operator.snapshot()
+            operator = SharedSelectionOperator("A", **config)
+            operator.set_collector(flat_collector(out))
+            operator.restore(snapshot)
+            _check_views(operator, out, oracle_views, config, rows)
+        now_ms += data.draw(st.sampled_from((0, 0, 10)))
+        live = sorted(table)
+        deleted = (
+            data.draw(st.lists(st.sampled_from(live), unique=True, max_size=3))
+            if live
+            else []
+        )
+        free = sorted(set(range(8)) - set(live) | set(deleted))
+        slots = data.draw(st.lists(st.sampled_from(free), unique=True, max_size=3))
+        created = []
+        for slot in slots:
+            predicate = data.draw(st.sampled_from(pool))
+            if data.draw(st.booleans()):
+                predicate = copy.copy(predicate)  # equal, not identical
+            stream = data.draw(st.sampled_from(("A", "A", "A", "B")))
+            created.append(
+                (
+                    slot,
+                    SelectionQuery(
+                        stream=stream, predicate=predicate, query_id=f"s{slot}"
+                    ),
+                )
+            )
+        for slot in deleted:
+            del table[slot]
+        for slot, query in created:
+            if query.stream == "A":
+                table[slot] = query.predicate
+            else:
+                table.pop(slot, None)
+        operator.on_marker(
+            _marker(
+                sequence,
+                now_ms,
+                created=created,
+                deleted=[(slot, f"s{slot}") for slot in deleted],
+            )
+        )
+        if oracle_views[-1][0] == now_ms:
+            oracle_views.pop()  # superseded: retired at once
+        oracle_views.append((now_ms, sequence, dict(table)))
+        _check_views(operator, out, oracle_views, config, rows)
+
+
+def test_predicate_losing_its_lowest_slot_keeps_its_group():
+    """Three slots share one predicate; deleting the lowest moves the
+    pair's position and representative to the next slot, as a regroup
+    from scratch would."""
+    operator = SharedSelectionOperator("A")
+    operator.set_collector(flat_collector([]))
+    shared = FieldPredicate(0, Comparison.GE, 3)
+    other = FieldPredicate(0, Comparison.LE, 5)
+    queries = {
+        0: shared,
+        1: other,
+        2: FieldPredicate(0, Comparison.GE, 3),
+        3: FieldPredicate(0, Comparison.GE, 3),
+    }
+    operator.on_marker(
+        _marker(
+            1,
+            0,
+            created=[
+                (slot, SelectionQuery(stream="A", predicate=p, query_id=f"s{slot}"))
+                for slot, p in queries.items()
+            ],
+        )
+    )
+    assert operator._views[-1].predicates == [(shared, 0b1101), (other, 0b10)]
+    operator.on_marker(_marker(2, 10, deleted=[(0, "s0")]))
+    view = operator._views[-1]
+    assert view.predicates == [(other, 0b10), (queries[2], 0b1100)]
+    assert view.predicates[1][0] is queries[2]
+    assert _shape(view.plan) == _shape(compile_selection_plan(view.predicates))
+
+
+class _WorkCounter:
+    """Counts ``normalize`` calls and ``SharingGroup`` builds per anchor."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.normalized = 0
+        self.built: List[int] = []
+        counter = self
+
+        def counting_normalize(predicate):
+            counter.normalized += 1
+            return normalize(predicate)
+
+        original_init = planner.SharingGroup.__init__
+
+        def counting_init(group, field_index, *args, **kwargs):
+            counter.built.append(field_index)
+            original_init(group, field_index, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "normalize", counting_normalize)
+        monkeypatch.setattr(planner.SharingGroup, "__init__", counting_init)
+
+    def reset(self) -> None:
+        self.normalized = 0
+        self.built = []
+
+
+def test_create_and_delete_work_is_independent_of_population(monkeypatch):
+    counter = _WorkCounter(monkeypatch)
+    operator = SharedSelectionOperator("A")
+    operator.set_collector(flat_collector([]))
+    generator = QueryGenerator(streams=("A",), seed=20190630)
+    queries = [generator.aggregation_query("A") for _ in range(1_000)]
+
+    def bound_holds(anchor) -> None:
+        assert counter.normalized <= 1
+        assert set(counter.built) <= {anchor}
+        anchor_groups = [
+            group
+            for group in operator._views[-1].plan.groups
+            if group.field_index == anchor
+        ]
+        assert len(counter.built) <= len(anchor_groups)
+
+    for slot, query in enumerate(queries):
+        counter.reset()
+        operator.on_marker(_marker(slot + 1, 0, created=[(slot, query)]))
+        if slot + 1 in (100, 1_000):
+            bound_holds(sharing_anchor(normalize(query.predicate_for("A"))))
+    assert len(operator._views) == 1  # every create at t=0 superseded the last
+
+    counter.reset()
+    operator.on_marker(_marker(1_001, 0, deleted=[(500, queries[500].query_id)]))
+    assert counter.normalized == 0
+    bound_holds(sharing_anchor(normalize(queries[500].predicate_for("A"))))
