@@ -96,6 +96,10 @@ class SLOTracker:
         self._query_hist.pop(query_id, None)
         self._recent.pop(query_id, None)
 
+    def tenant(self, query_id: str) -> Optional[str]:
+        """The tenant that declared ``query_id``, if any."""
+        return self._tenants.get(query_id)
+
     def target(self, query_id: str) -> Optional[float]:
         """The query's declared latency target in ms, if any."""
         return self._targets.get(query_id)

@@ -3,7 +3,7 @@
 Puts the shared-stream engine behind a TCP frame protocol so many
 independent clients can create/delete ad-hoc queries, push events, and
 stream results concurrently — the paper's serving setting exercised
-over a real wire.  See :mod:`repro.serve.server` for the architecture
+over a real wire.  See :mod:`repro.serve.core` for the architecture
 tour and ``docs/ARCHITECTURE.md`` for the frame protocol spec.
 
 Start a server with ``python -m repro serve`` or in-process::
@@ -38,7 +38,8 @@ from repro.serve.protocol import (
     encode_events,
     encode_frame,
 )
-from repro.serve.server import AStreamServer, ServeConfig, build_engine
+from repro.serve.core import ServeConfig, build_engine
+from repro.serve.server import AStreamServer
 from repro.serve.state import SessionRegistry, SessionState
 from repro.serve.subscriptions import Subscription, SubscriptionHub
 

@@ -20,7 +20,8 @@ import threading
 import time
 from typing import Any, Coroutine, Optional
 
-from repro.serve.server import AStreamServer, ServeConfig
+from repro.serve.core import ServeConfig
+from repro.serve.server import AStreamServer
 
 logger = logging.getLogger("repro.serve.hosting")
 

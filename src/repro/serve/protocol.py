@@ -212,11 +212,6 @@ async def read_frame(
     return decode_frame(payload)
 
 
-def write_frame(writer: asyncio.StreamWriter, frame: Dict[str, Any]) -> None:
-    """Queue one frame on an asyncio stream (caller drains)."""
-    writer.write(encode_frame(frame))
-
-
 # -- blocking-socket transport (sync client) -----------------------------------------
 
 def recv_exactly(sock: socket.socket, count: int) -> bytes:
@@ -263,7 +258,7 @@ def read_frame_sock(
 
 
 def write_frame_sock(sock: socket.socket, frame: Dict[str, Any]) -> None:
-    """Blocking-socket counterpart of :func:`write_frame`."""
+    """Send one frame on a blocking socket."""
     sock.sendall(encode_frame(frame))
 
 

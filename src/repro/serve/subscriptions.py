@@ -23,7 +23,7 @@ slow-consumer contract: shedding is visible, never fatal).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import AStreamEngine
@@ -64,7 +64,8 @@ class Subscription:
         is halved so backlog (and thus tail latency) stops compounding
         for a query already burning its error budget."""
         self.sent: Dict[Tuple[int, str], int] = {}
-        """Poll-mode multiset cursor: canonical key → count handed over."""
+        """Poll-mode multiset cursor: canonical key → count handed over
+        (tap mode keeps none: the tap hands over every result once)."""
 
     def offer(self, output: QueryOutput) -> None:
         """Buffer one result, shedding the oldest when full."""
@@ -104,7 +105,6 @@ class SubscriptionHub:
         self.tap_mode = tap_mode
         self.buffer_capacity = buffer_capacity
         self._by_query: Dict[str, List[Subscription]] = {}
-        self._taps: Dict[str, object] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -132,19 +132,14 @@ class SubscriptionHub:
         if from_start:
             for output in backlog:
                 subscription.offer(output)
-                key = output_key(output)
-                subscription.sent[key] = subscription.sent.get(key, 0) + 1
-        else:
-            for output in backlog:
-                key = output_key(output)
-                subscription.sent[key] = subscription.sent.get(key, 0) + 1
+        if not self.tap_mode:
+            # Everything produced so far counts as handed over.
+            subscription.sent = Counter(map(output_key, backlog))
         session.subscriptions[query_id] = subscription
         peers = self._by_query.setdefault(query_id, [])
+        if self.tap_mode and not peers:
+            self.engine.channels.add_tap(query_id, self._tap)
         peers.append(subscription)
-        if self.tap_mode and query_id not in self._taps:
-            tap = self._make_tap()
-            self._taps[query_id] = tap
-            self.engine.channels.add_tap(query_id, tap)
         return subscription
 
     def unsubscribe(self, session: SessionState, query_id: str) -> bool:
@@ -157,9 +152,8 @@ class SubscriptionHub:
             peers.remove(subscription)
         if not peers:
             self._by_query.pop(query_id, None)
-            tap = self._taps.pop(query_id, None)
-            if tap is not None:
-                self.engine.channels.remove_tap(query_id, tap)
+            if self.tap_mode:
+                self.engine.channels.remove_tap(query_id, self._tap)
         return True
 
     def drop_session(self, session: SessionState) -> None:
@@ -169,26 +163,22 @@ class SubscriptionHub:
 
     # -- delivery ----------------------------------------------------------
 
-    def _make_tap(self):
-        """Build the per-query channel tap fanning into subscriptions."""
-
-        def tap(query_id: str, timestamp: int, value) -> None:
-            output = QueryOutput(timestamp=timestamp, value=value)
-            key = (timestamp, repr(value))
-            for subscription in self._by_query.get(query_id, ()):
-                subscription.offer(output)
-                subscription.sent[key] = subscription.sent.get(key, 0) + 1
-
-        return tap
+    def _tap(self, query_id: str, timestamp: int, value) -> None:
+        """Tap mode: offer one router delivery to the query's subscribers."""
+        output = QueryOutput(timestamp=timestamp, value=value)
+        for subscription in self._by_query.get(query_id, ()):
+            subscription.offer(output)
 
     def poll(self, query_ids: Optional[List[str]] = None) -> int:
         """Poll-mode refresh: diff channels into buffers; returns new count.
 
         For each subscribed query the merged channel is compared against
         each subscription's multiset cursor; results beyond the cursor
-        are buffered.  Safe to call in tap mode (the cursors make it a
-        no-op), which is how the server's flusher stays backend-agnostic.
+        are buffered.  In tap mode the taps already delivered everything:
+        0, without reading a channel — so callers stay backend-agnostic.
         """
+        if self.tap_mode:
+            return 0
         fanned = 0
         targets = query_ids if query_ids is not None else list(self._by_query)
         for query_id in targets:

@@ -132,13 +132,43 @@ class TestControlPlane:
         assert events[0]["sequence"] >= 1
         client.close()
 
+    def test_deleting_a_deferred_create_stops_it_without_a_sequence(
+        self, make_server
+    ):
+        """No changelog applied either request: the creator's waiter is
+        dropped with a ``stopped`` event, and neither carries a sequence."""
+        handle = make_server()
+        client = _client(handle)
+        handle.run(_set_shedding(handle.server, True))
+        deferred = client.create_query(sql=SQL_SELECT, at_ms=0)
+        assert deferred.status == "defer"
+        deleted = client.delete_query(deferred.query_id, at_ms=1)
+        assert (deleted.status, deleted.sequence) == ("ok", None)
+        assert "sequence" not in deleted.raw
+        assert client.take_events() == [{
+            "t": "query_event", "event": "stopped",
+            "query_id": deferred.query_id,
+        }]
+        handle.run(_set_shedding(handle.server, False))
+        client.take_results(deferred.query_id, wait_ms=200)  # a few ticks
+        assert client.take_events() == []
+        assert handle.run(_awaiting_flush(handle.server)) == {}
+        stats = client.stats()
+        assert (stats["active_queries"], stats["deferred"]) == (0, 0)
+        client.close()
+
+
+async def _awaiting_flush(server):
+    """The server's parked request → waiters map, read loop-side."""
+    return dict(server.core._awaiting_flush)
+
 
 async def _set_shedding(server, on):
     """Toggle admission shedding on the server's loop."""
     if on:
-        server.admission.enter_shedding()
+        server.core.admission.enter_shedding()
     else:
-        server.admission.shedding = False
+        server.core.admission.shedding = False
 
 
 class TestIdempotency:
@@ -305,19 +335,19 @@ class TestSubscriptions:
 
 async def _subscribe_direct(server, client, query_id):
     """Register a subscription for the client's session, loop-side."""
-    session = server.sessions.get(client._core.client_id)
-    server.hub.subscribe(session, query_id, from_start=True)
+    session = server.core.sessions.get(client._core.client_id)
+    server.core.hub.subscribe(session, query_id, from_start=True)
     client._core.subscriptions[query_id] = True
 
 
 async def _push_direct(server, stream, events, watermark):
     """Push + watermark in one gate hold so the flusher can't drain."""
-    with server.gate.locked():
-        server.engine.push_many(stream, events)
-        server.engine.watermark(watermark)
-        server._observe_time(watermark)
-        if not server.hub.tap_mode:
-            server.hub.poll()
+    with server.core.gate.locked():
+        server.core.engine.push_many(stream, events)
+        server.core.engine.watermark(watermark)
+        server.core._observe_time(watermark)
+        if not server.core.hub.tap_mode:
+            server.core.hub.poll()
 
 
 class TestOpsSurface:

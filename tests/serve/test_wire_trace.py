@@ -149,7 +149,7 @@ class TestLatencySLOs:
         assert created.query_id in stats["slo_pressure"]
         assert any(
             "slo_burn" in violation
-            for violation in handle.server.qos.violations()
+            for violation in handle.server.core.qos.violations()
         )
         # Deleting the query lifts the pressure and forgets its state.
         client.delete_query(created.query_id, at_ms=100)
