@@ -37,12 +37,13 @@ Two storage-plane extensions ride on this operator (ROADMAP item 2):
 from __future__ import annotations
 
 import copy
+import operator
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.changelog import Changelog, ChangelogTable
-from repro.core.query import AggregationSpec, WindowSpec
+from repro.core.query import AggregationKind, AggregationSpec, WindowSpec
 from repro.core.selection import QS_TAG
 from repro.core.slicing import SliceIndex, SliceManager
 from repro.minispe.operators import Operator
@@ -51,6 +52,13 @@ from repro.minispe.windows import Window
 from repro.store.arrangement import Arrangement, ReaderLease
 from repro.store.lsm import materialize_checkpoint
 from repro.store.spill import SpilledSliceStore, SpillingStoreHost
+
+
+def _merge_for(spec: AggregationSpec) -> Callable[[Any, Any], Any]:
+    """The fold's merge for ``spec``: plain ``+`` for SUM and COUNT."""
+    if spec.kind in (AggregationKind.SUM, AggregationKind.COUNT):
+        return operator.add
+    return spec.merge
 
 
 @dataclass(frozen=True)
@@ -110,6 +118,14 @@ class SharedAggregationOperator(Operator):
         self._session_specs: Dict[int, Tuple[WindowSpec, AggregationSpec]] = {}
         self._session_state: Dict[Tuple[int, Any], _SessionState] = {}
 
+        # Fold masks, derived from the two spec maps at each changelog
+        # and rebuilt on restore (never snapshotted): the time-window
+        # slots of each distinct aggregate, with its bound merge, and the
+        # session slots.
+        self._spec_masks: Dict[AggregationSpec, int] = {}
+        self._spec_merges: Dict[AggregationSpec, Callable[[Any, Any], Any]] = {}
+        self._session_mask = 0
+
         # Shared arrangement (attach-without-warm-up; off by default so
         # the byte-equality gates see identical outputs either way).
         self._arrangement: Optional[Arrangement] = (
@@ -164,13 +180,14 @@ class SharedAggregationOperator(Operator):
         for deactivation in changelog.deleted:
             slot = deactivation.slot
             self._slicer.unregister_query(slot)
-            self._specs.pop(slot, None)
+            self._drop_spec(slot)
             self._subscribed &= ~(1 << slot)
             lease = self._arr_leases.pop(slot, None)
             if lease is not None and self._arrangement is not None:
                 self._arrangement.release_lease(lease)
             if slot in self._session_specs:
                 del self._session_specs[slot]
+                self._session_mask &= ~(1 << slot)
                 stale = [key for key in self._session_state if key[0] == slot]
                 for key in stale:
                     del self._session_state[key]
@@ -181,12 +198,13 @@ class SharedAggregationOperator(Operator):
             agg_spec = activation.query.aggregation
             if spec.is_session:
                 self._session_specs[activation.slot] = (spec, agg_spec)
+                self._session_mask |= 1 << activation.slot
                 self._subscribed |= 1 << activation.slot
             else:
                 self._slicer.register_query(
                     activation.slot, spec, activation.created_at_ms
                 )
-                self._specs[activation.slot] = agg_spec
+                self._set_spec(activation.slot, agg_spec)
                 self._subscribed |= 1 << activation.slot
                 if self._arrangement is not None:
                     self._arr_leases[activation.slot] = (
@@ -212,6 +230,33 @@ class SharedAggregationOperator(Operator):
                     return agg_window
                 return activation.query.window
         return None
+
+    def _set_spec(self, slot: int, spec: AggregationSpec) -> None:
+        self._drop_spec(slot)
+        self._specs[slot] = spec
+        self._spec_masks[spec] = self._spec_masks.get(spec, 0) | (1 << slot)
+        if spec not in self._spec_merges:
+            self._spec_merges[spec] = _merge_for(spec)
+
+    def _drop_spec(self, slot: int) -> None:
+        spec = self._specs.pop(slot, None)
+        if spec is None:
+            return
+        mask = self._spec_masks[spec] & ~(1 << slot)
+        if mask:
+            self._spec_masks[spec] = mask
+        else:
+            del self._spec_masks[spec], self._spec_merges[spec]
+
+    def _rebuild_fold_masks(self) -> None:
+        """Re-derive the fold masks after the spec maps were replaced."""
+        specs, self._specs = self._specs, {}
+        self._spec_masks, self._spec_merges = {}, {}
+        for slot, spec in specs.items():
+            self._set_spec(slot, spec)
+        self._session_mask = 0
+        for slot in self._session_specs:
+            self._session_mask |= 1 << slot
 
     # -- warm attach (shared arrangements) -------------------------------------
 
@@ -267,16 +312,16 @@ class SharedAggregationOperator(Operator):
     # -- data path -----------------------------------------------------------
 
     def process_batch(self, records: List[Record]) -> None:
-        """Fold one batch: the subscription and session bitsets are
-        resolved once per batch, not once per record."""
+        """Fold one batch: the subscription and session bitsets and the
+        late horizon are resolved once per batch, not once per record."""
         subscribed = self._subscribed
         if not subscribed:
             self.bitset_ops += len(records)
             return
         started = time.perf_counter_ns() if self.profile else 0
-        session_bits = self._session_bits()
-        time_mask = subscribed & ~session_bits
-        session_mask = subscribed & session_bits
+        time_mask = subscribed & ~self._session_mask
+        session_mask = subscribed & self._session_mask
+        late_horizon = self._last_watermark_ms - self._slicer.max_retention_ms
         fold_time = self._fold_time_windows
         fold_sessions = self._fold_sessions
         arrangement = self._arrangement
@@ -288,7 +333,7 @@ class SharedAggregationOperator(Operator):
                 arrangement.insert(record.timestamp, record.key, record.value)
             time_window_bits = query_set & time_mask
             if time_window_bits:
-                fold_time(record, time_window_bits)
+                fold_time(record, time_window_bits, late_horizon)
             relevant_sessions = query_set & session_mask
             if relevant_sessions:
                 fold_sessions(record, relevant_sessions)
@@ -296,14 +341,20 @@ class SharedAggregationOperator(Operator):
         if self.profile:
             self.profile_ns += time.perf_counter_ns() - started
 
-    def _session_bits(self) -> int:
-        bits = 0
-        for slot in self._session_specs:
-            bits |= 1 << slot
-        return bits
+    def _fold_time_windows(self, record: Record, bits: int, late_horizon: int) -> None:
+        """Fold one record into the partials of its matched slots.
 
-    def _fold_time_windows(self, record: Record, bits: int) -> None:
-        if record.timestamp <= self._last_watermark_ms - self._slicer.max_retention_ms:
+        The record is lifted once per distinct aggregate it matches,
+        ``delta = add(initial(), value)``, and the delta is merged into
+        each matched slot's accumulator (stored as is for a new key).
+        Only set bits are visited, so the cost is one lift per matched
+        aggregate plus one dict update per matched slot — nothing scans
+        the query population.  ``merge(acc, add(initial(), v)) ==
+        add(acc, v)`` holds exactly for every kind (DESIGN.md, "Shared
+        aggregation: one lift per aggregate"), so the partials are those
+        of a per-slot fold.
+        """
+        if record.timestamp <= late_horizon:
             # Beyond any window that could still fire: observable drop.
             self.late_records_dropped += 1
             return
@@ -317,33 +368,39 @@ class SharedAggregationOperator(Operator):
             else:
                 slice_.store = {}
         store: Dict[int, Dict[Any, Any]] = slice_.store
-        slot = 0
+        key = record.key
         value = record.value
-        while bits:
-            if bits & 1:
-                spec = self._specs.get(slot)
-                if spec is not None:
+        merges = self._spec_merges
+        updates = 0
+        for spec, mask in self._spec_masks.items():
+            matched = bits & mask
+            if not matched:
+                continue
+            updates += matched.bit_count()
+            delta = spec.add(spec.initial(), value)
+            merge = merges[spec]
+            while matched:
+                low = matched & -matched
+                slot = low.bit_length() - 1
+                matched ^= low
+                per_key = store.get(slot)
+                if per_key is None:
                     per_key = store.setdefault(slot, {})
-                    acc = per_key.get(record.key)
-                    if acc is None:
-                        acc = spec.initial()
-                    per_key[record.key] = spec.add(acc, value)
-                    self.partial_updates += 1
-            bits >>= 1
-            slot += 1
+                acc = per_key.get(key)
+                per_key[key] = delta if acc is None else merge(acc, delta)
+        self.partial_updates += updates
 
     def _fold_sessions(self, record: Record, bits: int) -> None:
-        slot = 0
+        self.partial_updates += bits.bit_count()
         while bits:
-            if bits & 1:
-                window_spec, agg_spec = self._session_specs[slot]
-                self._merge_session(
-                    slot, record.key, record.timestamp, record.value,
-                    window_spec, agg_spec,
-                )
-                self.partial_updates += 1
-            bits >>= 1
-            slot += 1
+            low = bits & -bits
+            slot = low.bit_length() - 1
+            bits ^= low
+            window_spec, agg_spec = self._session_specs[slot]
+            self._merge_session(
+                slot, record.key, record.timestamp, record.value,
+                window_spec, agg_spec,
+            )
 
     def _merge_session(
         self,
@@ -624,6 +681,7 @@ class SharedAggregationOperator(Operator):
         self._subscribed = state["subscribed"]
         self._session_specs = state["session_specs"]
         self._session_state = state["session_state"]
+        self._rebuild_fold_masks()
         slices: SliceIndex = state["slices"]
         if self._store_host is None:
             self._slices = slices
@@ -657,6 +715,7 @@ class SharedAggregationOperator(Operator):
         self._subscribed = snapshot["subscribed"]
         self._session_specs = copy.deepcopy(snapshot["session_specs"])
         self._session_state = copy.deepcopy(snapshot["session_state"])
+        self._rebuild_fold_masks()
         self._store_host.store.restore(snapshot["store_checkpoint"])
         rebuilt = SliceIndex()
         for start, end, epoch, manifest in snapshot["slices_meta"]:

@@ -251,6 +251,39 @@ class SliceManager:
         self._views: List[Dict[int, WindowedQuery]] = [{}]
         # Hot-path cache: most records land in the most recent slice.
         self._cached_bounds: Optional[Tuple[int, int, int]] = None
+        self._count_lengths()
+
+    # The window-length multiset is derived from ``_current`` and left out
+    # of the pickled state, so checkpoints keep their format and a
+    # restore (or deepcopy) rebuilds it.
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        del state["_lengths"], state["_max_length_ms"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._count_lengths()
+
+    def _count_lengths(self) -> None:
+        self._lengths: Dict[int, int] = {}  # window length -> live queries
+        self._max_length_ms = 0
+        for query in self._current.values():
+            self._add_length(query.spec.length_ms)
+
+    def _add_length(self, length_ms: int) -> None:
+        self._lengths[length_ms] = self._lengths.get(length_ms, 0) + 1
+        if length_ms > self._max_length_ms:
+            self._max_length_ms = length_ms
+
+    def _drop_length(self, length_ms: int) -> None:
+        remaining = self._lengths[length_ms] - 1
+        if remaining:
+            self._lengths[length_ms] = remaining
+            return
+        del self._lengths[length_ms]
+        if length_ms == self._max_length_ms:
+            self._max_length_ms = max(self._lengths, default=0)
 
     # -- query lifecycle -----------------------------------------------------
 
@@ -260,12 +293,15 @@ class SliceManager:
         """Start slicing for a new windowed query (at a changelog)."""
         if spec.is_session:
             raise ValueError("session windows are not sliced (data-driven)")
+        self.unregister_query(slot)
         self._current[slot] = WindowedQuery(slot, spec, created_at_ms)
-        self._cached_bounds = None
+        self._add_length(spec.length_ms)
 
     def unregister_query(self, slot: int) -> None:
         """Stop slicing for a deleted query (at a changelog)."""
-        self._current.pop(slot, None)
+        previous = self._current.pop(slot, None)
+        if previous is not None:
+            self._drop_length(previous.spec.length_ms)
         self._cached_bounds = None
 
     def on_epoch(self, sequence: int, start_ms: int) -> None:
@@ -284,10 +320,11 @@ class SliceManager:
 
     @property
     def max_retention_ms(self) -> int:
-        """Longest window length among active queries (state horizon)."""
-        if not self._current:
-            return 0
-        return max(query.spec.length_ms for query in self._current.values())
+        """Longest window length among active queries (state horizon).
+
+        Kept up to date by ``register_query``/``unregister_query``, so
+        reading it does not scan the query population."""
+        return self._max_length_ms
 
     # -- slice bounds -----------------------------------------------------------
 

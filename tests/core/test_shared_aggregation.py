@@ -75,6 +75,7 @@ class TestSingleQueryCorrectness:
         assert len(outputs) == 1
         assert outputs[0].value.value == 10
 
+    @pytest.mark.parametrize("state_backend", ["memory", "lsm"])
     @pytest.mark.parametrize(
         "kind,expected",
         [
@@ -85,8 +86,8 @@ class TestSingleQueryCorrectness:
             (AggregationKind.AVG, 3.0),
         ],
     )
-    def test_aggregation_kinds(self, kind, expected):
-        engine = make_engine()
+    def test_aggregation_kinds(self, kind, expected, state_backend):
+        engine = make_engine(state_backend=state_backend)
         query = _agg(
             WindowSpec.tumbling(1_000),
             spec=AggregationSpec(kind, field_index=0),
@@ -95,7 +96,8 @@ class TestSingleQueryCorrectness:
         for ts, value in ((100, 2), (200, 3), (300, 4)):
             engine.push("A", ts, field_tuple(key=1, f0=value))
         engine.watermark(4_000)
-        assert engine.results(query.query_id)[0].value.value == expected
+        engine.shutdown()
+        assert repr(engine.results(query.query_id)[0].value.value) == repr(expected)
 
     def test_parallel_instances_match_oracle(self):
         engine = make_engine(parallelism=3)

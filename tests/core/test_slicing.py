@@ -151,6 +151,23 @@ class TestSliceManager:
         manager.register_query(0, WindowSpec.sliding(5_000, 1_000), 0)
         manager.register_query(1, WindowSpec.tumbling(2_000), 0)
         assert manager.max_retention_ms == 5_000
+        # A tie on the maximum survives losing one of the tied queries.
+        manager.register_query(2, WindowSpec.tumbling(5_000), 0)
+        manager.unregister_query(0)
+        assert manager.max_retention_ms == 5_000
+        # Unregistering the longest window falls back to the next one.
+        manager.unregister_query(2)
+        assert manager.max_retention_ms == 2_000
+        # Re-registering a live slot replaces its old length.
+        manager.register_query(3, WindowSpec.tumbling(8_000), 0)
+        assert manager.max_retention_ms == 8_000
+        manager.register_query(3, WindowSpec.tumbling(1_000), 0)
+        assert manager.max_retention_ms == 2_000
+        manager.unregister_query(1)
+        assert manager.max_retention_ms == 1_000
+        manager.unregister_query(3)
+        manager.unregister_query(3)  # unknown slot: no-op
+        assert manager.max_retention_ms == 0
 
 
 class TestDueWindows:

@@ -8,6 +8,8 @@ correctness check: two completely different execution paths, one answer.
 
 from collections import Counter
 
+import pytest
+
 from repro.baseline import BaselineDeploymentModel, QueryAtATimeEngine
 from repro.core.engine import AStreamEngine, EngineConfig
 from repro.core.query import (
@@ -24,9 +26,11 @@ from repro.minispe.cluster import ClusterSpec, SimulatedCluster
 from repro.workloads.datagen import DataGenerator
 
 
-def _engines():
+def _engines(state_backend: str = "memory"):
     astream = AStreamEngine(
-        EngineConfig(streams=("A", "B"), parallelism=2),
+        EngineConfig(
+            streams=("A", "B"), parallelism=2, state_backend=state_backend
+        ),
         cluster=SimulatedCluster(ClusterSpec(nodes=4)),
     )
     baseline = QueryAtATimeEngine(
@@ -63,11 +67,13 @@ def _join_multiset(engine, query_id) -> Counter:
 
 
 def _agg_multiset(engine, query_id) -> Counter:
+    """Per-window results; values by ``repr`` so equality is byte-equality
+    (an AVG of 2.0 must not pass for an int 2)."""
     counts: Counter = Counter()
     for output in engine.results(query_id):
         result = output.value
         counts[
-            (result.key, result.window.start, result.window.end, result.value)
+            (result.key, result.window.start, result.window.end, repr(result.value))
         ] += 1
     return counts
 
@@ -121,6 +127,36 @@ def test_aggregation_queries_agree():
         assert astream.result_count(query.query_id) > 0
 
 
+@pytest.mark.parametrize("state_backend", ["memory", "lsm"])
+def test_every_aggregate_kind_agrees(state_backend):
+    """All five kinds over two fields in one population: the shared fold
+    lifts a tuple once per distinct aggregate and merges the lift into
+    each matched query, which must equal a per-query fold exactly."""
+    queries = [
+        AggregationQuery(
+            stream="A",
+            predicate=FieldPredicate(field_index, Comparison.LT, 70),
+            window_spec=WindowSpec.tumbling(length),
+            aggregation=AggregationSpec(kind, field_index=field_index),
+            query_id=f"kinds-{state_backend}-{kind.value}-{field_index}-{length}",
+        )
+        for kind in AggregationKind
+        for field_index in (0, 3)
+        for length in (1_000, 2_000)
+    ]
+    astream, baseline = _engines(state_backend)
+    try:
+        _drive(astream, queries, is_astream=True)
+    finally:
+        astream.shutdown()
+    _drive(baseline, queries, is_astream=False)
+    for query in queries:
+        assert _agg_multiset(astream, query.query_id) == _agg_multiset(
+            baseline, query.query_id
+        ), query.query_id
+        assert astream.result_count(query.query_id) > 0
+
+
 def test_mixed_population_agrees():
     queries = [
         JoinQuery(
@@ -147,7 +183,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 @st.composite
 def _tumbling_populations(draw):
     """Random mixed query populations with tumbling windows at t=0
-    (the regime where both engines' window semantics coincide)."""
+    (the regime where both engines' window semantics coincide).  Each
+    aggregation draws its kind and aggregated field, so one population
+    mixes kinds over the shared fold."""
     population = []
     for index in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(["join", "agg"]))
@@ -155,7 +193,12 @@ def _tumbling_populations(draw):
         field_index = draw(st.integers(0, 4))
         op = draw(st.sampled_from([Comparison.LT, Comparison.GE]))
         constant = draw(st.integers(0, 100))
-        population.append((index, kind, length, field_index, op, constant))
+        aggregation = AggregationSpec(
+            draw(st.sampled_from(list(AggregationKind))), draw(st.integers(0, 4))
+        )
+        population.append(
+            (index, kind, length, field_index, op, constant, aggregation)
+        )
     return population
 
 
@@ -164,13 +207,17 @@ def _tumbling_populations(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(_tumbling_populations(), st.integers(0, 2**16))
-def test_random_populations_agree_across_engines(population, data_seed):
-    import itertools
-
+@given(
+    _tumbling_populations(),
+    st.integers(0, 2**16),
+    st.sampled_from(["memory", "lsm"]),
+)
+def test_random_populations_agree_across_engines(
+    population, data_seed, state_backend
+):
     run_tag = next(_tag_counter)
     queries = []
-    for index, kind, length, field_index, op, constant in population:
+    for index, kind, length, field_index, op, constant, aggregation in population:
         name = f"hx-{run_tag}-{index}"
         if kind == "join":
             queries.append(
@@ -188,6 +235,7 @@ def test_random_populations_agree_across_engines(population, data_seed):
                     stream="A",
                     predicate=FieldPredicate(field_index, op, constant),
                     window_spec=WindowSpec.tumbling(length),
+                    aggregation=aggregation,
                     query_id=name,
                 )
             )
@@ -204,8 +252,11 @@ def test_random_populations_agree_across_engines(population, data_seed):
             engine.push("B", ts, gen_b.next_tuple())
         engine.watermark(12_000)
 
-    astream, baseline = _engines()
-    drive(astream, True)
+    astream, baseline = _engines(state_backend)
+    try:
+        drive(astream, True)
+    finally:
+        astream.shutdown()  # results stay readable; removes the spill dir
     drive(baseline, False)
     for query in queries:
         if isinstance(query, JoinQuery):
