@@ -61,7 +61,7 @@ def _merge_for(spec: AggregationSpec) -> Callable[[Any, Any], Any]:
     return spec.merge
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggregationResult:
     """One fired window's aggregate for one key and one query."""
 
@@ -484,6 +484,7 @@ class SharedAggregationOperator(Operator):
         if spec is None:
             return
         current_epoch = self._changelogs.current_epoch
+        merge = self._spec_merges[spec]
         merged: Dict[Any, Any] = {}
         for slice_ in self._slices.overlapping(start, end):
             validity = self._changelogs.cl_set(current_epoch, slice_.epoch)
@@ -493,7 +494,7 @@ class SharedAggregationOperator(Operator):
             store = slice_.store or {}
             for key, acc in store.get(slot, {}).items():
                 existing = merged.get(key)
-                merged[key] = acc if existing is None else spec.merge(existing, acc)
+                merged[key] = acc if existing is None else merge(existing, acc)
         self._emit_window(slot, Window(start, end), spec, merged)
 
     def _fire_sessions(self, watermark_ms: int) -> None:

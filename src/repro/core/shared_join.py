@@ -42,7 +42,7 @@ from repro.minispe.operators import TwoInputOperator
 from repro.minispe.record import ChangelogMarker, Record, Watermark
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinedTuple:
     """The payload of a shared-join result.
 
