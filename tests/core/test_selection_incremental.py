@@ -241,7 +241,11 @@ def test_every_view_matches_a_from_scratch_compile(config, pool, raw_rows, data)
             else []
         )
         free = sorted(set(range(8)) - set(live) | set(deleted))
-        slots = data.draw(st.lists(st.sampled_from(free), unique=True, max_size=3))
+        slots = (
+            data.draw(st.lists(st.sampled_from(free), unique=True, max_size=3))
+            if free
+            else []
+        )
         created = []
         for slot in slots:
             predicate = data.draw(st.sampled_from(pool))
