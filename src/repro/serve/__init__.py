@@ -41,7 +41,11 @@ from repro.serve.protocol import (
 from repro.serve.core import ServeConfig, build_engine
 from repro.serve.server import AStreamServer
 from repro.serve.state import SessionRegistry, SessionState
-from repro.serve.subscriptions import Subscription, SubscriptionHub
+from repro.serve.subscriptions import (
+    CursorSubscription,
+    Subscription,
+    SubscriptionHub,
+)
 
 __all__ = [
     "AStreamServer",
@@ -51,6 +55,7 @@ __all__ = [
     "Autoscaler",
     "ConnectionLost",
     "ControlResult",
+    "CursorSubscription",
     "EngineGate",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",

@@ -40,7 +40,10 @@ class SessionState:
     owned_queries: Dict[str, str] = field(default_factory=dict)
     """query_id → lifecycle ("pending" | "live" | "stopped")."""
     subscriptions: Dict[str, Any] = field(default_factory=dict)
-    """query_id → live :class:`~repro.serve.subscriptions.Subscription`."""
+    """query_id → live subscription (a
+    :class:`~repro.serve.subscriptions.CursorSubscription` on the inline
+    backend, a :class:`~repro.serve.subscriptions.Subscription` on the
+    process backend)."""
     credits: int = DEFAULT_INGEST_CREDITS
     connected: bool = True
     codec: str = "json"
