@@ -6,9 +6,8 @@ the flat list wins.  The engine's threshold switches layouts; this bench
 pins all three settings against the same workload.
 
 ISSUE 10 adds the physical state axis: the same SC1 aggregation run on
-``state_backend={memory,lsm}`` (spill throughput ratio), copy-on-write
-vs deepcopy operator snapshots, and warm attach against shared
-arrangements vs a cold deploy.  The ``measure_*`` helpers are imported
+``state_backend={memory,lsm}`` (spill throughput ratio) and copy-on-write
+vs deepcopy operator snapshots.  The ``measure_*`` helpers are imported
 by ``check_perf_regression.py --state``; running this module directly
 with ``--keys N`` drives the out-of-core capacity check (the acceptance
 run is ``--keys 1000000``).
@@ -20,14 +19,11 @@ import statistics
 import tempfile
 import time
 
-from repro.core.engine import AStreamEngine, EngineConfig
-from repro.core.query import AggregationQuery, TruePredicate, WindowSpec
 from repro.core.storage import StoreKind
 from repro.harness.report import FigureResult
 from repro.harness.runner import RunnerConfig, run_scenario
 from repro.minispe.state import KeyedState
 from repro.store.lsm import LSMStateStore
-from repro.workloads.datagen import DataGenerator
 
 # The gate workload spills for real (memtable/write-buffer cap well
 # below the per-slot key cardinality) while staying representative:
@@ -131,74 +127,6 @@ def measure_spill_ratio(pairs: int = SPILL_PAIRS) -> dict:
     }
 
 
-def _drive_attach(arrangements: bool):
-    """One base query arranges 3s of history; a twin attaches late."""
-    engine = AStreamEngine(
-        EngineConfig(
-            streams=("A",),
-            parallelism=1,
-            shared_arrangements=arrangements,
-        )
-    )
-    base = AggregationQuery(
-        stream="A",
-        predicate=TruePredicate(),
-        window_spec=WindowSpec.tumbling(1_000),
-    )
-    late = AggregationQuery(
-        stream="A",
-        predicate=TruePredicate(),
-        window_spec=WindowSpec.tumbling(1_000),
-    )
-    data = DataGenerator(seed=11)
-    engine.submit(base, now_ms=0)
-    created_ms = 3_000
-    submit_wall_ms = None
-    for step in range(20):
-        now = step * 250
-        engine.watermark(now)
-        if now == created_ms:
-            started = time.perf_counter()
-            engine.submit(late, now_ms=now)
-            submit_wall_ms = (time.perf_counter() - started) * 1_000.0
-        engine.tick(now)
-        for offset in range(20):
-            engine.push("A", now + offset * 12, data.next_tuple())
-    engine.watermark(20_000)
-    results = engine.canonical_results(late.query_id)
-    assert results, "late query produced no results"
-    first_event_ms = results[0].timestamp
-    backfilled = engine.state_summary()["backfilled_windows"]
-    engine.shutdown()
-    return {
-        "first_event_ms": first_event_ms,
-        "lag_ms": first_event_ms - created_ms,
-        "submit_wall_ms": submit_wall_ms,
-        "backfilled_windows": backfilled,
-    }
-
-
-def measure_attach_latency() -> dict:
-    """Warm attach vs cold deploy for a query submitted 3s late.
-
-    The headline metric is deterministic event time: the end timestamp
-    of the late query's *first* result, relative to its creation.  A
-    cold deploy waits for the first post-creation window to close
-    (+1000ms); a warm attach serves backfilled pre-creation windows at
-    submit time, so its first result predates creation.
-    """
-    cold = _drive_attach(arrangements=False)
-    warm = _drive_attach(arrangements=True)
-    return {
-        "cold_first_lag_ms": cold["lag_ms"],
-        "warm_first_lag_ms": warm["lag_ms"],
-        "warm_advantage_ms": cold["lag_ms"] - warm["lag_ms"],
-        "warm_submit_wall_ms": warm["submit_wall_ms"],
-        "cold_submit_wall_ms": cold["submit_wall_ms"],
-        "backfilled_windows": warm["backfilled_windows"],
-    }
-
-
 def measure_cow_snapshot(keys: int = 20_000) -> dict:
     """Copy-on-write snapshot vs the deepcopy it replaced.
 
@@ -269,26 +197,16 @@ def bench_state_backend_spill(benchmark, record_figure):
         columns=("metric", "value"),
         paper_expectation=(
             "Out-of-core keyed state keeps the shared engine within "
-            "30% of in-memory throughput while windows spill to disk, "
-            "and warm attach serves a late query from arranged history "
-            "instead of waiting out a cold warm-up."
+            "30% of in-memory throughput while windows spill to disk."
         ),
     )
-    metrics = benchmark.pedantic(
-        lambda: (measure_spill_ratio(pairs=1), measure_attach_latency()),
-        rounds=1,
-        iterations=1,
+    spill = benchmark.pedantic(
+        measure_spill_ratio, kwargs={"pairs": 1}, rounds=1, iterations=1
     )
-    spill, attach = metrics
     result.add(metric="lsm/memory service-rate ratio", value=round(spill["ratio"], 3))
     result.add(metric="lsm spilled bytes", value=int(spill["spilled_bytes"]))
-    result.add(metric="cold first-result lag (event ms)", value=attach["cold_first_lag_ms"])
-    result.add(metric="warm first-result lag (event ms)", value=attach["warm_first_lag_ms"])
-    result.add(metric="warm backfilled windows", value=attach["backfilled_windows"])
     record_figure(result)
     assert spill["spilled_bytes"] > 0
-    assert attach["warm_first_lag_ms"] < attach["cold_first_lag_ms"]
-    assert attach["backfilled_windows"] >= 1
 
 
 def bench_cow_snapshot(benchmark, record_figure):

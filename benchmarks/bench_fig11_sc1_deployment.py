@@ -19,7 +19,5 @@ def bench_fig11(benchmark, quick, record_figure):
             assert row["mean_deploy_s"] > 3
         elif row["config"] != "single query":
             # AStream steady-state deployment: bounded by batching (the
-            # mean includes the one-off cold start in the max only) —
-            # with or without shared arrangements (the "+arr" configs):
-            # warm attach must not make deployment expensive.
+            # mean includes the one-off cold start in the max only).
             assert row["mean_deploy_s"] < 3

@@ -120,16 +120,6 @@ class EngineConfig:
     checkpointed segments stay adoptable across kill/recover."""
     state_memtable_entries: int = 16_384
     """Buffered writes per spill store before a segment flush (lsm)."""
-    shared_arrangements: bool = False
-    """Maintain a multi-version :class:`repro.store.Arrangement` in each
-    shared aggregation and *warm-attach* newly created queries: windows
-    that predate a query's creation are backfilled from arranged history
-    at deployment time instead of waiting a full window of fresh data.
-    Off by default — backfill adds results a cold deployment never
-    produces, so the byte-equality gates run without it."""
-    arrangement_retention_ms: Optional[int] = None
-    """How far behind the watermark arrangements keep exact deltas;
-    ``None`` derives twice the longest active window."""
 
     def __post_init__(self) -> None:
         if len(self.streams) < 1:
@@ -294,7 +284,7 @@ class AStreamEngine:
 
     def _make_aggregation(self, operator_key: str) -> SharedAggregationOperator:
         """Construct one shared-aggregation instance with the configured
-        storage plane (state backend, spill root, arrangements)."""
+        storage plane (state backend, spill root)."""
         config = self.config
         return SharedAggregationOperator(
             operator_key,
@@ -302,8 +292,6 @@ class AStreamEngine:
             state_backend=config.state_backend,
             state_dir=self._state_root,
             memtable_entries=config.state_memtable_entries,
-            arrangements=config.shared_arrangements,
-            arrangement_retention_ms=config.arrangement_retention_ms,
         )
 
     def _build_graph(self) -> JobGraph:
@@ -1127,27 +1115,19 @@ class AStreamEngine:
         "spill_entries",
         "spill_flushes",
         "spill_compactions",
-        "arrangement_count",
-        "reader_leases",
-        "arranged_deltas",
-        "arranged_keys",
-        "compaction_debt",
-        "backfilled_windows",
-        "backfilled_results",
     )
-    """Storage-plane stats ``state_summary`` totals (zero when the
-    backend or arrangements are off and no operator reports them)."""
+    """Storage-plane stats ``state_summary`` totals (zero on the memory
+    backend, where no operator reports them)."""
 
     def state_summary(self) -> Dict[str, Any]:
         """Storage-plane rollup across the shared aggregations.
 
-        Totals the spill-store stats (lsm backend) and the arrangement
-        stats (shared arrangements) of every aggregation instance — the
-        numbers the serve layer and the inspector panel surface.
+        Totals the spill-store stats (lsm backend) of every aggregation
+        instance — the numbers the serve layer and the inspector panel
+        surface.
         """
         summary: Dict[str, Any] = {
             "state_backend": self.config.state_backend,
-            "shared_arrangements": self.config.shared_arrangements,
             **dict.fromkeys(self._STATE_SUMMARY, 0),
         }
         for entry in self.stats_snapshot().values():

@@ -72,8 +72,8 @@ def _split_agg_state(donors: List[dict], new_count: int) -> List[dict]:
     """Repartition one shared-aggregation operator's snapshots.
 
     Control keys (slicer, changelogs, specs, subscribed, session_specs)
-    are replicated from donor 0; per-slice accumulator maps, session
-    state, and arranged history are re-split by key.
+    are replicated from donor 0; per-slice accumulator maps and session
+    state are re-split by key.
 
     lsm-backend donors arrive as incremental manifests (segment paths,
     not values); they are materialised here — the splitter reads the
@@ -84,7 +84,6 @@ def _split_agg_state(donors: List[dict], new_count: int) -> List[dict]:
     donors = [materialize_agg_snapshot(donor) for donor in donors]
     control = donors[0]
     horizon = max(d["slices"]._expiry_horizon_ms for d in donors)
-    arrangement_parts = _split_arrangements(donors, new_count)
     outputs: List[dict] = []
     for dest in range(new_count):
         index = SliceIndex()
@@ -109,7 +108,7 @@ def _split_agg_state(donors: List[dict], new_count: int) -> List[dict]:
             for (slot, key), state in donor["session_state"].items():
                 if _owner(key, new_count) == dest:
                     session_state[(slot, key)] = state
-        output = {
+        outputs.append({
             "slicer": copy.deepcopy(control["slicer"]),
             "slices": index,
             "changelogs": copy.deepcopy(control["changelogs"]),
@@ -117,43 +116,8 @@ def _split_agg_state(donors: List[dict], new_count: int) -> List[dict]:
             "subscribed": control["subscribed"],
             "session_specs": copy.deepcopy(control["session_specs"]),
             "session_state": session_state,
-        }
-        if arrangement_parts is not None:
-            output["arrangement"] = arrangement_parts[dest]
-            output["arrangement_leases"] = dict(
-                control.get("arrangement_leases", {})
-            )
-        outputs.append(output)
+        })
     return outputs
-
-
-def _split_arrangements(donors: List[dict], new_count: int):
-    """Split donors' arrangements by key; None when arrangements are off.
-
-    Control (frontier, leases) replicates from donor 0; per-key runs and
-    compacted prefixes — disjoint across donors — re-split by the same
-    hash rule as the slice stores.  The work counters are per-shard
-    totals and land summed on destination 0, conserving the fleet total.
-    """
-    if "arrangement" not in donors[0]:
-        return None
-    base = donors[0]["arrangement"]
-    parts = base.split_by(lambda key: _owner(key, new_count), new_count)
-    for donor in donors[1:]:
-        donor_parts = donor["arrangement"].split_by(
-            lambda key: _owner(key, new_count), new_count
-        )
-        for part, donor_part in zip(parts, donor_parts):
-            part._runs.update(donor_part._runs)
-            part._compacted.update(donor_part._compacted)
-    total_inserts = sum(d["arrangement"].inserts for d in donors)
-    total_compacted = sum(d["arrangement"].compacted_deltas for d in donors)
-    total_compactions = sum(d["arrangement"].compactions for d in donors)
-    for dest, part in enumerate(parts):
-        part.inserts = total_inserts if dest == 0 else 0
-        part.compacted_deltas = total_compacted if dest == 0 else 0
-        part.compactions = total_compactions if dest == 0 else 0
-    return parts
 
 
 def _split_tuple_index(

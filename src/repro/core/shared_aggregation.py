@@ -17,21 +17,12 @@ windows", §3.1.3): tuples are still tagged and routed once, and the
 operator keeps per-query per-key session accumulators merged on the gap
 rule, fired when the watermark passes a session's end.
 
-Two storage-plane extensions ride on this operator (ROADMAP item 2):
-
-* **state backends** — with ``state_backend="lsm"`` the per-slice
-  accumulator maps live behind :class:`repro.store.SpilledSliceStore`
-  views over one spill-to-disk LSM store per instance, so keyed state
-  can exceed RAM; snapshots then carry an incremental *manifest*
-  (immutable segment paths + per-slice key lists) instead of the
-  accumulator values themselves;
-* **shared arrangements** — with ``arrangements=True`` every selected
-  delta is additionally inserted into a multi-version
-  :class:`repro.store.Arrangement` whose compaction frontier follows
-  the watermark (bounded by per-query reader leases), and a newly
-  created time-window query *attaches* at the frontier: windows that
-  predate its creation are folded straight out of the arranged history
-  and emitted at deployment time, skipping the cold warm-up wait.
+Keyed state has two backends.  With ``state_backend="lsm"`` the
+per-slice accumulator maps live behind :class:`repro.store.SpilledSliceStore`
+views over one spill-to-disk LSM store per instance, so keyed state can
+exceed RAM; snapshots then carry an incremental *manifest* (immutable
+segment paths + per-slice key lists) instead of the accumulator values
+themselves.
 """
 
 from __future__ import annotations
@@ -49,7 +40,6 @@ from repro.core.slicing import SliceIndex, SliceManager
 from repro.minispe.operators import Operator
 from repro.minispe.record import ChangelogMarker, Record, Watermark
 from repro.minispe.windows import Window
-from repro.store.arrangement import Arrangement, ReaderLease
 from repro.store.lsm import materialize_checkpoint
 from repro.store.spill import SpilledSliceStore, SpillingStoreHost
 
@@ -90,9 +80,6 @@ class SharedAggregationOperator(Operator):
         state_backend: str = "memory",
         state_dir: Optional[str] = None,
         memtable_entries: int = 16_384,
-        arrangements: bool = False,
-        arrangement_retention_ms: Optional[int] = None,
-        backfill_windows: int = 1,
     ) -> None:
         super().__init__(operator_key)
         self.operator_key = operator_key
@@ -125,17 +112,6 @@ class SharedAggregationOperator(Operator):
         self._spec_masks: Dict[AggregationSpec, int] = {}
         self._spec_merges: Dict[AggregationSpec, Callable[[Any, Any], Any]] = {}
         self._session_mask = 0
-
-        # Shared arrangement (attach-without-warm-up; off by default so
-        # the byte-equality gates see identical outputs either way).
-        self._arrangement: Optional[Arrangement] = (
-            Arrangement(operator_key) if arrangements else None
-        )
-        self._arrangement_retention_ms = arrangement_retention_ms
-        self._backfill_windows = backfill_windows
-        self._arr_leases: Dict[int, ReaderLease] = {}
-        self.backfilled_windows = 0
-        self.backfilled_results = 0
 
         self.bitset_ops = 0
         self.partial_updates = 0
@@ -182,9 +158,6 @@ class SharedAggregationOperator(Operator):
             self._slicer.unregister_query(slot)
             self._drop_spec(slot)
             self._subscribed &= ~(1 << slot)
-            lease = self._arr_leases.pop(slot, None)
-            if lease is not None and self._arrangement is not None:
-                self._arrangement.release_lease(lease)
             if slot in self._session_specs:
                 del self._session_specs[slot]
                 self._session_mask &= ~(1 << slot)
@@ -206,21 +179,8 @@ class SharedAggregationOperator(Operator):
                 )
                 self._set_spec(activation.slot, agg_spec)
                 self._subscribed |= 1 << activation.slot
-                if self._arrangement is not None:
-                    self._arr_leases[activation.slot] = (
-                        self._arrangement.acquire_lease(
-                            activation.query.query_id,
-                            floor=activation.created_at_ms,
-                        )
-                    )
         self._slicer.on_epoch(changelog.sequence, marker.timestamp)
         self.output(marker)
-        # Warm attach: the marker has now passed the router (which just
-        # learned the new slot->query bindings), so backfilled results
-        # emitted here are routable.
-        if self._arrangement is not None:
-            for activation in changelog.created:
-                self._attach_backfill(activation)
 
     def _window_for(self, activation) -> Optional[WindowSpec]:
         for stage in activation.query.stages():
@@ -258,57 +218,6 @@ class SharedAggregationOperator(Operator):
         for slot in self._session_specs:
             self._session_mask |= 1 << slot
 
-    # -- warm attach (shared arrangements) -------------------------------------
-
-    def _attach_backfill(self, activation) -> None:
-        """Emit pre-creation windows for a newly attached query.
-
-        Window anchoring means a cold query's first window is
-        ``[created_at, created_at + length)`` — it must wait a full
-        window of fresh data before producing anything.  With the
-        arrangement on, the windows *ending before* creation are
-        computable from history already arranged between the compaction
-        frontier and the watermark, filtered by the query's own
-        predicate, so the query's first results appear at deployment
-        time instead.
-
-        Only plain per-stream aggregation queries backfill: the
-        arrangement holds this operator's selected input deltas, which
-        for a cascade stage (``agg:A~B``) are join outputs whose history
-        only covers previously-subscribed join queries.
-        """
-        spec = self._window_for(activation)
-        if spec is None or spec.is_session:
-            return
-        if getattr(activation.query, "aggregation_window", None) is not None:
-            return
-        agg_spec: AggregationSpec = activation.query.aggregation
-        predicate = getattr(activation.query, "predicate", None)
-        accept = None
-        if predicate is not None:
-            accept = predicate.evaluate
-        created = activation.created_at_ms
-        coverage = self._arrangement.coverage_start
-        windows: List[Tuple[int, int]] = []
-        fire_index = 1
-        while len(windows) < self._backfill_windows:
-            start = created - fire_index * spec.slide_ms
-            end = start + spec.length_ms
-            fire_index += 1
-            if start < coverage:
-                break
-            if end - 1 > self._last_watermark_ms:
-                continue  # tail of the window hasn't arrived yet
-            windows.append((start, end))
-        slot = activation.slot
-        for start, end in reversed(windows):  # emit oldest-first
-            merged = self._arrangement.fold_range(
-                start, end, agg_spec.initial, agg_spec.add, accept=accept
-            )
-            self.backfilled_windows += 1
-            self.backfilled_results += len(merged)
-            self._emit_window(slot, Window(start, end), agg_spec, merged)
-
     # -- data path -----------------------------------------------------------
 
     def process_batch(self, records: List[Record]) -> None:
@@ -324,13 +233,10 @@ class SharedAggregationOperator(Operator):
         late_horizon = self._last_watermark_ms - self._slicer.max_retention_ms
         fold_time = self._fold_time_windows
         fold_sessions = self._fold_sessions
-        arrangement = self._arrangement
         bitset_ops = 0
         for record in records:
             query_set = record.tags.get(QS_TAG, 0)
             bitset_ops += 1
-            if arrangement is not None and query_set & subscribed:
-                arrangement.insert(record.timestamp, record.key, record.value)
             time_window_bits = query_set & time_mask
             if time_window_bits:
                 fold_time(record, time_window_bits, late_horizon)
@@ -449,35 +355,11 @@ class SharedAggregationOperator(Operator):
         if self._slicer.prune_before(horizon):
             oldest_epoch = self._slicer.timeline.epoch_for(horizon)[0]
             self._changelogs.prune_memo_before(oldest_epoch)
-        if self._arrangement is not None:
-            self._advance_arrangement(watermark.timestamp)
         if self.obs is not None:
             self._emit_slice_events(watermark.timestamp)
         if self.profile:
             self.profile_ns += time.perf_counter_ns() - started
         self.output(watermark)
-
-    def _advance_arrangement(self, watermark_ms: int) -> None:
-        """Move reader-lease floors and the compaction frontier.
-
-        Each subscribed slot's lease floor tracks the start of its next
-        unfired window — the oldest history that slot could still need.
-        The frontier target trails the watermark by the retention bound
-        (explicit, or twice the longest active window so a late attacher
-        can always backfill at least one full window).
-        """
-        for slot, lease in self._arr_leases.items():
-            query = self._slicer.query(slot)
-            if query is None:
-                continue
-            next_start, _next_end = query.spec.windows_for(
-                query.created_at_ms, query.next_fire_index
-            )
-            lease.advance(next_start)
-        retention = self._arrangement_retention_ms
-        if retention is None:
-            retention = max(2 * self._slicer.max_retention_ms, 1_000)
-        self._arrangement.advance_frontier(watermark_ms - retention)
 
     def _fire_time_window(self, slot: int, start: int, end: int) -> None:
         spec = self._specs.get(slot)
@@ -551,9 +433,8 @@ class SharedAggregationOperator(Operator):
         return len(self._slices)
 
     def stats(self) -> Dict[str, Tuple[float, str]]:
-        """Slice/session sizes and work counters, plus the storage plane
-        where configured: spill-store entries on the lsm backend,
-        arrangement entries with shared arrangements.  All additive."""
+        """Slice/session sizes and work counters, plus spill-store
+        entries on the lsm backend.  All additive."""
         values = {
             "slices": len(self._slices),
             "slices_created": self._slices.created_total,
@@ -576,24 +457,13 @@ class SharedAggregationOperator(Operator):
                 spill_flushes=store["flushes"],
                 spill_compactions=store["compactions"],
             )
-        if self._arrangement is not None:
-            arranged = self._arrangement.stats()
-            values.update(
-                arrangement_count=1,
-                reader_leases=arranged["reader_leases"],
-                arranged_deltas=arranged["arranged_deltas"],
-                arranged_keys=arranged["arranged_keys"],
-                compaction_debt=arranged["compaction_debt"],
-                backfilled_windows=self.backfilled_windows,
-                backfilled_results=self.backfilled_results,
-            )
         return {name: (value, "sum") for name, value in values.items()}
 
     # -- checkpointing ---------------------------------------------------------
 
     def snapshot(self) -> Any:
         if self._store_host is None:
-            state = copy.deepcopy(
+            return copy.deepcopy(
                 {
                     "slicer": self._slicer,
                     "slices": self._slices,
@@ -604,8 +474,6 @@ class SharedAggregationOperator(Operator):
                     "session_state": self._session_state,
                 }
             )
-            self._snapshot_arrangement(state)
-            return state
         # lsm: metadata plus an incremental segment manifest.  The
         # accumulator values stay in their immutable on-disk segments;
         # the payload carries segment *paths* (and the per-slice key
@@ -618,7 +486,7 @@ class SharedAggregationOperator(Operator):
                 slice_.store.spill_hot()
         if store.stats()["segments"] > _COMPACT_SEGMENTS:
             store.compact()  # background-free compaction at the barrier
-        state: Dict[str, Any] = {
+        return {
             "state_backend": "lsm",
             "slicer": copy.deepcopy(self._slicer),
             "changelogs": copy.deepcopy(self._changelogs),
@@ -642,16 +510,6 @@ class SharedAggregationOperator(Operator):
             "expiry_horizon": self._slices._expiry_horizon_ms,
             "store_checkpoint": store.checkpoint(),
         }
-        self._snapshot_arrangement(state)
-        return state
-
-    def _snapshot_arrangement(self, state: Dict[str, Any]) -> None:
-        if self._arrangement is None:
-            return
-        state["arrangement"] = copy.deepcopy(self._arrangement)
-        state["arrangement_leases"] = {
-            slot: lease.lease_id for slot, lease in self._arr_leases.items()
-        }
 
     def restore(self, snapshot: Any) -> None:
         """Restore from either snapshot shape, on either backend.
@@ -672,7 +530,6 @@ class SharedAggregationOperator(Operator):
             if is_manifest:
                 snapshot = materialize_agg_snapshot(snapshot)
             self._restore_materialized(snapshot)
-        self._relink_arrangement(snapshot)
 
     def _restore_materialized(self, snapshot: Any) -> None:
         state = copy.deepcopy(snapshot)
@@ -730,32 +587,6 @@ class SharedAggregationOperator(Operator):
         rebuilt._expiry_horizon_ms = snapshot["expiry_horizon"]
         self._slices = rebuilt
 
-    def _relink_arrangement(self, snapshot: Any) -> None:
-        if self._arrangement is None:
-            return
-        payload = (
-            snapshot.get("arrangement") if isinstance(snapshot, dict) else None
-        )
-        if payload is None:
-            # Snapshot predates arrangements (or they were off on the
-            # donor): start fresh and re-lease the live slots so
-            # frontier control resumes immediately.
-            self._arrangement = Arrangement(self.operator_key)
-            self._arr_leases = {}
-            for slot in self._specs:
-                query = self._slicer.query(slot)
-                floor = query.created_at_ms if query is not None else None
-                self._arr_leases[slot] = self._arrangement.acquire_lease(
-                    f"slot-{slot}", floor=floor
-                )
-            return
-        self._arrangement = copy.deepcopy(payload)
-        self._arr_leases = {}
-        for slot, lease_id in snapshot.get("arrangement_leases", {}).items():
-            lease = self._arrangement._leases.get(lease_id)
-            if lease is not None:
-                self._arr_leases[slot] = lease
-
     def close(self) -> None:
         """Release the spill store (its directory, if operator-owned)."""
         if self._store_host is not None:
@@ -795,7 +626,7 @@ def materialize_agg_snapshot(snapshot: Any) -> Any:
     slices.created_total = snapshot["created_total"]
     slices.expired_total = snapshot["expired_total"]
     slices._expiry_horizon_ms = snapshot["expiry_horizon"]
-    out: Dict[str, Any] = {
+    return {
         "slicer": copy.deepcopy(snapshot["slicer"]),
         "slices": slices,
         "changelogs": copy.deepcopy(snapshot["changelogs"]),
@@ -804,9 +635,3 @@ def materialize_agg_snapshot(snapshot: Any) -> Any:
         "session_specs": copy.deepcopy(snapshot["session_specs"]),
         "session_state": copy.deepcopy(snapshot["session_state"]),
     }
-    if "arrangement" in snapshot:
-        out["arrangement"] = copy.deepcopy(snapshot["arrangement"])
-        out["arrangement_leases"] = dict(
-            snapshot.get("arrangement_leases", {})
-        )
-    return out

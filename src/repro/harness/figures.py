@@ -21,7 +21,6 @@ from repro.harness.runner import (
     run_scenario,
     sustainable_query_search,
 )
-from repro.workloads.datagen import DataGenerator
 from repro.workloads.querygen import QueryGenerator
 from repro.workloads.scenarios import ScheduledRequest, WorkloadSchedule
 
@@ -149,60 +148,6 @@ def _flink_adhoc_sustained(metrics) -> bool:
 # Figure 10 — deployment latency timeline, 1 q/s up to 20 queries
 # ---------------------------------------------------------------------------
 
-def _attach_first_result_lags(
-    arrangements: bool, late_queries: int = 5
-) -> List[Tuple[int, int]]:
-    """(request ms, first-result lag ms) for queries deployed 1/s late.
-
-    A base aggregation runs from t=0; identical late twins attach every
-    second starting at 2 s.  The lag is deterministic event time — the
-    late query's first result window end minus its creation time — so
-    the warm-attach advantage (arranged history backfilled at submit)
-    is machine-independent.  The ISSUE 10 axis on Figure 10: deployment
-    latency says when the query is *live*, this says when it first
-    *answers*.
-    """
-    from repro.core.engine import AStreamEngine, EngineConfig
-    from repro.core.query import AggregationQuery, TruePredicate, WindowSpec
-
-    engine = AStreamEngine(
-        EngineConfig(
-            streams=("A",),
-            parallelism=1,
-            shared_arrangements=arrangements,
-        )
-    )
-    def make_query():
-        return AggregationQuery(
-            stream="A",
-            predicate=TruePredicate(),
-            window_spec=WindowSpec.tumbling(1_000),
-        )
-
-    data = DataGenerator(seed=11)
-    engine.submit(make_query(), now_ms=0)  # the base query arranges history
-    created: List[Tuple[str, int]] = []
-    horizon = (late_queries + 4) * 1_000
-    for step in range(horizon // 250):
-        now = step * 250
-        engine.watermark(now)
-        if now >= 2_000 and now % 1_000 == 0 and len(created) < late_queries:
-            query = make_query()
-            engine.submit(query, now_ms=now)
-            created.append((query.query_id, now))
-        engine.tick(now)
-        for offset in range(20):
-            engine.push("A", now + offset * 12, data.next_tuple())
-    engine.watermark(horizon + 10_000)
-    lags = []
-    for query_id, created_ms in created:
-        results = engine.canonical_results(query_id)
-        first = min(output.timestamp for output in results)
-        lags.append((created_ms, first - created_ms))
-    engine.shutdown()
-    return lags
-
-
 def fig10_deployment_timeline(quick: bool = True) -> FigureResult:
     """Figure 10: per-query deployment latency, Flink vs AStream."""
     parallelism = 10 if quick else 20
@@ -234,21 +179,6 @@ def fig10_deployment_timeline(quick: bool = True) -> FigureResult:
                 sut=sut, query_index=index,
                 requested_at_s=requested_at / 1000.0,
                 latency_s=latency / 1000.0,
-            )
-    # Arrangements axis (ISSUE 10): for the same 1 q/s cadence, the
-    # event-time lag until each late query's *first result* — a cold
-    # deploy waits out a full window of fresh data, a warm attach
-    # serves backfilled pre-creation windows at submit time.
-    for label, arrangements in (
-        ("astream-cold-attach", False),
-        ("astream-warm-attach", True),
-    ):
-        lags = _attach_first_result_lags(arrangements)
-        for index, (requested_ms, lag_ms) in enumerate(lags, start=1):
-            result.add(
-                sut=label, query_index=index,
-                requested_at_s=requested_ms / 1000.0,
-                latency_s=lag_ms / 1000.0,
             )
     return result
 
@@ -289,34 +219,22 @@ def fig11_sc1_deployment(quick: bool = True) -> FigureResult:
                 )
             for qps, parallelism in _sc1_configs(quick):
                 duration = parallelism / qps + 6.0
-                # Arrangements axis (ISSUE 10): deployment latency must
-                # stay within the changelog bound with warm attach on —
-                # the backfill fold happens at submit, so a regression
-                # here means attach got expensive.
-                for config_label, overrides in (
-                    (f"{qps:g}q/s {parallelism}qp", {}),
-                    (
-                        f"{qps:g}q/s {parallelism}qp +arr",
-                        {"shared_arrangements": True},
+                metrics = run_scenario(
+                    RunnerConfig(
+                        sut="astream", nodes=nodes, input_rate_tps=rate,
+                        duration_s=duration,
                     ),
-                ):
-                    metrics = run_scenario(
-                        RunnerConfig(
-                            sut="astream", nodes=nodes, input_rate_tps=rate,
-                            duration_s=duration,
-                            engine_overrides=overrides,
-                        ),
-                        scenario="sc1",
-                        queries_per_second=qps,
-                        query_parallelism=parallelism,
-                        kind=kind,
-                    )
-                    result.add(
-                        nodes=nodes, kind=kind,
-                        config=config_label, sut="astream",
-                        mean_deploy_s=metrics.mean_deployment_latency_ms / 1000.0,
-                        max_deploy_s=metrics.max_deployment_latency_ms / 1000.0,
-                    )
+                    scenario="sc1",
+                    queries_per_second=qps,
+                    query_parallelism=parallelism,
+                    kind=kind,
+                )
+                result.add(
+                    nodes=nodes, kind=kind,
+                    config=f"{qps:g}q/s {parallelism}qp", sut="astream",
+                    mean_deploy_s=metrics.mean_deployment_latency_ms / 1000.0,
+                    max_deploy_s=metrics.max_deployment_latency_ms / 1000.0,
+                )
     return result
 
 

@@ -9,9 +9,8 @@ plain-text dashboard:
 * per-operator latency breakdown — exclusive time per stage from the
   sampled span traces, with each stage's share of the end-to-end time;
 * operator state — slice counts, changelog table sizes, join/agg
-  cardinalities, router fan-out, spill-store gauges (segments, spilled
-  bytes) and arrangement gauges (arranged deltas, leases, backfills) —
-  grouped per operator (and per shard on the process backend);
+  cardinalities, router fan-out and spill-store gauges (segments,
+  spilled bytes) — grouped per operator (and per shard on the process backend);
 * shard balance — per-shard input records and the straggler skew gauge;
 * the tail of the structured event log.
 
@@ -40,17 +39,11 @@ _STATE_GAUGES = (
     "sharing_grouped_slots",
     "sharing_cover_skips",
     "sharing_residual_checks",
-    # ISSUE 10: spill-to-disk keyed state and shared arrangements.
+    # Spill-to-disk keyed state (lsm backend).
     "spilled_bytes",
     "spill_segments",
     "spill_memtable_entries",
     "spill_flushes",
-    "arrangement_count",
-    "reader_leases",
-    "arranged_deltas",
-    "arranged_keys",
-    "compaction_debt",
-    "backfilled_windows",
 )
 
 

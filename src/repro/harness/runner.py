@@ -352,9 +352,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--state-dir", default=None, metavar="DIR",
                         help="spill root for --state-backend lsm "
                              "(default: a temp dir removed at shutdown)")
-    parser.add_argument("--arrangements", action="store_true",
-                        help="maintain shared arrangements and warm-attach "
-                             "new queries (backfills pre-creation windows)")
     parser.add_argument("--profile", action="store_true",
                         help="cProfile the run and dump per-operator "
                              "cumulative stats next to benchmark results "
@@ -393,7 +390,6 @@ def main(argv: Optional[list] = None) -> int:
         engine_overrides=dict(
             state_backend=args.state_backend,
             state_dir=args.state_dir,
-            shared_arrangements=args.arrangements,
         ),
     )
     scenario_kwargs = dict(

@@ -1,7 +1,7 @@
-"""Shared state plane: pluggable state stores and shared arrangements.
+"""Keyed state plane: pluggable state stores for the shared aggregations.
 
-This package is the storage subsystem behind AStream's shared data and
-state plane (ROADMAP item 2):
+This package is the storage subsystem behind the shared aggregations'
+keyed state:
 
 * :mod:`repro.store.backend` — the :class:`StateStore` interface with the
   in-memory default backend;
@@ -10,18 +10,9 @@ state plane (ROADMAP item 2):
   state exceed RAM;
 * :mod:`repro.store.spill` — dict-shaped slice-store views that let the
   shared operators spill per-slice accumulator maps through one LSM
-  store without changing their data-path code shape;
-* :mod:`repro.store.arrangement` — multi-version, compacting keyed
-  indexes with reader leases ("Shared Arrangements", McSherry et al.)
-  that let a newly created ad-hoc query *attach* to existing state at
-  the current frontier instead of warming up from scratch.
+  store without changing their data-path code shape.
 """
 
-from repro.store.arrangement import (
-    Arrangement,
-    ArrangementManager,
-    ReaderLease,
-)
 from repro.store.backend import (
     STATE_BACKENDS,
     MemoryStateStore,
@@ -40,7 +31,4 @@ __all__ = [
     "materialize_checkpoint",
     "SpilledSliceStore",
     "SpillingStoreHost",
-    "Arrangement",
-    "ArrangementManager",
-    "ReaderLease",
 ]

@@ -9,7 +9,9 @@ query population.  These tests count the work directly:
   matched), and the lifted-then-merged partials equal a per-slot fold;
 * (c) the derived fold state (per-spec slot masks, the session mask,
   the window-length multiset) is rebuilt on restore and after a
-  migration split, and stays out of the snapshot.
+  migration split, and stays out of the snapshot; the snapshot and
+  each split part carry exactly their backend's listed keys, so nothing
+  extra rides a checkpoint or a migration unnoticed.
 """
 
 import random
@@ -162,6 +164,21 @@ def test_add_runs_once_per_record_and_distinct_spec(monkeypatch):
     assert slice_.store == expected
 
 
+# The aggregation snapshot's top-level keys: the materialised shape
+# (memory backend, and every migration split part) and the lsm manifest.
+MATERIALIZED_KEYS = {
+    "slicer", "slices", "changelogs", "specs", "subscribed",
+    "session_specs", "session_state",
+}
+SNAPSHOT_KEYS = {
+    "memory": MATERIALIZED_KEYS,
+    "lsm": MATERIALIZED_KEYS - {"slices"} | {
+        "state_backend", "slices_meta", "created_total", "expired_total",
+        "expiry_horizon", "store_checkpoint",
+    },
+}
+
+
 def _fold_state(operator: SharedAggregationOperator):
     return (
         operator._spec_masks,
@@ -205,6 +222,7 @@ def test_fold_state_is_rebuilt_on_restore_and_split(state_backend):
     assert built._session_mask == sum(1 << slot for slot in built._session_specs)
     assert built._slicer.max_retention_ms == 4_000
     snapshot = built.snapshot()
+    assert set(snapshot) == SNAPSHOT_KEYS[state_backend]
     assert set(snapshot["slicer"].__getstate__()) == {
         "timeline", "_current", "_views", "_cached_bounds",
     }
@@ -215,6 +233,7 @@ def test_fold_state_is_rebuilt_on_restore_and_split(state_backend):
         assert _fold_state(restored) == _fold_state(built)
         restored.close()
     for part in _split_agg_state([snapshot], 2):
+        assert set(part) == MATERIALIZED_KEYS
         split = _operator(state_backend)
         split.restore(part)
         assert _fold_state(split) == _fold_state(built)

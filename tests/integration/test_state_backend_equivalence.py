@@ -6,17 +6,13 @@ touching the computation, so SC-style scenario runs must stay
 byte-identical across ``{memory, lsm}`` on both the inline and the
 process engine, through a SIGKILLed worker recovered from an
 (incremental) checkpoint + input-log replay, and through a live resize
-whose migration re-splits spilled state by key hash.  Shared
-arrangements (a results-affecting feature: warm attach backfills
-pre-creation windows) must themselves be backend- and
-worker-count-deterministic.
+whose migration re-splits spilled state by key hash.
 """
 
 import pytest
 
 from repro.core.engine import AStreamEngine, EngineConfig
 from repro.core.parallel_engine import ProcessAStreamEngine
-from repro.core.query import AggregationQuery, TruePredicate, WindowSpec
 from repro.workloads.datagen import DataGenerator
 from repro.workloads.querygen import QueryGenerator
 from repro.workloads.scenarios import sc1_schedule, sc2_schedule
@@ -36,22 +32,6 @@ SC2_SCHEDULE = sc2_schedule(
     QueryGenerator(streams=STREAMS, seed=102), 2, 3, 2, kind="agg"
 )
 
-# Shared for the same reason; TruePredicate + 1s tumbling windows make
-# the late twin's pre-creation windows backfillable from the history the
-# base query arranged.
-WARM_ATTACH_QUERIES = (
-    AggregationQuery(
-        stream="A",
-        predicate=TruePredicate(),
-        window_spec=WindowSpec.tumbling(1_000),
-    ),
-    AggregationQuery(
-        stream="A",
-        predicate=TruePredicate(),
-        window_spec=WindowSpec.tumbling(1_000),
-    ),
-)
-
 
 def _canonical(engine):
     return {
@@ -67,7 +47,6 @@ def _run(
     schedule,
     state_backend="memory",
     workers=None,
-    arrangements=False,
     kill_at_step=None,
     resize_at_step=None,
     resize_to=4,
@@ -85,7 +64,6 @@ def _run(
         log_inputs=True,
         state_backend=state_backend,
         state_memtable_entries=32,
-        shared_arrangements=arrangements,
     )
     if workers is None:
         engine = AStreamEngine(config)
@@ -97,9 +75,6 @@ def _run(
     recovery = None
     for step in range(STEPS):
         now = step * STEP_MS
-        # Watermark first: at submit time the operator then knows event
-        # time has reached `now`, making pre-creation windows ending at
-        # or before `now` eligible for warm-attach backfill.
         engine.watermark(now)
         while index < len(events) and events[index].at_ms <= now:
             event = events[index]
@@ -185,69 +160,3 @@ class TestLsmChaos:
             )
             assert outputs == oracle, f"lsm resize {start}->{target} diverged"
 
-
-class TestArrangementDeterminism:
-    def test_arrangements_equal_across_backends_and_workers(self):
-        reference, summary, _ = _run(
-            SC2_SCHEDULE, state_backend="memory", arrangements=True
-        )
-        assert reference and any(reference.values())
-        assert summary["arrangement_count"] >= 1
-        for backend, workers in (
-            ("lsm", None),
-            ("memory", 2),
-            ("lsm", 2),
-        ):
-            outputs, _, _ = _run(
-                SC2_SCHEDULE,
-                state_backend=backend,
-                workers=workers,
-                arrangements=True,
-            )
-            assert outputs == reference, (
-                f"arrangements on {backend}/workers={workers} diverged"
-            )
-
-    @staticmethod
-    def _warm_attach_run(arrangements):
-        """A base query arranges history; a late twin attaches at 3s.
-
-        Both carry ``TruePredicate`` and a 1s tumbling window, so every
-        pre-creation window of the late query is fully covered by
-        arranged deltas by its deployment time.
-        """
-        config = EngineConfig(
-            streams=STREAMS,
-            parallelism=1,
-            shared_arrangements=arrangements,
-        )
-        engine = AStreamEngine(config)
-        base, late = WARM_ATTACH_QUERIES
-        data = DataGenerator(seed=11)
-        engine.submit(base, now_ms=0)
-        for step in range(20):
-            now = step * 250
-            engine.watermark(now)
-            if now == 3_000:
-                engine.submit(late, now_ms=now)
-            engine.tick(now)
-            for offset in range(20):
-                engine.push("A", now + offset * 12, data.next_tuple())
-        engine.watermark(20_000)
-        outputs = _canonical(engine)
-        summary = engine.state_summary()
-        engine.shutdown()
-        return outputs, summary, late.query_id
-
-    def test_warm_attach_backfills_only_with_arrangements_on(self):
-        cold, cold_summary, late_id = self._warm_attach_run(False)
-        warm, warm_summary, _ = self._warm_attach_run(True)
-        assert cold_summary["backfilled_windows"] == 0
-        assert warm_summary["backfilled_windows"] >= 1
-        assert warm_summary["backfilled_results"] >= 1
-        # Warm attach only *adds* results, for the late query alone:
-        # every cold result is present in the warm run too.
-        for query_id, outputs in cold.items():
-            warm_outputs = set(warm.get(query_id, ()))
-            assert all(item in warm_outputs for item in outputs)
-        assert len(warm[late_id]) > len(cold[late_id])
