@@ -308,6 +308,32 @@ def covering(members: Sequence[NormalizedPredicate]) -> NormalizedPredicate:
 # ---------------------------------------------------------------------------
 
 
+def stabbing_segments(
+    members: Sequence[Tuple[Interval, int]],
+) -> Tuple[List[_Key], List[int], int]:
+    """``(cuts, segment_masks, all_slots)`` of ``(interval, slots)`` members.
+
+    Sweep the bound keys in order, toggling each member's slot bits on
+    at its start key and off at its end key: the running bitset at cut
+    ``i`` is exactly the members containing the key segment
+    ``[cuts[i], cuts[i+1])`` (none after the last cut).  Both the
+    selection's index and the aggregation's segment layout use it.
+    """
+    toggles: Dict[_Key, int] = {}
+    all_slots = 0
+    for interval, slots in members:
+        toggles[interval.start_key] = toggles.get(interval.start_key, 0) ^ slots
+        toggles[interval.end_key] = toggles.get(interval.end_key, 0) ^ slots
+        all_slots |= slots
+    cuts = sorted(toggles)
+    segment_masks = []
+    running = 0
+    for cut in cuts:
+        running ^= toggles[cut]
+        segment_masks.append(running)
+    return cuts, segment_masks, all_slots
+
+
 _Residual = Tuple[Tuple[Tuple[int, float, bool, float, bool], ...], int]
 """(per-field bound checks, slots-bitset) for one residual member."""
 
@@ -371,25 +397,7 @@ class SharingGroup:
         self._hull_start = hull.start_key
         self._hull_end = hull.end_key
 
-        # Stabbing index over the single-field members: sweep the bound
-        # keys in order, toggling each member's slot bits on at its
-        # start key and off at its end key; the running bitset at cut i
-        # is exactly the members containing the key segment
-        # [cuts[i], cuts[i+1]).
-        toggles: Dict[_Key, int] = {}
-        mask = 0
-        for interval, slots in single_members:
-            toggles[interval.start_key] = toggles.get(interval.start_key, 0) ^ slots
-            toggles[interval.end_key] = toggles.get(interval.end_key, 0) ^ slots
-            mask |= slots
-        cuts = sorted(toggles)
-        segment_masks = []
-        running = 0
-        for cut in cuts:
-            running ^= toggles[cut]
-            segment_masks.append(running)
-        self._cuts = cuts
-        self._segment_masks = segment_masks
+        self._cuts, self._segment_masks, mask = stabbing_segments(single_members)
 
         residuals: List[_Residual] = []
         for norm, slots in residual_members:

@@ -44,8 +44,14 @@ class EpochTimeline:
     _sequences: List[int] = field(default_factory=lambda: [0])
     _prune_horizon_ms: int = 0
 
-    def append(self, sequence: int, start_ms: int) -> None:
-        """Register the start of a new epoch."""
+    def append(self, sequence: int, start_ms: int) -> bool:
+        """Register the start of a new epoch.
+
+        An epoch starting at the same event time as the previous one
+        replaces that entry: ``index_for`` takes the rightmost entry at
+        or before a time, so the shadowed one could never be resolved
+        again.  Epoch 0 is never replaced.  Returns True on a replace.
+        """
         if sequence != self._sequences[-1] + 1:
             raise ValueError(
                 f"epoch out of order: expected {self._sequences[-1] + 1}, "
@@ -56,8 +62,12 @@ class EpochTimeline:
                 f"epoch {sequence} starts at {start_ms}, before epoch "
                 f"{self._sequences[-1]} at {self._starts[-1]}"
             )
+        if start_ms == self._starts[-1] and self._sequences[-1] != 0:
+            self._sequences[-1] = sequence
+            return True
         self._starts.append(start_ms)
         self._sequences.append(sequence)
+        return False
 
     def index_for(self, timestamp_ms: int) -> int:
         """Position of the epoch covering ``timestamp_ms``."""
@@ -305,9 +315,11 @@ class SliceManager:
         self._cached_bounds = None
 
     def on_epoch(self, sequence: int, start_ms: int) -> None:
-        """Seal the new epoch's query view after applying a changelog."""
-        self.timeline.append(sequence, start_ms)
-        self._views.append(dict(self._current))
+        """Seal the new epoch's query view after applying a changelog; it
+        replaces the previous view when the timeline replaced its entry."""
+        if not self.timeline.append(sequence, start_ms):
+            self._views.append({})
+        self._views[-1] = dict(self._current)
         self._cached_bounds = None
 
     def query(self, slot: int) -> Optional[WindowedQuery]:

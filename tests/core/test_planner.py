@@ -1,5 +1,7 @@
 """Unit tests for the semantic-overlap multi-query planner (ISSUE 8)."""
 
+from bisect import bisect_right
+
 from repro.core.planner import (
     Interval,
     NormalizedPredicate,
@@ -9,6 +11,7 @@ from repro.core.planner import (
     normalize,
     overlaps,
     sharing_affinity_key,
+    stabbing_segments,
     subsumes,
 )
 from repro.core.query import (
@@ -306,6 +309,37 @@ class TestCompiledPlan:
                 if predicate.evaluate(field_tuple(1, f0=value)):
                     expected |= 1 << slot
             assert group.evaluate(field_tuple(1, f0=value)) == expected, value
+
+    def test_stabbing_sweep_is_shared_and_exact(self):
+        # One sweep serves the selection's index and the aggregation's
+        # segment layout: each segment's mask is exactly the members
+        # containing it, nothing covers the last one, and SharingGroup
+        # holds the sweep's own output.
+        members = [
+            (normalize(predicate).interval_for(0), 1 << slot)
+            for slot, predicate in enumerate(
+                (
+                    FieldPredicate(0, LT, 30),
+                    FieldPredicate(0, GE, 10),
+                    FieldPredicate(0, EQ, 20),
+                    ConjunctionPredicate(
+                        (FieldPredicate(0, GT, 5), FieldPredicate(0, LE, 20))
+                    ),
+                    FieldPredicate(0, GT, 20),
+                )
+            )
+        ]
+        cuts, masks, all_slots = stabbing_segments(members)
+        assert all_slots == 0b11111
+        assert cuts == sorted(set(cuts)) and masks[-1] == 0
+        for value in range(-5, 40):
+            index = bisect_right(cuts, (value, 0)) - 1
+            expected = sum(
+                slots for interval, slots in members if interval.contains_value(value)
+            )
+            assert (masks[index] if index >= 0 else 0) == expected, value
+        group = SharingGroup(0, members, [])
+        assert (group._cuts, group._segment_masks) == (cuts, masks)
 
     def test_columnar_binding_matches_row_evaluation(self):
         predicates = [

@@ -319,3 +319,86 @@ class TestPruning:
         manager.prune_before(4_000)
         # The epoch covering the horizon survives and still slices.
         assert manager.slice_bounds(4_500)[2] == 2
+
+
+class TestEpochsAtOneTime:
+    """A changelog at the same event time as the previous one shadows its
+    epoch entry for good, so the entry and its view are replaced."""
+
+    @staticmethod
+    def _spec(slot: int) -> WindowSpec:
+        return WindowSpec.sliding(1_000 * (1 + slot % 4), 500 * (1 + slot % 2))
+
+    def _built(self, epochs: int) -> SliceManager:
+        manager = SliceManager()
+        for slot in range(epochs):
+            manager.register_query(slot, self._spec(slot), 0)
+            manager.on_epoch(slot + 1, 0)
+        manager.register_query(epochs, WindowSpec.tumbling(700), 2_500)
+        manager.on_epoch(epochs + 1, 2_500)
+        return manager
+
+    def test_a_thousand_epochs_keep_two_views(self):
+        manager = self._built(1_000)
+        # Epoch 0, the last epoch at t=0, and the one at 2,500.
+        assert len(manager._views) == len(manager.timeline) == 3
+        assert len(manager._views[1]) == 1_000
+        assert manager.timeline.epoch_for(0) == (1_000, 0, 2_500)
+        assert manager.timeline.epoch_for(2_499) == (1_000, 0, 2_500)
+        assert manager.timeline.epoch_for(2_500) == (1_001, 2_500, None)
+
+    def test_epoch_zero_is_kept(self):
+        manager = SliceManager()
+        manager.on_epoch(1, 0)
+        manager.on_epoch(2, 0)
+        assert manager.timeline._sequences == [0, 2]
+        assert manager._views == [{}, {}]
+
+    def test_bounds_match_an_appending_slicer(self):
+        manager = self._built(40)
+        appending = _appending_copy(manager, epochs=40)
+        for timestamp in range(0, 6_000, 37):
+            assert manager.slice_bounds(timestamp) == appending.slice_bounds(
+                timestamp
+            ), timestamp
+            assert manager.timeline.epoch_for(
+                timestamp
+            ) == appending.timeline.epoch_for(timestamp)
+
+    def test_pickled_slicer_with_dead_entries_restores(self):
+        import pickle
+
+        # What a checkpoint written before the replace holds: one entry
+        # and one view per epoch, all but the last at t=0 dead.
+        old = pickle.loads(pickle.dumps(_appending_copy(self._built(40), 40)))
+        fresh = self._built(40)
+        assert len(old._views) == 42
+        for timestamp in range(0, 6_000, 37):
+            assert old.slice_bounds(timestamp) == fresh.slice_bounds(timestamp)
+        # Further epochs at the last entry's time replace it on both.
+        for manager in (old, fresh):
+            manager.register_query(99, WindowSpec.tumbling(300), 2_500)
+            manager.on_epoch(42, 2_500)
+        assert len(old._views) == 42 and len(fresh._views) == 3
+        for timestamp in range(0, 6_000, 37):
+            assert old.slice_bounds(timestamp) == fresh.slice_bounds(timestamp)
+        assert old.prune_before(3_000) == 41 and fresh.prune_before(3_000) == 2
+        assert old.slice_bounds(4_000) == fresh.slice_bounds(4_000)
+
+
+def _appending_copy(manager: SliceManager, epochs: int) -> SliceManager:
+    """``manager`` rebuilt the way slicers appended before epochs at one
+    time replaced each other: an entry and a view per epoch."""
+    old = SliceManager()
+    current = {}
+    for slot in range(epochs):
+        current[slot] = manager._views[1][slot]
+        old.timeline._starts.append(0)
+        old.timeline._sequences.append(slot + 1)
+        old._views.append(dict(current))
+    old.timeline._starts.append(2_500)
+    old.timeline._sequences.append(epochs + 1)
+    old._views.append(dict(manager._views[-1]))
+    old._current = dict(manager._current)
+    old._count_lengths()
+    return old
