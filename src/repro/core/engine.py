@@ -200,7 +200,7 @@ class AStreamEngine:
         self,
         config: Optional[EngineConfig] = None,
         cluster: Optional[SimulatedCluster] = None,
-        on_deliver: Optional[Callable[[str, Record], None]] = None,
+        on_deliver: Optional[Callable[[str, int, int], None]] = None,
     ) -> None:
         self.config = config or EngineConfig()
         self.cluster = cluster or SimulatedCluster()

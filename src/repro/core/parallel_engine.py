@@ -99,9 +99,12 @@ class AStreamShardProgram(ShardProgram):
             self._profiler = cProfile.Profile()
             self._profiler.enable()
 
-    def _record_delivery(self, query_id: str, timestamp: int) -> None:
-        self._deliver_seen += 1
-        if self._deliver_seen % self._sample_every == 0:
+    def _record_delivery(
+        self, query_id: str, timestamp: int, count: int = 1
+    ) -> None:
+        seen = self._deliver_seen
+        self._deliver_seen = seen + count
+        if seen // self._sample_every != self._deliver_seen // self._sample_every:
             self._deliveries.append((query_id, timestamp))
 
     def apply(self, op: Op) -> Any:

@@ -72,14 +72,16 @@ class QoSMonitor:
 
     # -- wiring ---------------------------------------------------------------
 
-    def on_deliver(self, query_id: str, timestamp: int) -> None:
-        """Router delivery hook: count, and periodically sample latency."""
+    def on_deliver(self, query_id: str, timestamp: int, count: int = 1) -> None:
+        """Router delivery hook: ``count`` results of ``query_id`` were
+        handed over, the last at ``timestamp``.  Counts them, and samples
+        latency once when the hand-over crosses ``sample_every``."""
         self.per_query_delivered[query_id] = (
-            self.per_query_delivered.get(query_id, 0) + 1
+            self.per_query_delivered.get(query_id, 0) + count
         )
-        self._since_sample += 1
+        self._since_sample += count
         if self._since_sample >= self._sample_every:
-            self._since_sample = 0
+            self._since_sample %= self._sample_every
             now = self._now_fn()
             lag = now - timestamp
             self.latency.record(lag)

@@ -6,36 +6,179 @@ set *and* whose final plan stage is the upstream operator.  This is the
 only place AStream copies data (§3.2.2) — intermediate results flowing to
 downstream shared joins are forwarded by reference on a separate edge —
 and with many concurrent queries this copy becomes the dominant overhead
-component (Figure 18a).  Here the copy is a reference: each result is
-built once as a :class:`QueryOutput`, every destination channel of a run
-of same-query-set records receives the run in one call, and the serving
-layer's subscriptions read those channels in place.
+component (Figure 18a).  Here the copy is a reference: a fired
+aggregation window arrives as one :class:`WindowRun` and is handed to its
+channel in one call, other results are appended to a channel's open
+list, and the serving layer's subscriptions read those channels in place
+(DESIGN.md, "Result path: one run per fired window").
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, repeat
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.changelog import Changelog
 from repro.core.selection import QS_TAG
+from repro.core.shared_aggregation import WindowRun
 from repro.minispe.operators import Operator
 from repro.minispe.record import ChangelogMarker, Record, Watermark
 
 
 @dataclass(slots=True)
 class QueryOutput:
-    """One delivered result on a query's channel.
+    """One result of a query, as the API hands it out.
 
-    Built once per result by the router and shared by reference: every
-    destination channel of the result holds the same object, and
-    subscriptions read the channel in place.  Slotted, because a
-    long-running server retains one per result.
+    Channels do not hold these: :meth:`QueryChannels.results`, cursor
+    chunks, taps and the JSON codec build them at the edge.  Slotted,
+    because clients keep one per received result.
     """
 
     timestamp: int
     value: Any
+
+
+class ResultList:
+    """A channel's open list: results appended in place, as two columns.
+
+    Selection and join results (and single deliveries) land here with no
+    object per result.  The channel seals its open list at a snapshot or
+    when a window run follows; a sealed list is never appended to again,
+    so snapshots share it by reference.
+    """
+
+    __slots__ = ("times", "values")
+
+    def __init__(self, times: List[int], values: List[Any]) -> None:
+        self.times = times
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+
+def _outputs(run: Any, start: int = 0, stop: Optional[int] = None) -> List[QueryOutput]:
+    """The :class:`QueryOutput` of each result of ``run[start:stop]``."""
+    if type(run) is WindowRun:
+        results = run.results(start, stop)
+        return list(map(QueryOutput, repeat(run.timestamp, len(results)), results))
+    return list(map(QueryOutput, run.times[start:stop], run.values[start:stop]))
+
+
+class ResultChunk:
+    """A read of one channel: ``(run, start, stop)`` slices, in order.
+
+    What a cursor subscription's ``take`` returns.  The binary codec
+    packs it column by column; iterating it (JSON frames, tests) builds
+    one :class:`QueryOutput` per result.  Compares equal to the list of
+    those outputs.
+    """
+
+    __slots__ = ("parts", "size")
+
+    def __init__(self, parts: List[Tuple[Any, int, int]], size: int) -> None:
+        self.parts = parts
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def window_columns(self) -> Optional[Tuple[List[int], List[List[Any]]]]:
+        """The timestamp column and the key, window start, window end and
+        value columns, when every part is a slice of a :class:`WindowRun`;
+        else None."""
+        if not all(type(run) is WindowRun for run, _, _ in self.parts):
+            return None
+        times: List[int] = []
+        keys: List[Any] = []
+        starts: List[int] = []
+        ends: List[int] = []
+        values: List[Any] = []
+        for run, start, stop in self.parts:
+            size = stop - start
+            window = run.window
+            times += [run.timestamp] * size
+            keys += run.keys[start:stop]
+            starts += [window.start] * size
+            ends += [window.end] * size
+            values += run.values[start:stop]
+        return times, [keys, starts, ends, values]
+
+    def columns(self) -> Tuple[List[int], List[Any]]:
+        """The chunk as a timestamp column and a value column."""
+        times: List[int] = []
+        values: List[Any] = []
+        for run, start, stop in self.parts:
+            if type(run) is WindowRun:
+                times += [run.timestamp] * (stop - start)
+                values += run.results(start, stop)
+            else:
+                times += run.times[start:stop]
+                values += run.values[start:stop]
+        return times, values
+
+    def __iter__(self) -> Iterator[QueryOutput]:
+        for run, start, stop in self.parts:
+            yield from _outputs(run, start, stop)
+
+    def __eq__(self, other: object) -> bool:
+        try:
+            return list(self) == list(other)  # type: ignore[call-overload]
+        except TypeError:
+            return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ResultChunk({list(self)!r})"
+
+
+class _Channel:
+    """One query's retained results: runs, their start offsets, and the
+    open list (the last run, while it is open)."""
+
+    __slots__ = ("runs", "starts", "open")
+
+    def __init__(self, runs: Sequence[Any] = ()) -> None:
+        self.runs: List[Any] = list(runs)
+        self.starts: List[int] = [0, *accumulate(map(len, self.runs))][:-1]
+        self.open: Optional[ResultList] = None
+
+    def length(self) -> int:
+        runs = self.runs
+        return self.starts[-1] + len(runs[-1]) if runs else 0
+
+    def open_list(self) -> ResultList:
+        """The list to append to; a new one after a seal."""
+        open_list = self.open
+        if open_list is None:
+            open_list = self.open = ResultList([], [])
+            self.starts.append(self.length())
+            self.runs.append(open_list)
+        return open_list
+
+    def append_run(self, run: WindowRun) -> None:
+        self.open = None
+        self.starts.append(self.length())
+        self.runs.append(run)
+
+    def read(self, start: int, stop: int) -> ResultChunk:
+        """Results ``[start, stop)`` as run slices (clamped to the end)."""
+        runs, starts = self.runs, self.starts
+        parts: List[Tuple[Any, int, int]] = []
+        size = 0
+        index = max(0, bisect_right(starts, start) - 1)
+        while index < len(runs) and starts[index] < stop:
+            run = runs[index]
+            offset = starts[index]
+            lo = max(start, offset) - offset
+            hi = min(stop - offset, len(run))
+            if hi > lo:
+                parts.append((run, lo, hi))
+                size += hi - lo
+            index += 1
+        return ResultChunk(parts, size)
 
 
 def canonical_order(outputs: List[QueryOutput]) -> List[QueryOutput]:
@@ -56,9 +199,11 @@ def canonical_order(outputs: List[QueryOutput]) -> List[QueryOutput]:
 def merge_channel_snapshots(snapshots: List[dict], retain_results: bool) -> dict:
     """Merge per-shard :meth:`QueryChannels.snapshot` payloads into one.
 
-    Counts are summed per query; retained result lists are concatenated
-    and put in canonical order, so the merged snapshot is deterministic
-    regardless of shard count or collection order.
+    Counts are summed per query.  Retained runs are flattened to
+    :class:`QueryOutput` s — the one place shard channels need them —
+    put in canonical order, and stored back as one sealed list per query,
+    so the merged snapshot is deterministic regardless of shard count or
+    collection order.
     """
     counts: Dict[str, int] = {}
     results: Dict[str, List[QueryOutput]] = {}
@@ -66,34 +211,51 @@ def merge_channel_snapshots(snapshots: List[dict], retain_results: bool) -> dict
         for query_id, count in snapshot["counts"].items():
             counts[query_id] = counts.get(query_id, 0) + count
         if retain_results:
-            for query_id, outputs in snapshot["results"].items():
-                results.setdefault(query_id, []).extend(outputs)
-    return {
-        "counts": counts,
-        "results": {
-            query_id: canonical_order(outputs)
-            for query_id, outputs in results.items()
-        },
-    }
+            for query_id, runs in snapshot["results"].items():
+                merged = results.setdefault(query_id, [])
+                for run in runs:
+                    merged += _outputs(run)
+    sealed = {}
+    for query_id, outputs in results.items():
+        ordered = canonical_order(outputs)
+        sealed[query_id] = (
+            ResultList(
+                [output.timestamp for output in ordered],
+                [output.value for output in ordered],
+            ),
+        )
+    return {"counts": counts, "results": sealed}
 
 
 class QueryChannels:
     """Per-query output channels shared by all router instances.
 
-    The harness wires ``on_deliver`` to timestamp deliveries for
-    event-time latency (§3.4 extends Flink's latency markers the same
-    way: sample tuples at the sink and report to the job manager).
+    A channel is a list of runs — :class:`WindowRun` s and open lists
+    (:class:`ResultList`) — with their start offsets.  Four hand-overs
+    fill it: :meth:`deliver_run` (a fired window), :meth:`deliver_many`
+    (several results for one query), :meth:`fan_out` (results for
+    several queries, result by result) and :meth:`deliver` (one result).
+
+    ``on_deliver(query_id, timestamp, count)`` is called once per
+    hand-over, after its ``count`` results are retained; ``timestamp``
+    is the last one's.  The channel's last ``count`` results are the
+    ones it covers, so expanding the calls gives the per-result sequence.
+    The harness wires it to timestamp deliveries for event-time latency
+    (§3.4 extends Flink's latency markers the same way: sample tuples at
+    the sink and report to the job manager).
     """
 
     def __init__(
         self,
         retain_results: bool = True,
-        on_deliver: Optional[Callable[[str, Record], None]] = None,
+        on_deliver: Optional[Callable[[str, int, int], None]] = None,
     ) -> None:
         self.retain_results = retain_results
         self.on_deliver = on_deliver
-        self._results: Dict[str, List[QueryOutput]] = {}
+        self._channels: Dict[str, _Channel] = {}
         self._counts: Dict[str, int] = {}
+        self._fresh: Set[str] = set()
+        """Queries delivered to (or restored) since :meth:`take_fresh`."""
         self._taps: Dict[str, List[Callable[[str, int, Any], None]]] = {}
         """Per-query delivery taps: each registered callable sees every
         delivery for its query as ``(query_id, timestamp, value)``,
@@ -101,8 +263,8 @@ class QueryChannels:
 
     def open_channel(self, query_id: str) -> None:
         """Create the channel for a newly deployed query."""
-        if self.retain_results:
-            self._results.setdefault(query_id, [])
+        if self.retain_results and query_id not in self._channels:
+            self._channels[query_id] = _Channel()
         self._counts.setdefault(query_id, 0)
 
     def close_channel(self, query_id: str) -> None:
@@ -111,31 +273,87 @@ class QueryChannels:
         # after the query stopped; new deliveries simply stop arriving
         # because the router drops the slot mapping.
 
+    def _channel(self, query_id: str) -> _Channel:
+        channel = self._channels.get(query_id)
+        if channel is None:
+            channel = self._channels[query_id] = _Channel()
+        return channel
+
     def deliver(self, query_id: str, timestamp: int, value: Any) -> None:
         """Copy one result tuple onto a query's channel."""
         self.deliver_many(query_id, (QueryOutput(timestamp, value),))
 
-    def deliver_many(self, query_id: str, outputs: Sequence[QueryOutput]) -> None:
-        """Append a run of results to a query's channel in one call.
+    def deliver_many(self, query_id: str, items: Sequence[Any]) -> None:
+        """Append results for one query to its open list in one call.
 
-        The count moves once.  Taps and ``on_deliver`` see every result,
-        in order, each one after it has been appended.
+        ``items`` carry ``timestamp`` and ``value`` (records or
+        :class:`QueryOutput` s); only those two fields are kept.
         """
-        self._counts[query_id] = self._counts.get(query_id, 0) + len(outputs)
-        channel = None
+        if not items:
+            return
+        self._counts[query_id] = self._counts.get(query_id, 0) + len(items)
+        self._fresh.add(query_id)
         if self.retain_results:
-            channel = self._results.get(query_id)
-            if channel is None:
-                channel = self._results[query_id] = []
-        taps = self._taps.get(query_id, ()) if self._taps else ()
+            open_list = self._channel(query_id).open_list()
+            open_list.times += [item.timestamp for item in items]
+            open_list.values += [item.value for item in items]
+        taps = self._taps.get(query_id) if self._taps else None
+        if taps:
+            for item in items:
+                for tap in taps:
+                    tap(query_id, item.timestamp, item.value)
+        if self.on_deliver is not None:
+            self.on_deliver(query_id, items[-1].timestamp, len(items))
+
+    def deliver_run(self, query_id: str, run: WindowRun) -> None:
+        """Hand a fired window to a query's channel: one appended run.
+
+        Taps see one ``AggregationResult`` per key, built here only
+        because a tap is registered."""
+        count = len(run)
+        if not count:
+            return
+        self._counts[query_id] = self._counts.get(query_id, 0) + count
+        self._fresh.add(query_id)
+        if self.retain_results:
+            self._channel(query_id).append_run(run)
+        taps = self._taps.get(query_id) if self._taps else None
+        if taps:
+            timestamp = run.timestamp
+            for result in run.results():
+                for tap in taps:
+                    tap(query_id, timestamp, result)
+        if self.on_deliver is not None:
+            self.on_deliver(query_id, run.timestamp, count)
+
+    def fan_out(self, query_ids: Sequence[str], items: Sequence[Any]) -> None:
+        """Hand results to several queries, result by result.
+
+        Hooks then see the record-major order one-at-a-time routing
+        produces; each append goes straight to a channel's open list.
+        """
+        counts = self._counts
+        self._fresh.update(query_ids)
+        lists = (
+            [self._channel(query_id).open_list() for query_id in query_ids]
+            if self.retain_results
+            else repeat(None)
+        )
+        taps = self._taps
         on_deliver = self.on_deliver
-        for output in outputs:
-            if channel is not None:
-                channel.append(output)
-            for tap in taps:
-                tap(query_id, output.timestamp, output.value)
-            if on_deliver is not None:
-                on_deliver(query_id, output.timestamp)
+        pairs = list(zip(query_ids, lists))
+        for item in items:
+            timestamp, value = item.timestamp, item.value
+            for query_id, open_list in pairs:
+                counts[query_id] = counts.get(query_id, 0) + 1
+                if open_list is not None:
+                    open_list.times.append(timestamp)
+                    open_list.values.append(value)
+                if taps:
+                    for tap in taps.get(query_id, ()):
+                        tap(query_id, timestamp, value)
+                if on_deliver is not None:
+                    on_deliver(query_id, timestamp, 1)
 
     def add_tap(
         self, query_id: str, tap: Callable[[str, int, Any], None]
@@ -163,8 +381,9 @@ class QueryChannels:
             del self._taps[query_id]
 
     def results(self, query_id: str) -> List[QueryOutput]:
-        """All results delivered to ``query_id`` so far."""
-        return self._results.get(query_id, [])
+        """All results delivered to ``query_id`` so far (built per call)."""
+        channel = self._channels.get(query_id)
+        return list(channel.read(0, channel.length())) if channel is not None else []
 
     def canonical_results(self, query_id: str) -> List[QueryOutput]:
         """Results for ``query_id`` in the deterministic merge order.
@@ -172,7 +391,24 @@ class QueryChannels:
         Use this (not :meth:`results`) when comparing outputs across
         execution backends: see :func:`canonical_order`.
         """
-        return canonical_order(self._results.get(query_id, []))
+        return canonical_order(self.results(query_id))
+
+    def length(self, query_id: str) -> int:
+        """Results retained on ``query_id``'s channel (0 when count-only)."""
+        channel = self._channels.get(query_id)
+        return channel.length() if channel is not None else 0
+
+    def read(self, query_id: str, start: int, stop: int) -> ResultChunk:
+        """Retained results ``[start, stop)`` of one channel, by reference."""
+        channel = self._channels.get(query_id)
+        if channel is None:
+            return ResultChunk([], 0)
+        return channel.read(start, stop)
+
+    def take_fresh(self) -> Set[str]:
+        """Queries delivered to, or restored, since the last call."""
+        fresh, self._fresh = self._fresh, set()
+        return fresh
 
     def count(self, query_id: str) -> int:
         """Number of results delivered to ``query_id``."""
@@ -189,31 +425,37 @@ class QueryChannels:
     def snapshot(self) -> dict:
         """Channel state for an engine checkpoint.
 
-        In count-only mode (``retain_results=False``) no result lists
-        exist, so the snapshot carries counts alone.
+        Runs are shared by reference: the open lists are sealed first,
+        so later deliveries never change what the snapshot holds.  In
+        count-only mode (``retain_results=False``) no runs exist, so the
+        snapshot carries counts alone.
         """
+        for channel in self._channels.values():
+            channel.open = None
         return {
             "counts": dict(self._counts),
-            "results": (
-                {
-                    query_id: list(outputs)
-                    for query_id, outputs in self._results.items()
-                }
-                if self.retain_results
-                else {}
-            ),
+            "results": {
+                query_id: tuple(channel.runs)
+                for query_id, channel in self._channels.items()
+            },
         }
 
     def restore(self, snapshot: dict) -> None:
-        """Reset channels to a checkpointed state (recovery)."""
+        """Reset channels to a checkpointed state (recovery).
+
+        Each channel gets a new run list over the snapshot's sealed
+        runs, so restoring twice from one snapshot gives the same
+        channels."""
         self._counts = dict(snapshot["counts"])
-        if self.retain_results:
-            self._results = {
-                query_id: list(outputs)
-                for query_id, outputs in snapshot["results"].items()
+        self._channels = (
+            {
+                query_id: _Channel(runs)
+                for query_id, runs in snapshot["results"].items()
             }
-        else:
-            self._results = {}
+            if self.retain_results
+            else {}
+        )
+        self._fresh.update(self._counts)
 
 
 class RouterOperator(Operator):
@@ -274,8 +516,8 @@ class RouterOperator(Operator):
     def process_batch(self, records: List[Record]) -> None:
         """Deliver a batch run by run: consecutive records with the same
         masked query-set share one route lookup and one hand-over per
-        destination.  A fired aggregation window is a single run (all its
-        records carry one tags dict)."""
+        destination.  A fired aggregation window is one record whose
+        value is a :class:`WindowRun`, handed over whole."""
         started = time.perf_counter_ns() if self.profile else 0
         output_slots = self._output_slots
         deliver_run = self._deliver_run
@@ -298,25 +540,28 @@ class RouterOperator(Operator):
     def _deliver_run(self, bits: int, run: List[Record]) -> int:
         """Hand one run to each of its destinations; returns the copies.
 
-        Each result becomes one :class:`QueryOutput`, shared by every
-        destination channel (§3.2.2's per-query copy is a reference).
-        A single-query run is handed over in one call; a run fanning out
-        to several queries is handed over result by result, so taps and
-        ``on_deliver`` see the order one-at-a-time routing produces.
+        Window runs go over whole, by reference.  Other results go to a
+        single destination in one call, or to several result by result
+        (:meth:`QueryChannels.fan_out`), so hooks see the order
+        one-at-a-time routing produces.
         """
         queries = self._route_table.get(bits)
         if queries is None:
             queries = self._build_route(bits)
-        outputs = [QueryOutput(record.timestamp, record.value) for record in run]
-        deliver_many = self.channels.deliver_many
-        if len(queries) == 1:
-            deliver_many(queries[0], outputs)
-        else:
-            for output in outputs:
-                single = (output,)
+        channels = self.channels
+        if type(run[0].value) is WindowRun:
+            results = 0
+            for record in run:
+                window_run = record.value
+                results += len(window_run)
                 for query_id in queries:
-                    deliver_many(query_id, single)
-        return len(queries) * len(outputs)
+                    channels.deliver_run(query_id, window_run)
+            return len(queries) * results
+        if len(queries) == 1:
+            channels.deliver_many(queries[0], run)
+        else:
+            channels.fan_out(queries, run)
+        return len(queries) * len(run)
 
     def _build_route(self, bits: int) -> Tuple[str, ...]:
         """Resolve a masked bitset to channel ids and memoise it for the

@@ -36,7 +36,7 @@ from __future__ import annotations
 import copy
 import operator
 import time
-from itertools import accumulate
+from itertools import accumulate, repeat
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -155,6 +155,40 @@ class AggregationResult:
     key: Any
     window: Window
     value: Any
+
+
+class WindowRun:
+    """One fired window of one query, as columns: the operator's output.
+
+    ``keys`` is in key-``repr`` order and ``values[i]`` is the finished
+    aggregate of ``keys[i]``; every result has the window's
+    ``timestamp``.  A run is built once by ``_emit_window``, handed to
+    its query's channel by reference and never mutated after that, so
+    checkpoints share it (DESIGN.md, "Result path: one run per fired
+    window").  :meth:`results` builds the per-result objects, only at the
+    edges that need them.
+    """
+
+    __slots__ = ("window", "timestamp", "keys", "values")
+
+    def __init__(
+        self, window: Window, timestamp: int, keys: List[Any], values: List[Any]
+    ) -> None:
+        self.window = window
+        self.timestamp = timestamp
+        self.keys = keys
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def results(self, start: int = 0, stop: Optional[int] = None) -> List[AggregationResult]:
+        """The :class:`AggregationResult` of each key in ``[start, stop)``."""
+        keys = self.keys[start:stop]
+        return list(
+            map(AggregationResult, keys, repeat(self.window, len(keys)),
+                self.values[start:stop])
+        )
 
 
 @dataclass
@@ -667,25 +701,18 @@ class SharedAggregationOperator(Operator):
     def _emit_window(
         self, slot: int, window: Window, spec: AggregationSpec, merged: Dict[Any, Any]
     ) -> None:
-        """Emit one fired window of one query — a result per key of
-        ``merged`` (key -> accumulator), in key-``repr`` order — as one
-        batch."""
-        self.results_emitted += len(merged)
-        timestamp = window.max_timestamp()
-        tags = {QS_TAG: 1 << slot}
-        self.output_batch(
-            [
-                Record(
-                    timestamp,
-                    AggregationResult(
-                        key=key, window=window, value=spec.finish(merged[key])
-                    ),
-                    key,
-                    tags,
-                )
-                for key in sorted(merged, key=repr)
-            ]
-        )
+        """Emit one fired window of one query — ``merged`` (key ->
+        accumulator) — as one :class:`WindowRun` record: keys in
+        key-``repr`` order, finished values beside them."""
+        if not merged:
+            return
+        keys = sorted(merged, key=repr)
+        self.results_emitted += len(keys)
+        values = list(map(merged.__getitem__, keys))
+        if spec.kind is AggregationKind.AVG:  # the one kind finish changes
+            values = list(map(spec.finish, values))
+        run = WindowRun(window, window.max_timestamp(), keys, values)
+        self.output(Record(run.timestamp, run, None, {QS_TAG: 1 << slot}))
 
     # -- introspection ---------------------------------------------------------------
 

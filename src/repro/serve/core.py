@@ -1020,9 +1020,13 @@ class ServerCore:
     def _flush(
         self, force: bool, congested: Collection[Conn] = ()
     ) -> Dict[str, int]:
-        """Queue buffered subscription results as ``result`` frames for
-        every connected subscriber: one frame per subscription, or
-        (``force``) everything buffered, congested connections included.
+        """Queue pending subscription results as ``result`` frames for
+        connected subscribers: one frame per subscription, or (``force``)
+        everything pending, congested connections included.
+
+        Only the hub's due subscriptions are visited: those whose channel
+        received results since the last flush, and those held back by
+        the frame limit, congestion or an absent connection.
 
         Returns per-query delivered-output counts — the traced-push path
         closes its wire span against exactly the queries whose results
@@ -1030,29 +1034,30 @@ class ServerCore:
         """
         limit = self.config.result_frame_outputs
         delivered: Dict[str, int] = Counter()
-        for session in self.sessions.sessions():
-            if not session.subscriptions:
-                continue
+        hub = self.hub
+        for subscription in hub.due():
+            session = subscription.session
+            query_id = subscription.query_id
+            if session.subscriptions.get(query_id) is not subscription:
+                continue  # unsubscribed since it became due
             conn = self._conn_of.get(session.client_id)
             if conn is None or (not force and conn in congested):
+                hub.hold(subscription)
                 continue
-            for subscription in list(session.subscriptions.values()):
-                query_id = subscription.query_id
-                while subscription.pending:
-                    batch, dropped = subscription.take(limit)
-                    if dropped:
-                        self.registry.counter("serve_results_shed").inc(
-                            dropped
-                        )
-                    self.registry.counter("serve_results_streamed").inc(
-                        len(batch)
-                    )
-                    frame = _result_frame(session, query_id, batch, dropped)
-                    self._push_to(session, frame)
-                    if batch:
-                        delivered[query_id] += len(batch)
-                    if not force:
-                        break  # one frame per sub per tick keeps ticks short
+            while subscription.pending:
+                batch, dropped = subscription.take(limit)
+                if dropped:
+                    self.registry.counter("serve_results_shed").inc(dropped)
+                self.registry.counter("serve_results_streamed").inc(len(batch))
+                frame = _result_frame(session, query_id, batch, dropped)
+                self._push_to(session, frame)
+                if batch:
+                    delivered[query_id] += len(batch)
+                if not force:
+                    # One frame per subscription per tick keeps ticks short.
+                    if subscription.pending:
+                        hub.hold(subscription)
+                    break
         return delivered
 
     # -- ops surface -------------------------------------------------------
@@ -1264,7 +1269,7 @@ def _trace_of(frame: Frame) -> Optional[Tuple[int, int]]:
 
 
 def _result_frame(
-    session: SessionState, query_id: str, outputs: List[Any], dropped: int
+    session: SessionState, query_id: str, outputs: Collection[Any], dropped: int
 ) -> Union[Frame, bytes]:
     """One ``result`` frame in the session's negotiated codec.
 

@@ -68,7 +68,15 @@ import json
 import socket
 import struct
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Any, Collection, Dict, List, Optional, Tuple
+
+from repro.core.router import QueryOutput, ResultChunk
+from repro.core.shared_aggregation import AggregationResult
+from repro.core.shared_join import JoinedTuple
+from repro.minispe.record import RecordBatch
+from repro.minispe.windows import Window
+from repro.workloads.datagen import DataTuple
 
 PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 8 * 1024 * 1024
@@ -280,8 +288,6 @@ def encode_events(events: List[Tuple[int, Any]]) -> List[list]:
 
 def decode_events(rows: List[list]) -> List[Tuple[int, Any]]:
     """Inverse of :func:`encode_events`; validates row shape."""
-    from repro.workloads.datagen import DataTuple
-
     events: List[Tuple[int, Any]] = []
     try:
         for row in rows:
@@ -335,6 +341,10 @@ _VK_JOINED = 2
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _TRACE_HDR = struct.Struct(">QQ")
+_RESULT_HEAD = struct.Struct(">BH")
+_RESULT_COUNTS = struct.Struct(">IBBI")
+"""A result frame's header around the query id: kind and id length;
+then dropped, value kind, arity and result count."""
 _LITTLE_ENDIAN_HOST = sys.byteorder == "little"
 
 
@@ -349,11 +359,6 @@ def negotiate_codec(offered: Any, supported: Tuple[str, ...] = SUPPORTED_CODECS)
             if codec in supported:
                 return str(codec)
     return CODEC_JSON
-
-
-def _pack_i64(values: List[int]) -> bytes:
-    """One little-endian int64 column (raises ``struct.error`` on overflow)."""
-    return struct.pack(f"<{len(values)}q", *values)
 
 
 def _frame_bytes(payload: bytes) -> bytes:
@@ -411,13 +416,16 @@ def encode_push_binary(
 
 
 def encode_result_binary(
-    query_id: str, outputs: List[Any], dropped: int = 0
+    query_id: str, outputs: Collection[Any], dropped: int = 0
 ) -> Optional[bytes]:
     """Encode one ``result`` frame (header included) as binary columns.
 
-    Returns ``None`` when the batch is not expressible in columnar form
-    (mixed value kinds, non-int payloads, int64 overflow) — the caller
-    then ships the batch as a JSON frame instead.
+    ``outputs`` is a list of :class:`~repro.core.router.QueryOutput` s
+    or a cursor's :class:`~repro.core.router.ResultChunk`; a chunk of
+    window runs is packed straight from the runs' columns, with the same
+    bytes.  Returns ``None`` when the batch is not expressible in
+    columnar form (mixed value kinds, non-int payloads, int64 overflow)
+    — the caller then ships the batch as a JSON frame instead.
     """
     try:
         return _encode_result_binary(query_id, outputs, dropped)
@@ -426,78 +434,96 @@ def encode_result_binary(
 
 
 def _encode_result_binary(
-    query_id: str, outputs: List[Any], dropped: int
+    query_id: str, outputs: Collection[Any], dropped: int
 ) -> Optional[bytes]:
-    from repro.core.shared_aggregation import AggregationResult
-    from repro.core.shared_join import JoinedTuple
-    from repro.workloads.datagen import DataTuple
-
-    qid = query_id.encode("utf-8")
     n = len(outputs)
-    ts = [output.timestamp for output in outputs]
-    arity = 0
-    if n == 0:
-        value_kind = _VK_TUPLE
-        columns: List[List[int]] = []
+    if type(outputs) is ResultChunk:
+        window_columns = outputs.window_columns() if n else None
+        if window_columns is not None:
+            ts, columns = window_columns
+            if set(map(type, columns[-1])) != {int}:
+                return None  # an AVG, a bool: not an int64 aggregate
+            return _pack_result(query_id, dropped, n, _VK_AGG, 0, ts, columns)
+        ts, values = outputs.columns()
     else:
-        first = type(outputs[0].value)
-        if any(type(output.value) is not first for output in outputs):
+        ts = [output.timestamp for output in outputs]
+        values = [output.value for output in outputs]
+    encoded = _value_columns(values)
+    if encoded is None:
+        return None
+    value_kind, arity, columns = encoded
+    return _pack_result(query_id, dropped, n, value_kind, arity, ts, columns)
+
+
+def _value_columns(values: List[Any]) -> Optional[Tuple[int, int, List[List[int]]]]:
+    """``(value kind, arity, columns)`` of one result frame's values, or
+    None when they do not fit one columnar kind."""
+    if not values:
+        return _VK_TUPLE, 0, []
+    first = type(values[0])
+    if any(type(value) is not first for value in values):
+        return None
+    if first is DataTuple:
+        columns = [[value.key for value in values]]
+        columns += [[value.fields[i] for value in values] for i in range(5)]
+        return _VK_TUPLE, 0, columns
+    if first is AggregationResult:
+        aggregates = [value.value for value in values]
+        if any(type(aggregate) is not int for aggregate in aggregates):
             return None
-        if first is DataTuple:
-            value_kind = _VK_TUPLE
-            columns = [[output.value.key for output in outputs]]
+        return _VK_AGG, 0, [
+            [value.key for value in values],
+            [value.window.start for value in values],
+            [value.window.end for value in values],
+            aggregates,
+        ]
+    if first is JoinedTuple:
+        arity = len(values[0].parts)
+        if arity == 0 or arity > 255:
+            return None
+        if any(len(value.parts) != arity for value in values):
+            return None
+        if any(
+            type(part) is not DataTuple
+            for value in values
+            for part in value.parts
+        ):
+            return None
+        columns = [
+            [value.key for value in values],
+            [value.timestamp for value in values],
+        ]
+        for p in range(arity):
+            columns.append([value.parts[p].key for value in values])
             columns += [
-                [output.value.fields[i] for output in outputs]
+                [value.parts[p].fields[i] for value in values]
                 for i in range(5)
             ]
-        elif first is AggregationResult:
-            value_kind = _VK_AGG
-            values = [output.value.value for output in outputs]
-            if any(type(value) is not int for value in values):
-                return None
-            columns = [
-                [output.value.key for output in outputs],
-                [output.value.window.start for output in outputs],
-                [output.value.window.end for output in outputs],
-                values,
-            ]
-        elif first is JoinedTuple:
-            value_kind = _VK_JOINED
-            arity = len(outputs[0].value.parts)
-            if arity == 0 or arity > 255:
-                return None
-            if any(len(output.value.parts) != arity for output in outputs):
-                return None
-            if any(
-                type(part) is not DataTuple
-                for output in outputs
-                for part in output.value.parts
-            ):
-                return None
-            columns = [
-                [output.value.key for output in outputs],
-                [output.value.timestamp for output in outputs],
-            ]
-            for p in range(arity):
-                columns.append(
-                    [output.value.parts[p].key for output in outputs]
-                )
-                columns += [
-                    [output.value.parts[p].fields[i] for output in outputs]
-                    for i in range(5)
-                ]
-        else:
-            return None
+        return _VK_JOINED, arity, columns
+    return None
+
+
+def _pack_result(
+    query_id: str,
+    dropped: int,
+    n: int,
+    value_kind: int,
+    arity: int,
+    ts: List[int],
+    columns: List[List[int]],
+) -> bytes:
+    """One binary ``result`` frame: header, then one ``struct`` call per
+    little-endian int64 column (``struct.error`` on overflow)."""
+    qid = query_id.encode("utf-8")
+    column = struct.Struct(f"<{n}q").pack
     payload = b"".join(
         [
-            struct.pack(">BH", _BIN_RESULT, len(qid)),
+            _RESULT_HEAD.pack(_BIN_RESULT, len(qid)),
             qid,
-            _U32.pack(dropped),
-            struct.pack(">BB", value_kind, arity),
-            _U32.pack(n),
-            _pack_i64(ts),
+            _RESULT_COUNTS.pack(dropped, value_kind, arity, n),
+            column(*ts),
         ]
-        + [_pack_i64(col) for col in columns]
+        + [column(*col) for col in columns]
     )
     return _frame_bytes(payload)
 
@@ -567,8 +593,6 @@ by every decoded columnar batch (closure over the workload type)."""
 
 
 def _tuple_builder():
-    from repro.workloads.datagen import DataTuple
-
     new = object.__new__
     set_attr = object.__setattr__
 
@@ -588,8 +612,6 @@ def _tuple_builder():
 def _decode_push_binary(
     view: memoryview, traced: bool = False
 ) -> Dict[str, Any]:
-    from repro.minispe.record import RecordBatch
-
     global _DATA_TUPLE_BUILDER
 
     trace = None
@@ -631,12 +653,6 @@ def _decode_push_binary(
 
 
 def _decode_result_binary(view: memoryview) -> Dict[str, Any]:
-    from repro.core.router import QueryOutput
-    from repro.core.shared_aggregation import AggregationResult
-    from repro.core.shared_join import JoinedTuple
-    from repro.minispe.windows import Window
-    from repro.workloads.datagen import DataTuple
-
     query_id, offset = _read_name(view, 1)
     dropped, offset = _read_u32(view, offset)
     if offset + 2 > len(view):
@@ -662,40 +678,30 @@ def _decode_result_binary(view: memoryview) -> Dict[str, Any]:
             f"{count} declared outputs",
         )
     ts, offset = _read_i64_column(view, offset, count)
-    outputs: List[Any] = []
+    # Positional construction over the columns; one Window per distinct
+    # (start, end) in the frame.
     if value_kind == _VK_TUPLE:
         keys, offset = _read_i64_column(view, offset, count)
         fields = []
         for _ in range(5):
             column, offset = _read_i64_column(view, offset, count)
             fields.append(column)
-        f0, f1, f2, f3, f4 = fields
-        outputs = [
-            QueryOutput(
-                timestamp=ts[i],
-                value=DataTuple(
-                    key=keys[i],
-                    fields=(f0[i], f1[i], f2[i], f3[i], f4[i]),
-                ),
-            )
-            for i in range(count)
-        ]
+        values: Any = map(DataTuple, keys, zip(*fields))
     elif value_kind == _VK_AGG:
         keys, offset = _read_i64_column(view, offset, count)
         starts, offset = _read_i64_column(view, offset, count)
         ends, offset = _read_i64_column(view, offset, count)
-        values, offset = _read_i64_column(view, offset, count)
-        outputs = [
-            QueryOutput(
-                timestamp=ts[i],
-                value=AggregationResult(
-                    key=keys[i],
-                    window=Window(starts[i], ends[i]),
-                    value=values[i],
-                ),
-            )
-            for i in range(count)
-        ]
+        aggregates, offset = _read_i64_column(view, offset, count)
+        windows: Dict[Tuple[int, int], Window] = {}
+
+        def window_of(start: int, end: int) -> Window:
+            window = windows.get((start, end))
+            if window is None:
+                window = windows[(start, end)] = Window(start, end)
+            return window
+
+        values = map(AggregationResult, keys, map(window_of, starts, ends),
+                     aggregates)
     else:
         keys, offset = _read_i64_column(view, offset, count)
         join_ts, offset = _read_i64_column(view, offset, count)
@@ -706,25 +712,10 @@ def _decode_result_binary(view: memoryview) -> Dict[str, Any]:
             for _ in range(5):
                 column, offset = _read_i64_column(view, offset, count)
                 pfields.append(column)
-            part_columns.append((pkey, pfields))
-        outputs = [
-            QueryOutput(
-                timestamp=ts[i],
-                value=JoinedTuple(
-                    key=keys[i],
-                    parts=tuple(
-                        DataTuple(
-                            key=pkey[i],
-                            fields=(pf[0][i], pf[1][i], pf[2][i],
-                                    pf[3][i], pf[4][i]),
-                        )
-                        for pkey, pf in part_columns
-                    ),
-                    timestamp=join_ts[i],
-                ),
-            )
-            for i in range(count)
-        ]
+            part_columns.append(map(DataTuple, pkey, zip(*pfields)))
+        parts = zip(*part_columns) if part_columns else repeat((), count)
+        values = map(JoinedTuple, keys, parts, join_ts)
+    outputs = list(map(QueryOutput, ts, values))
     return {
         "t": "result",
         "query_id": query_id,

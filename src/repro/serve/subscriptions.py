@@ -4,9 +4,10 @@ A subscription attaches one client session to one query's output
 channel.  Two delivery modes cover the two execution backends:
 
 * **cursor** (inline backend) — the engine retains every result in its
-  query channel, so a subscription is just an index into that list:
-  ``take`` slices the channel from the cursor on.  No result is copied
-  into a per-subscription buffer and nothing runs per delivery;
+  query channel, so a subscription is just an offset into it: ``take``
+  reads the channel's runs from the cursor on, by reference.  No result
+  is copied into a per-subscription buffer and nothing runs per
+  delivery;
 * **poll** (process backend) — deliveries happen inside shard worker
   processes, so the coordinator only sees results at merge points; the
   hub diffs the merged channel against what each subscription has
@@ -28,10 +29,12 @@ the oldest unsent results, with the same outcome.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Dict, List, Optional, Tuple, Union
+from itertools import count
+from operator import attrgetter
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.engine import AStreamEngine
-from repro.core.router import QueryChannels, QueryOutput
+from repro.core.router import QueryChannels, QueryOutput, ResultChunk
 from repro.serve.state import SessionState
 
 DEFAULT_BUFFER_OUTPUTS = 65_536
@@ -70,6 +73,8 @@ class Subscription:
         for a query already burning its error budget."""
         self.sent: Dict[Tuple[int, str], int] = {}
         """Multiset cursor: canonical key → count handed over."""
+        self.order = 0
+        """Position in the hub's subscribe order (the flush order)."""
 
     def set_pressure(self, active: bool) -> bool:
         """Apply or lift SLO-burn pressure; True when the state changed."""
@@ -107,9 +112,10 @@ class CursorSubscription:
     """One session's live attachment to one query's results, as a cursor
     over the query's retained channel.
 
-    The channel is looked up on every call, because recovery replaces
-    the channel lists.  The cursor starts at the channel's start or,
-    without ``from_start``, at its end.  Same interface as
+    The channel is read through ``channels.length`` and
+    ``channels.read`` on every call, because recovery replaces the
+    channels.  The cursor starts at the channel's start or, without
+    ``from_start``, at its end.  Same interface as
     :class:`Subscription`.
     """
 
@@ -125,7 +131,7 @@ class CursorSubscription:
         self.query_id = query_id
         self.capacity = capacity
         self.channels = channels
-        start = 0 if from_start else len(self._channel())
+        start = 0 if from_start else channels.length(query_id)
         self.cursor = start
         """Channel index of the next result to send."""
         self._settled = start
@@ -136,14 +142,13 @@ class CursorSubscription:
         self.pressure = False
         """SLO-burn shedding, as on :class:`Subscription`: while set,
         the backlog bound is halved."""
+        self.order = 0
+        """Position in the hub's subscribe order (the flush order)."""
 
     @property
     def buffer(self) -> deque:
         """Always empty: a cursor buffers nothing."""
         return deque()
-
-    def _channel(self) -> List[QueryOutput]:
-        return self.channels.results(self.query_id)
 
     def _backlog(self) -> Tuple[int, int]:
         """(channel length, results to shed).
@@ -154,7 +159,7 @@ class CursorSubscription:
         no arrivals a buffer sheds nothing, even above capacity.  Reads
         only, so gauges may call it from another thread.
         """
-        end = len(self._channel())
+        end = self.channels.length(self.query_id)
         if end <= self._settled:
             return end, 0
         capacity = max(1, self.capacity // 2 if self.pressure else self.capacity)
@@ -179,11 +184,12 @@ class CursorSubscription:
         self.pressure = active
         return True
 
-    def take(self, limit: int) -> Tuple[List[QueryOutput], int]:
-        """Up to ``limit`` unsent results + the unreported shed count."""
+    def take(self, limit: int) -> Tuple[ResultChunk, int]:
+        """Up to ``limit`` unsent results, as a chunk of the channel's
+        runs, + the unreported shed count."""
         self._settle()
         start = self.cursor
-        batch = self._channel()[start:start + limit]
+        batch = self.channels.read(self.query_id, start, start + limit)
         self.cursor = start + len(batch)
         dropped = self._dropped_unreported
         self._dropped_unreported = 0
@@ -204,6 +210,8 @@ class CursorSubscription:
 
 AnySubscription = Union[Subscription, CursorSubscription]
 
+_ORDER = attrgetter("order")
+
 
 class SubscriptionHub:
     """All live subscriptions against one engine.
@@ -213,6 +221,12 @@ class SubscriptionHub:
     channels — a count-only engine (``retain_results=False``) therefore
     streams nothing; otherwise :meth:`poll` fills per-subscription
     buffers.
+
+    :meth:`due` names the subscriptions a flush must visit: those whose
+    query's channel was delivered to since the last call, plus those
+    :meth:`hold` kept (results left over, or a connection that could
+    not take them).  Every subscription with results pending is among
+    them, so a flush never looks at the others.
     """
 
     def __init__(
@@ -225,6 +239,8 @@ class SubscriptionHub:
         self.tap_mode = tap_mode
         self.buffer_capacity = buffer_capacity
         self._by_query: Dict[str, List[AnySubscription]] = {}
+        self._held: Set[AnySubscription] = set()
+        self._order = count()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -260,6 +276,8 @@ class SubscriptionHub:
                     subscription.offer(output)
             # Everything produced so far counts as handed over.
             subscription.sent = Counter(map(output_key, backlog))
+        subscription.order = next(self._order)
+        self._held.add(subscription)
         session.subscriptions[query_id] = subscription
         self._by_query.setdefault(query_id, []).append(subscription)
         return subscription
@@ -269,6 +287,7 @@ class SubscriptionHub:
         subscription = session.subscriptions.pop(query_id, None)
         if subscription is None:
             return False
+        self._held.discard(subscription)
         peers = self._by_query.get(query_id, [])
         if subscription in peers:
             peers.remove(subscription)
@@ -282,6 +301,20 @@ class SubscriptionHub:
             self.unsubscribe(session, query_id)
 
     # -- delivery ----------------------------------------------------------
+
+    def due(self) -> List[AnySubscription]:
+        """Subscriptions that may have results to send, in subscribe
+        order (so each connection's frames keep their order); the held
+        set starts empty again."""
+        due = self._held
+        self._held = set()
+        for query_id in self.engine.channels.take_fresh():
+            due.update(self._by_query.get(query_id, ()))
+        return sorted(due, key=_ORDER)
+
+    def hold(self, subscription: AnySubscription) -> None:
+        """Visit ``subscription`` again at the next :meth:`due`."""
+        self._held.add(subscription)
 
     def poll(self, query_ids: Optional[List[str]] = None) -> int:
         """Poll-mode refresh: diff channels into buffers; returns new count.
@@ -322,6 +355,8 @@ class SubscriptionHub:
                 subscription.offer(output)
                 sent[key] = seen
                 new += 1
+        if new:
+            self._held.add(subscription)
         return new
 
     # -- shedding ----------------------------------------------------------

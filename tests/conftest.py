@@ -8,7 +8,8 @@ import pytest
 
 from repro.core.engine import AStreamEngine, EngineConfig
 from repro.minispe.cluster import ClusterSpec, SimulatedCluster
-from repro.minispe.record import RecordBatch
+from repro.core.shared_aggregation import WindowRun
+from repro.minispe.record import Record, RecordBatch
 from repro.workloads.datagen import DataTuple
 
 
@@ -29,13 +30,22 @@ def field_tuple(key: int, **field_values: int) -> DataTuple:
 
 def flat_collector(out: list):
     """An operator collector that appends emitted elements to ``out``,
-    unpacking each emitted batch into its records."""
+    unpacking each emitted batch into its records, and each fired-window
+    run into one record per result (key, ``AggregationResult``)."""
 
     def collect(element) -> None:
-        if isinstance(element, RecordBatch):
-            out.extend(element.records)
-        else:
+        if not isinstance(element, RecordBatch):
             out.append(element)
+            return
+        for record in element.records:
+            run = record.value
+            if type(run) is WindowRun:
+                out.extend(
+                    Record(record.timestamp, result, result.key, record.tags)
+                    for result in run.results()
+                )
+            else:
+                out.append(record)
 
     return collect
 

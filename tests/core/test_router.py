@@ -123,9 +123,11 @@ class TestQueryChannels:
 
     def test_on_deliver_hook(self):
         seen = []
-        channels = QueryChannels(on_deliver=lambda qid, ts: seen.append((qid, ts)))
+        channels = QueryChannels(
+            on_deliver=lambda qid, ts, count: seen.append((qid, ts, count))
+        )
         channels.deliver("q", 42, "v")
-        assert seen == [("q", 42)]
+        assert seen == [("q", 42, 1)]
 
     def test_total_and_ids(self):
         channels = QueryChannels()

@@ -8,8 +8,8 @@ the global order in which results reach the query channels, which pins
 that a fired window leaving as one batch delivers exactly as its results
 did one by one.  The same holds under a seeded chaos :class:`FaultPlan`
 — whole-batch retries after supervised recovery must not duplicate or
-lose a single tuple, also when the fault strikes in the middle of a
-fired window's result batch.
+lose a single tuple, also when the fault strikes inside the router's
+result path (between fired windows, each of which is one record).
 """
 
 import pytest
@@ -73,9 +73,10 @@ def _fault_plan() -> FaultPlan:
     return plan
 
 
-def _mid_window_fault_plan(router: str) -> FaultPlan:
-    """The deliver hook raises on the 3rd result of a fired window."""
-    plan = FaultPlan(name="mid-window-fire")
+def _between_windows_fault_plan(router: str) -> FaultPlan:
+    """The router's deliver hook raises on its 3rd record after 4 s: a
+    join result, or (a fired window being one record) the 3rd window."""
+    plan = FaultPlan(name="between-windows-fire")
     plan.add(
         FaultEvent(at_ms=4_000, kind=FaultKind.OPERATOR_EXCEPTION,
                    vertex=router, after_records=2, repeat=1)
@@ -90,11 +91,16 @@ def _run_astream(schedule, batch_size: int, plan: FaultPlan = None,
     qos = QoSMonitor(sample_every=32)
     cluster = SimulatedCluster(ClusterSpec(nodes=4))
 
-    def on_deliver(query_id, timestamp):
+    def on_deliver(query_id, timestamp, count):
+        # One call per hand-over: its results are the channel's last
+        # ``count``, so expanding gives the per-result sequence.
         if deliveries is not None:
-            value = engine.results(query_id)[-1].value
-            deliveries.append((query_id, timestamp, repr(value)))
-        qos.on_deliver(query_id, timestamp)
+            end = engine.channels.length(query_id)
+            for output in engine.channels.read(query_id, end - count, end):
+                deliveries.append(
+                    (query_id, output.timestamp, repr(output.value))
+                )
+        qos.on_deliver(query_id, timestamp, count)
 
     engine = AStreamEngine(
         EngineConfig(streams=STREAMS, parallelism=1,
@@ -205,7 +211,7 @@ class TestAStreamBatchEquivalence:
         for batch_size in BATCH_SIZES:
             _, outputs, supervisor = _run_astream(
                 schedule, batch_size=batch_size,
-                plan=_mid_window_fault_plan(router),
+                plan=_between_windows_fault_plan(router),
             )
             assert supervisor.recovery_count >= 1, batch_size
             assert outputs == oracle, f"batch_size={batch_size}"

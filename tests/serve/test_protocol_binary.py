@@ -13,6 +13,8 @@ import socket
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.router import QueryOutput
 from repro.core.shared_aggregation import AggregationResult
@@ -160,6 +162,140 @@ class TestBinaryResultCodec:
             )
         ]
         assert encode_result_binary("q", outputs) is None
+
+
+def _keyword_decode(payload):
+    """The result decoder before positional construction: one keyword
+    constructor call per object, one ``Window`` per result."""
+    view = memoryview(payload)
+    (length,) = struct.unpack_from(">H", view, 1)
+    offset = 3 + length + 4
+    value_kind, arity = view[offset], view[offset + 1]
+    (count,) = struct.unpack_from(">I", view, offset + 2)
+    offset += 6
+    if count == 0:
+        return []
+    columns = []
+    while offset < len(view):
+        columns.append(struct.unpack_from(f"<{count}q", view, offset))
+        offset += 8 * count
+    ts = columns[0]
+    if value_kind == 0:
+        keys, f0, f1, f2, f3, f4 = columns[1:]
+        return [
+            QueryOutput(
+                timestamp=ts[i],
+                value=DataTuple(
+                    key=keys[i], fields=(f0[i], f1[i], f2[i], f3[i], f4[i])
+                ),
+            )
+            for i in range(count)
+        ]
+    if value_kind == 1:
+        keys, starts, ends, values = columns[1:]
+        return [
+            QueryOutput(
+                timestamp=ts[i],
+                value=AggregationResult(
+                    key=keys[i], window=Window(starts[i], ends[i]),
+                    value=values[i],
+                ),
+            )
+            for i in range(count)
+        ]
+    keys, join_ts = columns[1:3]
+    parts = [columns[3 + 6 * p:9 + 6 * p] for p in range(arity)]
+    return [
+        QueryOutput(
+            timestamp=ts[i],
+            value=JoinedTuple(
+                key=keys[i],
+                parts=tuple(
+                    DataTuple(key=pkey[i], fields=tuple(f[i] for f in pfields))
+                    for pkey, *pfields in parts
+                ),
+                timestamp=join_ts[i],
+            ),
+        )
+        for i in range(count)
+    ]
+
+
+_i64 = st.integers(-(2**63), 2**63 - 1)
+_small = st.integers(-1000, 1000)
+
+
+def _data_tuples():
+    return st.builds(DataTuple, key=_small, fields=st.tuples(*[_i64] * 5))
+
+
+@st.composite
+def _result_batches(draw):
+    kind = draw(st.sampled_from(["tuple", "agg", "joined"]))
+    size = draw(st.integers(0, 12))
+    times = draw(st.lists(_i64, min_size=size, max_size=size))
+    if kind == "tuple":
+        values = draw(st.lists(_data_tuples(), min_size=size, max_size=size))
+    elif kind == "agg":
+        windows = draw(
+            st.lists(
+                st.tuples(_small, st.integers(1, 50)).map(
+                    lambda pair: Window(pair[0], pair[0] + pair[1])
+                ),
+                min_size=1, max_size=3,
+            )
+        )
+        values = [
+            AggregationResult(
+                key=draw(_small), window=draw(st.sampled_from(windows)),
+                value=draw(_i64),
+            )
+            for _ in range(size)
+        ]
+    else:
+        arity = draw(st.integers(1, 3))
+        values = [
+            JoinedTuple(
+                key=draw(_small),
+                parts=tuple(draw(_data_tuples()) for _ in range(arity)),
+                timestamp=draw(_i64),
+            )
+            for _ in range(size)
+        ]
+    return [QueryOutput(ts, value) for ts, value in zip(times, values)]
+
+
+class TestPositionalResultDecode:
+    """Decoding builds the same objects the keyword decoder built."""
+
+    def _check(self, outputs):
+        payload = _payload(encode_result_binary("q-7", outputs, 3))
+        decoded = decode_binary_payload(payload)["outputs"]
+        expected = _keyword_decode(payload)
+        assert decoded == expected == outputs
+        assert repr(decoded) == repr(expected)
+
+    def test_golden_batches_decode_as_before(self):
+        from tests.serve.test_result_path import _codec_batches
+
+        for kind, outputs in _codec_batches().items():
+            if kind != "agg_float":  # a float aggregate travels as JSON
+                self._check(outputs)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_result_batches())
+    def test_drawn_frames_decode_as_before(self, outputs):
+        self._check(outputs)
+
+    def test_one_window_per_distinct_bounds(self):
+        outputs = [
+            QueryOutput(9, AggregationResult(key, Window(0, 10), key))
+            for key in range(4)
+        ]
+        decoded = decode_binary_payload(
+            _payload(encode_result_binary("q", outputs))
+        )["outputs"]
+        assert len({id(output.value.window) for output in decoded}) == 1
 
 
 class TestMalformedBinaryPayloads:

@@ -1,11 +1,13 @@
 """The result path, counted and replayed with no clock.
 
-A result is built once, handed to its channel once per run and read in
-place by subscribers.  These tests pin that directly:
+A fired window is one run from the operator to the socket: handed to
+its channel once and read in place by subscribers.  These tests pin that
+directly:
 
-* (a) firing one window of K keys for one query builds K
-  ``QueryOutput`` objects, makes one ``deliver_many`` call and resolves
-  its route at most once per distinct query-set per changelog;
+* (a) firing one window of K keys for one query builds one record and
+  no ``QueryOutput`` or ``AggregationResult``, makes one ``deliver_run``
+  call and resolves its route at most once per distinct query-set per
+  changelog;
 * (b) on the inline engine the hub registers no tap, subscribes with a
   ``CursorSubscription`` and never calls the poll-mode
   ``Subscription.offer``;
@@ -16,19 +18,23 @@ place by subscribers.  These tests pin that directly:
 * (d) after ``engine.recover()`` a subscription neither re-sends nor
   skips a result.
 
-Also here: a ``drain`` keeps one checkpoint, and the slotted result
-classes keep their equality, pickling and wire bytes.
+Also here: a ``drain`` keeps one checkpoint, the slotted result classes
+keep their equality, pickling and wire bytes, a cursor's chunk of runs
+encodes to the bytes of its outputs (falling back to JSON as they do),
+and a flush visits only the subscriptions whose channels moved, in the
+frame order it always had.
 """
 
 import hashlib
 import pickle
 import random
-from collections import deque
+from collections import Counter, deque
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core import router as router_module
+from repro.core import shared_aggregation as aggregation_module
 from repro.core.engine import AStreamEngine, EngineConfig
 from repro.core.query import (
     AggregationKind,
@@ -41,10 +47,11 @@ from repro.core.query import (
 from repro.core.router import QueryChannels, QueryOutput, RouterOperator
 from repro.core.selection import QS_TAG
 from repro.core.serde import output_to_dict
-from repro.core.shared_aggregation import AggregationResult
+from repro.core.shared_aggregation import AggregationResult, WindowRun
 from repro.core.shared_join import JoinedTuple
 from repro.minispe.record import Record
 from repro.minispe.windows import Window
+from repro.serve import ServeConfig
 from repro.serve.protocol import encode_frame, encode_result_binary
 from repro.serve.state import SessionState
 from repro.serve.subscriptions import (
@@ -91,19 +98,23 @@ def test_a_fired_window_is_one_run_one_call_one_route(monkeypatch):
         for key in range(keys):
             engine.push("A", window_start + 10 + key, _tuple(key))
 
-    built = []
+    built = Counter()
     calls = []
     routes = []
 
-    def counting_output(timestamp, value):
-        built.append(timestamp)
-        return QueryOutput(timestamp, value)
+    def counting(name, cls):
+        def build(*args, **kwargs):
+            built[name] += 1
+            return cls(*args, **kwargs)
 
-    deliver_many = engine.channels.deliver_many
+        return build
 
-    def counting_deliver_many(query_id, outputs):
-        calls.append((query_id, len(outputs)))
-        deliver_many(query_id, outputs)
+    def counting_call(kind, call):
+        def hand_over(query_id, items):
+            calls.append((kind, query_id, len(items)))
+            call(query_id, items)
+
+        return hand_over
 
     build_route = RouterOperator._build_route
 
@@ -111,15 +122,28 @@ def test_a_fired_window_is_one_run_one_call_one_route(monkeypatch):
         routes.append(bits)
         return build_route(router, bits)
 
-    monkeypatch.setattr(router_module, "QueryOutput", counting_output)
-    monkeypatch.setattr(engine.channels, "deliver_many", counting_deliver_many)
+    monkeypatch.setattr(router_module, "QueryOutput", counting("output", QueryOutput))
+    monkeypatch.setattr(
+        aggregation_module, "AggregationResult",
+        counting("result", AggregationResult),
+    )
+    monkeypatch.setattr(aggregation_module, "Record", counting("record", Record))
+    channels = engine.channels
+    monkeypatch.setattr(
+        channels, "deliver_run", counting_call("run", channels.deliver_run)
+    )
+    monkeypatch.setattr(
+        channels, "deliver_many", counting_call("list", channels.deliver_many)
+    )
     monkeypatch.setattr(RouterOperator, "_build_route", counting_build_route)
 
-    engine.watermark(1_500)  # fires [0, 1000)
-    assert (len(built), calls, len(routes)) == (keys, [("rp-agg-a", keys)], 1)
+    engine.watermark(1_500)  # fires [0, 1000): one record, no object per key
+    assert (dict(built), calls, len(routes)) == (
+        {"record": 1}, [("run", "rp-agg-a", keys)], 1
+    )
     engine.watermark(2_500)  # fires [1000, 2000): same query-set, same changelog
-    assert len(built) == 2 * keys
-    assert calls == [("rp-agg-a", keys)] * 2
+    assert dict(built) == {"record": 2}
+    assert calls == [("run", "rp-agg-a", keys)] * 2
     assert len(routes) == 1
 
     # A new changelog invalidates the route table: one more resolution.
@@ -128,9 +152,15 @@ def test_a_fired_window_is_one_run_one_call_one_route(monkeypatch):
     engine.flush_session(now_ms=2_500)
     engine.push_many("A", [(2_600 + key, _tuple(key)) for key in range(keys)])
     engine.watermark(3_500)
-    assert calls[2:] == [("rp-sel-a", keys), ("rp-agg-a", keys)]
+    assert calls[2:] == [("list", "rp-sel-a", keys), ("run", "rp-agg-a", keys)]
     assert len(routes) == 3  # the selection's query-set, then the window's
-    assert [o.value.key for o in engine.results("rp-agg-a")] == list(range(keys)) * 3
+    assert dict(built) == {"record": 3}
+    monkeypatch.undo()
+    assert [(o.timestamp, o.value) for o in engine.results("rp-agg-a")] == [
+        (start + 999, AggregationResult(key, Window(start, start + 1_000), 50))
+        for start in (0, 1_000, 2_000)
+        for key in range(keys)
+    ]
     engine.shutdown()
 
 
@@ -152,7 +182,9 @@ def test_one_object_per_result_shared_by_every_destination():
     channels = _fan_out(QueryChannels())
     first, second, third = (channels.results(f"fan{i}") for i in range(3))
     assert [o.value for o in first] == ["v0", "v1", "v2", "v3"]
-    assert all(a is b is c for a, b, c in zip(first, second, third))
+    assert all(
+        a.value is b.value is c.value for a, b, c in zip(first, second, third)
+    )
     assert channels.count("fan1") == 4
 
 
@@ -162,7 +194,8 @@ def test_hooks_see_single_deliveries_in_routing_order():
     retained when it fires."""
     seen = []
 
-    def on_deliver(query_id, timestamp):
+    def on_deliver(query_id, timestamp, count):
+        assert count == 1
         seen.append((query_id, timestamp, channels.results(query_id)[-1].value))
 
     channels = QueryChannels(on_deliver=on_deliver)
@@ -513,3 +546,146 @@ def test_result_objects_have_no_dict_and_pickle_equal():
                 assert hash(pickle.loads(pickle.dumps(output.value))) == hash(
                     output.value
                 )
+
+
+# -- codec and flush equivalence --------------------------------------------------
+
+
+def _run_channels(sizes, value=lambda start, key: start + 3 * key):
+    """One query's channel holding a window run per entry of ``sizes``."""
+    channels = QueryChannels()
+    for index, size in enumerate(sizes):
+        window = Window(index * 1_000, index * 1_000 + 1_000)
+        channels.deliver_run(
+            "q", WindowRun(window, window.max_timestamp(), list(range(size)),
+                           [value(window.start, key) for key in range(size)]),
+        )
+    return channels
+
+
+def _chunks(channels, limit):
+    """A cursor's frames over the whole channel."""
+    hub = SubscriptionHub(SimpleNamespace(channels=channels), tap_mode=True)
+    subscription = hub.subscribe(SessionState(client_id="c", session_id="s"), "q")
+    chunks = []
+    while subscription.pending:
+        chunks.append(subscription.take(limit)[0])
+    return chunks
+
+
+def _json_bytes(outputs):
+    return encode_frame(
+        {"t": "result", "query_id": "q", "dropped": 1,
+         "outputs": [output_to_dict(output) for output in outputs]}
+    )
+
+
+def test_a_chunk_of_window_runs_encodes_as_its_outputs():
+    limit = ServeConfig().result_frame_outputs
+    chunks = _chunks(_run_channels([300, 150, 200, 1]), limit)
+    assert [len(chunk) for chunk in chunks] == [limit, 651 - limit]
+    assert len(chunks[0].parts) == 3  # cut inside the third run
+    for chunk in chunks:
+        outputs = list(chunk)
+        binary = encode_result_binary("q", chunk, 1)
+        assert binary is not None
+        assert binary == encode_result_binary("q", outputs, 1)
+        assert _json_bytes(chunk) == _json_bytes(outputs)
+
+
+def test_open_list_and_mixed_chunks_encode_as_their_outputs():
+    channels = _run_channels([3])
+    channels.deliver_many(
+        "q", [QueryOutput(ts, _tuple(ts)) for ts in range(5_000, 5_004)]
+    )
+    (mixed,) = _chunks(channels, 512)
+    outputs = list(mixed)
+    assert encode_result_binary("q", mixed) is None  # two value kinds
+    assert encode_result_binary("q", outputs) is None
+    assert _json_bytes(mixed) == _json_bytes(outputs)
+    tuples = channels.read("q", 3, 7)
+    assert encode_result_binary("q", tuples, 2) == encode_result_binary(
+        "q", list(tuples), 2
+    )
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        lambda start, key: (start + key) / 2,  # an AVG
+        lambda start, key: key % 2 == 0,  # a bool
+        lambda start, key: 2**63 + key,  # past int64
+    ],
+    ids=["avg-float", "bool", "int64-overflow"],
+)
+def test_non_int64_window_runs_fall_back_to_json(value):
+    (chunk,) = _chunks(_run_channels([4, 2], value=value), 512)
+    assert encode_result_binary("q", chunk) is None
+    assert encode_result_binary("q", list(chunk)) is None
+    assert _json_bytes(chunk) == _json_bytes(list(chunk))
+
+
+def _counting_pending(monkeypatch):
+    asked = []
+    pending = CursorSubscription.pending
+
+    def counted(subscription):
+        asked.append(subscription.query_id)
+        return pending.fget(subscription)
+
+    monkeypatch.setattr(CursorSubscription, "pending", property(counted))
+    return asked
+
+
+def test_a_quiet_tick_asks_no_subscription_for_pending(make_pipe, monkeypatch):
+    pipe = make_pipe()
+    client = PipeClient(pipe)
+    query_ids = [
+        client.create_query(sql=f"SELECT * FROM A WHERE A.F0 > {bound}",
+                            at_ms=0).query_id
+        for bound in (10, 11, 12)
+    ]
+    for query_id in query_ids:
+        client.subscribe(query_id)
+    client.push("A", [(ts, _tuple(ts)) for ts in range(6)])
+    client.watermark(50)
+    for query_id in query_ids:
+        assert len(client.collect(query_id, 6)) == 6
+    asked = _counting_pending(monkeypatch)
+    pipe.tick()
+    assert asked == []
+    client.push("A", [(60, _tuple(0))])
+    pipe.tick()
+    assert sorted(set(asked)) == sorted(query_ids)
+    asked.clear()
+    pipe.tick()
+    assert asked == []
+
+
+def test_frames_keep_subscribe_order_and_congestion_only_defers(make_pipe):
+    pipe = make_pipe(result_frame_outputs=2)
+    client = PipeClient(pipe)
+    query_ids = [
+        client.create_query(sql=f"SELECT * FROM A WHERE A.F0 > {bound}",
+                            at_ms=0).query_id
+        for bound in (10, 11, 12)
+    ]
+    for query_id in query_ids:
+        client.subscribe(query_id)
+    client.push("A", [(ts, _tuple(ts)) for ts in range(5)])
+    client.watermark(50)
+    inbox = pipe.inboxes[client._conn]
+    inbox.clear()
+    server = pipe.server
+    for _ in range(2):
+        pipe.carry(server.tick(server.now_ms(), congested={client._conn}))
+        assert not inbox
+    frames = []
+    for _ in range(4):
+        pipe.tick()
+        while inbox:
+            frame = inbox.popleft()
+            frames.append((frame["query_id"], len(frame["outputs"])))
+    assert frames == [
+        (query_id, size) for size in (2, 2, 1) for query_id in query_ids
+    ]
