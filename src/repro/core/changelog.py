@@ -25,25 +25,28 @@ the changelog that creates them clears the bit, see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.bitset import extend_mask
-from repro.core.query import Query
+from repro.core.query import Frozen, Query, is_frozen
 
 
 @dataclass(frozen=True)
-class QueryActivation:
+class QueryActivation(Frozen):
     """One query creation inside a changelog."""
 
     query: Query
     slot: int
     created_at_ms: int
 
+    def holds_only_frozen(self) -> bool:
+        return is_frozen(self.query)
+
 
 @dataclass(frozen=True)
-class QueryDeactivation:
+class QueryDeactivation(Frozen):
     """One query deletion inside a changelog."""
 
     query_id: str
@@ -51,11 +54,16 @@ class QueryDeactivation:
 
 
 @dataclass(frozen=True)
-class Changelog:
+class Changelog(Frozen):
     """A batch of query-set changes, woven into the streams as a marker.
 
     ``sequence`` is the epoch this changelog *starts* (>= 1); epoch 0 is
     the empty workload before the first changelog.
+
+    A checkpoint shares the live changelog object (see :class:`Frozen`),
+    so its pickled state is the fields alone: the cached derivations
+    below are recomputed on demand, and a checkpoint's bytes do not
+    depend on which reader touched the changelog first.
     """
 
     sequence: int
@@ -91,6 +99,17 @@ class Changelog:
         for slot in self.changed_slots:
             mask &= ~(1 << slot)
         return mask
+
+    @cached_property
+    def _holds_only_frozen(self) -> bool:
+        # Walked once per changelog, not once per operator snapshot.
+        return all(is_frozen(activation) for activation in self.created)
+
+    def holds_only_frozen(self) -> bool:
+        return self._holds_only_frozen
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {item.name: getattr(self, item.name) for item in fields(self)}
 
     @property
     def change_count(self) -> int:

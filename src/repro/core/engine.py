@@ -148,7 +148,6 @@ class EngineCheckpoint:
     log_offset: int
     runtime_state: Dict[str, Dict[int, Any]] = field(repr=False, default_factory=dict)
     channels_state: dict = field(repr=False, default_factory=dict)
-    session_state: Any = field(repr=False, default=None)
     last_watermark_ms: int = -1
     stream_watermarks: Dict[str, int] = field(default_factory=dict)
 
@@ -629,12 +628,12 @@ class AStreamEngine:
 
         Requires ``config.log_inputs``.  A barrier traverses all sources
         (aligned snapshots of every operator instance); channel contents
-        and the shared-session state are captured alongside, and the
-        input-log offset is recorded so :meth:`recover` can replay the
-        suffix (§3.3).
+        are captured alongside, and the input-log offset is recorded so
+        :meth:`recover` can replay the suffix (§3.3).  The shared session
+        is not: :meth:`recover` keeps the live one.  Operator snapshots
+        share frozen values (changelogs, queries, window specs) with the
+        live operators and copy only what can still change.
         """
-        import copy
-
         if not self.config.log_inputs:
             raise RuntimeError(
                 "checkpointing needs EngineConfig(log_inputs=True)"
@@ -657,7 +656,6 @@ class AStreamEngine:
                 log_offset=log_offset,
                 runtime_state=state,
                 channels_state=self.channels.snapshot(),
-                session_state=copy.deepcopy(self.session),
                 last_watermark_ms=self._last_watermark_ms,
                 stream_watermarks=dict(self._stream_watermarks),
             )

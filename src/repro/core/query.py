@@ -22,10 +22,12 @@ A query's *plan* tells the engine which shared operators serve it; see
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 _query_id_counter = itertools.count(1)
@@ -57,6 +59,41 @@ class Comparison(enum.Enum):
         return left >= right
 
 
+class Frozen:
+    """Mixin for frozen dataclasses: ``copy.deepcopy`` shares them.
+
+    Checkpoints and restores deep-copy operator state.  A value that can
+    never change after construction needs no private copy, so it is
+    returned as is and only the mutable containers around it are copied
+    (DESIGN.md, "Checkpoints share what cannot change").  A value whose
+    fields hold something not frozen -- a query with a
+    :class:`CallablePredicate` -- says so in :meth:`holds_only_frozen`
+    and is copied field by field, as before.  Pickling is untouched, so
+    process-backend shard snapshots still cross processes by value.
+    """
+
+    def holds_only_frozen(self) -> bool:
+        """False when a field holds a value that is not frozen."""
+        return True
+
+    def __deepcopy__(self, memo: Dict[int, Any]) -> Any:
+        if self.holds_only_frozen():
+            return self
+        return dataclasses.replace(
+            self,
+            **{
+                item.name: copy.deepcopy(getattr(self, item.name), memo)
+                for item in dataclasses.fields(self)
+                if item.init
+            },
+        )
+
+
+def is_frozen(value: Any) -> bool:
+    """True when ``value`` is shared, not copied, by ``copy.deepcopy``."""
+    return isinstance(value, Frozen) and value.holds_only_frozen()
+
+
 class Predicate:
     """Base class for selection predicates."""
 
@@ -66,7 +103,7 @@ class Predicate:
 
 
 @dataclass(frozen=True)
-class FieldPredicate(Predicate):
+class FieldPredicate(Predicate, Frozen):
     """``fields[field_index] <op> constant`` — the generated predicate form.
 
     ``value`` objects are expected to expose ``fields`` (a sequence), as
@@ -91,7 +128,7 @@ class FieldPredicate(Predicate):
 
 
 @dataclass(frozen=True)
-class TruePredicate(Predicate):
+class TruePredicate(Predicate, Frozen):
     """Accept everything (no WHERE clause)."""
 
     def evaluate(self, value: Any) -> bool:
@@ -124,7 +161,7 @@ class WindowKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class WindowSpec:
+class WindowSpec(Frozen):
     """A per-query window configuration.
 
     For time windows, ``length_ms``/``slide_ms`` mirror the templates'
@@ -224,7 +261,7 @@ class AggregationKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class AggregationSpec:
+class AggregationSpec(Frozen):
     """``agg(fields[field_index]) GROUP BY key`` (Figure 8)."""
 
     kind: AggregationKind = AggregationKind.SUM
@@ -276,7 +313,7 @@ class AggregationSpec:
 
 
 @dataclass(frozen=True)
-class Stage:
+class Stage(Frozen):
     """One shared-operator stage of a query plan.
 
     ``operator`` names the engine vertex (e.g. ``select:A``, ``join:1``,
@@ -307,9 +344,15 @@ class Query:
         """The window of the query's output stage (None for selections)."""
         return None
 
+    def holds_only_frozen(self) -> bool:
+        """True unless a predicate is not frozen (a black-box UDF)."""
+        return all(
+            is_frozen(self.predicate_for(stream)) for stream in self.streams
+        )
+
 
 @dataclass(frozen=True)
-class SelectionQuery(Query):
+class SelectionQuery(Query, Frozen):
     """Filter one stream with a predicate; results go straight to the sink."""
 
     stream: str
@@ -331,7 +374,7 @@ class SelectionQuery(Query):
 
 
 @dataclass(frozen=True)
-class AggregationQuery(Query):
+class AggregationQuery(Query, Frozen):
     """Windowed grouped aggregation over one stream (Figure 8)."""
 
     stream: str
@@ -362,7 +405,7 @@ class AggregationQuery(Query):
 
 
 @dataclass(frozen=True)
-class JoinQuery(Query):
+class JoinQuery(Query, Frozen):
     """Windowed equi-join of two streams on the key (Figure 7)."""
 
     left_stream: str
@@ -403,7 +446,7 @@ class JoinQuery(Query):
 
 
 @dataclass(frozen=True)
-class ComplexQuery(Query):
+class ComplexQuery(Query, Frozen):
     """Selection + n-ary windowed join + windowed aggregation (§4.7).
 
     The n-ary join over streams ``S0 .. Sn`` executes as a left-deep

@@ -899,7 +899,9 @@ def materialize_agg_snapshot(snapshot: Any) -> Any:
 
     Migration splits donor state key-by-key, and a memory-backend
     instance restoring an lsm checkpoint needs plain values; both paths
-    call this.  Materialised snapshots pass through unchanged.
+    call this.  Materialised snapshots pass through unchanged.  The
+    control state is the manifest's own objects, not copies: both
+    callers copy what they keep, as they do for a memory snapshot.
     """
     if not (
         isinstance(snapshot, dict) and snapshot.get("state_backend") == "lsm"
@@ -921,12 +923,8 @@ def materialize_agg_snapshot(snapshot: Any) -> Any:
     slices.created_total = snapshot["created_total"]
     slices.expired_total = snapshot["expired_total"]
     slices._expiry_horizon_ms = snapshot["expiry_horizon"]
-    return {
-        "slicer": copy.deepcopy(snapshot["slicer"]),
-        "slices": slices,
-        "changelogs": copy.deepcopy(snapshot["changelogs"]),
-        "specs": copy.deepcopy(snapshot["specs"]),
-        "subscribed": snapshot["subscribed"],
-        "session_specs": copy.deepcopy(snapshot["session_specs"]),
-        "session_state": copy.deepcopy(snapshot["session_state"]),
-    }
+    control = (
+        "slicer", "changelogs", "specs", "subscribed",
+        "session_specs", "session_state",
+    )
+    return {"slices": slices, **{key: snapshot[key] for key in control}}

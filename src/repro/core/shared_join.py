@@ -24,6 +24,7 @@ queries exceeds ``storage_query_threshold``.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -479,28 +480,30 @@ class SharedJoinOperator(TwoInputOperator):
         return {name: (value, "sum") for name, value in values.items()}
 
     def snapshot(self) -> Any:
-        import copy
-
-        return copy.deepcopy(
+        # A cached pair's results are built once in ``_compute_pair`` and
+        # only read afterwards, so the cache dict is copied and its
+        # entries are shared; everything else can still change.
+        state = copy.deepcopy(
             {
                 "slicer": self._slicer,
                 "left": self._left,
                 "right": self._right,
                 "changelogs": self._changelogs,
                 "store_kind": self._store_kind,
-                "pair_cache": self._pair_cache,
                 "output_slots": self._output_slots,
             }
         )
+        state["pair_cache"] = dict(self._pair_cache)
+        return state
 
     def restore(self, snapshot: Any) -> None:
-        import copy
-
-        state = copy.deepcopy(snapshot)
+        state = copy.deepcopy(
+            {key: value for key, value in snapshot.items() if key != "pair_cache"}
+        )
         self._slicer = state["slicer"]
         self._left = state["left"]
         self._right = state["right"]
         self._changelogs = state["changelogs"]
         self._store_kind = state["store_kind"]
-        self._pair_cache = state["pair_cache"]
+        self._pair_cache = dict(snapshot["pair_cache"])
         self._output_slots = state["output_slots"]

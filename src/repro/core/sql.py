@@ -40,6 +40,7 @@ from repro.core.query import (
     Comparison,
     ComplexQuery,
     FieldPredicate,
+    Frozen,
     JoinQuery,
     Predicate,
     Query,
@@ -439,7 +440,7 @@ class _Parser:
 
 
 @dataclass(frozen=True)
-class ConjunctionPredicate(Predicate):
+class ConjunctionPredicate(Predicate, Frozen):
     """AND of several field predicates (hashable, so dedup still works)."""
 
     conjuncts: Tuple[FieldPredicate, ...]
