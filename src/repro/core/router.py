@@ -135,19 +135,23 @@ class ResultChunk:
 
 
 class _Channel:
-    """One query's retained results: runs, their start offsets, and the
-    open list (the last run, while it is open)."""
+    """One query's retained results: runs, their absolute start offsets,
+    and the open list (the last run, while it is open).
 
-    __slots__ = ("runs", "starts", "open")
+    ``base`` is the absolute offset of the first retained run: results
+    below it were trimmed (:meth:`trim`), so offsets never shift."""
 
-    def __init__(self, runs: Sequence[Any] = ()) -> None:
+    __slots__ = ("runs", "starts", "open", "base")
+
+    def __init__(self, runs: Sequence[Any] = (), base: int = 0) -> None:
         self.runs: List[Any] = list(runs)
-        self.starts: List[int] = [0, *accumulate(map(len, self.runs))][:-1]
+        self.starts: List[int] = [*accumulate(map(len, self.runs), initial=base)][:-1]
         self.open: Optional[ResultList] = None
+        self.base = base
 
     def length(self) -> int:
         runs = self.runs
-        return self.starts[-1] + len(runs[-1]) if runs else 0
+        return self.starts[-1] + len(runs[-1]) if runs else self.base
 
     def open_list(self) -> ResultList:
         """The list to append to; a new one after a seal."""
@@ -164,7 +168,7 @@ class _Channel:
         self.runs.append(run)
 
     def read(self, start: int, stop: int) -> ResultChunk:
-        """Results ``[start, stop)`` as run slices (clamped to the end)."""
+        """Results ``[start, stop)`` as run slices (clamped to the retained)."""
         runs, starts = self.runs, self.starts
         parts: List[Tuple[Any, int, int]] = []
         size = 0
@@ -179,6 +183,21 @@ class _Channel:
                 size += hi - lo
             index += 1
         return ResultChunk(parts, size)
+
+    def trim(self, below: int) -> None:
+        """Drop the runs that end at or below ``below``.
+
+        A partly taken run stays whole, and the open list is sealed, so
+        what arrives next starts a run that can go on its own.  Runs are
+        never mutated: a checkpoint holding them is unaffected."""
+        self.open = None
+        runs, starts = self.runs, self.starts
+        drop = 0
+        while drop < len(runs) and starts[drop] + len(runs[drop]) <= below:
+            drop += 1
+        if drop:
+            self.base = starts[drop - 1] + len(runs[drop - 1])
+            del runs[:drop], starts[:drop]
 
 
 def canonical_order(outputs: List[QueryOutput]) -> List[QueryOutput]:
@@ -381,9 +400,11 @@ class QueryChannels:
             del self._taps[query_id]
 
     def results(self, query_id: str) -> List[QueryOutput]:
-        """All results delivered to ``query_id`` so far (built per call)."""
+        """The results ``query_id``'s channel retains (built per call):
+        every result delivered so far, unless :meth:`trim` dropped those
+        below :meth:`base`."""
         channel = self._channels.get(query_id)
-        return list(channel.read(0, channel.length())) if channel is not None else []
+        return list(channel.read(channel.base, channel.length())) if channel else []
 
     def canonical_results(self, query_id: str) -> List[QueryOutput]:
         """Results for ``query_id`` in the deterministic merge order.
@@ -394,9 +415,14 @@ class QueryChannels:
         return canonical_order(self.results(query_id))
 
     def length(self, query_id: str) -> int:
-        """Results retained on ``query_id``'s channel (0 when count-only)."""
+        """The absolute offset after ``query_id``'s channel (0 when count-only)."""
         channel = self._channels.get(query_id)
         return channel.length() if channel is not None else 0
+
+    def base(self, query_id: str) -> int:
+        """The absolute offset of ``query_id``'s first retained result."""
+        channel = self._channels.get(query_id)
+        return channel.base if channel is not None else 0
 
     def read(self, query_id: str, start: int, stop: int) -> ResultChunk:
         """Retained results ``[start, stop)`` of one channel, by reference."""
@@ -404,6 +430,19 @@ class QueryChannels:
         if channel is None:
             return ResultChunk([], 0)
         return channel.read(start, stop)
+
+    def trim(self, query_id: str, below: int) -> None:
+        """Drop ``query_id``'s retained runs that end at or below the
+        absolute offset ``below`` (see :meth:`_Channel.trim`)."""
+        channel = self._channels.get(query_id)
+        if channel is not None:
+            channel.trim(below)
+
+    def retained(self) -> int:
+        """Results retained across all channels."""
+        return sum(
+            channel.length() - channel.base for channel in self._channels.values()
+        )
 
     def take_fresh(self) -> Set[str]:
         """Queries delivered to, or restored, since the last call."""
@@ -426,7 +465,8 @@ class QueryChannels:
         """Channel state for an engine checkpoint.
 
         Runs are shared by reference: the open lists are sealed first,
-        so later deliveries never change what the snapshot holds.  In
+        so later deliveries never change what the snapshot holds.  Only
+        the retained runs go in, with each channel's base.  In
         count-only mode (``retain_results=False``) no runs exist, so the
         snapshot carries counts alone.
         """
@@ -438,18 +478,22 @@ class QueryChannels:
                 query_id: tuple(channel.runs)
                 for query_id, channel in self._channels.items()
             },
+            "bases": {
+                query_id: channel.base for query_id, channel in self._channels.items()
+            },
         }
 
     def restore(self, snapshot: dict) -> None:
         """Reset channels to a checkpointed state (recovery).
 
         Each channel gets a new run list over the snapshot's sealed
-        runs, so restoring twice from one snapshot gives the same
-        channels."""
+        runs, at the snapshot's base, so restoring twice from one
+        snapshot gives the same channels."""
         self._counts = dict(snapshot["counts"])
+        bases = snapshot.get("bases", {})
         self._channels = (
             {
-                query_id: _Channel(runs)
+                query_id: _Channel(runs, bases.get(query_id, 0))
                 for query_id, runs in snapshot["results"].items()
             }
             if self.retain_results

@@ -85,6 +85,20 @@ class ControlResult:
     """The full reply frame, for fields the dataclass does not lift."""
 
 
+class FetchedResults(list):
+    """A ``fetch_results`` reply: the outputs the query's channel
+    retains, as a list, plus ``base``, the count of earlier results a
+    subscription trim dropped (0 when nothing was)."""
+
+    base = 0
+
+
+def _fetched(reply: Frame) -> FetchedResults:
+    fetched = FetchedResults(map(output_from_dict, reply.get("outputs", [])))
+    fetched.base = int(reply.get("base", 0))
+    return fetched
+
+
 def _decode_reply(frame: Frame) -> ControlResult:
     """Lift an ack frame into a :class:`ControlResult`."""
     return ControlResult(
@@ -96,9 +110,7 @@ def _decode_reply(frame: Frame) -> ControlResult:
 
 
 _DECODERS: Dict[str, Callable[[Frame], Any]] = {
-    "fetch_results": lambda reply: [
-        output_from_dict(doc) for doc in reply.get("outputs", [])
-    ],
+    "fetch_results": _fetched,
     "stats": lambda reply: reply.get("stats", {}),
     "obs_snapshot": lambda reply: {
         "snapshot": reply.get("snapshot", {}),
@@ -461,8 +473,12 @@ class _ClientAPI:
         """Stop streaming a query's results."""
         return self._call(self._core.unsubscribe(query_id))
 
-    def fetch_results(self, query_id: str) -> List[QueryOutput]:
-        """Pull a query's full retained result set (canonical order)."""
+    def fetch_results(self, query_id: str) -> FetchedResults:
+        """Pull what a query's channel retains, in canonical order.
+
+        That is every result, unless the query has subscribers: its
+        channel then keeps only what some subscriber has not taken yet,
+        and the list's ``base`` counts the results dropped before it."""
         op = self._core.control("fetch_results", query_id=query_id)
         return self._call(op)
 

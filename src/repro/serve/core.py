@@ -1008,13 +1008,18 @@ class ServerCore:
         }
 
     def _fetch_results(self, conn: Conn, frame: Frame) -> Frame:
+        """What the query's channel retains, in canonical order, and its
+        ``base``: how many earlier results a subscription trim dropped."""
         query_id = str(frame["query_id"])
-        outputs = self.gate.call(self.engine.canonical_results, query_id)
+        with self.gate.locked():
+            outputs = self.gate.call(self.engine.canonical_results, query_id)
+            base = self.engine.channels.base(query_id)
         return {
             "t": "results",
             "seq": frame["seq"],
             "query_id": query_id,
             "outputs": [output_to_dict(output) for output in outputs],
+            "base": base,
         }
 
     def _flush(
@@ -1026,7 +1031,9 @@ class ServerCore:
 
         Only the hub's due subscriptions are visited: those whose channel
         received results since the last flush, and those held back by
-        the frame limit, congestion or an absent connection.
+        the frame limit, congestion or an absent connection.  Each
+        visited query's channel is then trimmed behind its slowest
+        cursor.
 
         Returns per-query delivered-output counts — the traced-push path
         closes its wire span against exactly the queries whose results
@@ -1035,7 +1042,8 @@ class ServerCore:
         limit = self.config.result_frame_outputs
         delivered: Dict[str, int] = Counter()
         hub = self.hub
-        for subscription in hub.due():
+        due = hub.due()
+        for subscription in due:
             session = subscription.session
             query_id = subscription.query_id
             if session.subscriptions.get(query_id) is not subscription:
@@ -1058,6 +1066,8 @@ class ServerCore:
                     if subscription.pending:
                         hub.hold(subscription)
                     break
+        for query_id in {subscription.query_id for subscription in due}:
+            hub.release(query_id)
         return delivered
 
     # -- ops surface -------------------------------------------------------
@@ -1076,6 +1086,7 @@ class ServerCore:
             active = self.engine.active_query_count
             counts = self.engine.result_counts()
             sharing = self.engine.sharing_summary()
+            retained = self.engine.channels.retained()
         cost = self._cost()
         stats: Dict[str, Any] = {
             "backend": self.config.backend,
@@ -1083,6 +1094,7 @@ class ServerCore:
             "sharing": sharing,
             "changelog_sequence": self._last_sequence,
             "result_counts": counts,
+            "retained_results": retained,
             "sessions_connected": self.sessions.connected_count,
             "subscriptions": self.hub.subscription_count,
             "results_shed": self.hub.dropped_total,
@@ -1219,6 +1231,7 @@ class ServerCore:
             "serve_sessions_connected": self.sessions.connected_count,
             "serve_subscriptions": self.hub.subscription_count,
             "serve_pending_outputs": self.hub.pending_outputs,
+            "serve_retained_results": self.engine.channels.retained(),
             "serve_active_queries": self.engine.active_query_count,
             "serve_changelog_sequence": self._last_sequence,
             "serve_dead_letter_depth": len(self.dead_letters),

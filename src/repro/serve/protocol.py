@@ -39,7 +39,7 @@ Frame catalogue (client → server unless noted)::
     result        {t, query_id, outputs, dropped}               (pushed)
     query_event   {t, event, query_id, sequence}                (pushed)
     fetch_results {t, seq, query_id}
-    results       {t, seq, query_id, outputs}                    (reply)
+    results       {t, seq, query_id, outputs, base}              (reply)
     stats         {t, seq}
     obs_snapshot  {t, seq}
     chaos         {t, seq, op, shard?}

@@ -3,11 +3,13 @@
 A subscription attaches one client session to one query's output
 channel.  Two delivery modes cover the two execution backends:
 
-* **cursor** (inline backend) — the engine retains every result in its
-  query channel, so a subscription is just an offset into it: ``take``
-  reads the channel's runs from the cursor on, by reference.  No result
-  is copied into a per-subscription buffer and nothing runs per
-  delivery;
+* **cursor** (inline backend) — the engine retains results in its
+  query channel, so a subscription is just an absolute offset into it:
+  ``take`` reads the channel's runs from the cursor on, by reference.
+  No result is copied into a per-subscription buffer and nothing runs
+  per delivery.  The channel keeps only what some subscription has not
+  taken yet: after each flush visit the hub trims it behind the slowest
+  cursor (:meth:`SubscriptionHub.release`);
 * **poll** (process backend) — deliveries happen inside shard worker
   processes, so the coordinator only sees results at merge points; the
   hub diffs the merged channel against what each subscription has
@@ -22,8 +24,10 @@ counted; the next ``result`` frame reports the shed count, so clients
 know their view has gaps instead of silently missing data (the
 slow-consumer contract: shedding is visible, never fatal).  A poll
 subscription sheds from its buffer as results arrive; a cursor
-subscription applies the same bound lazily, by moving its cursor past
-the oldest unsent results, with the same outcome.
+subscription applies the same bound by moving its cursor past the
+oldest unsent results, with the same outcome.  A ``from_start``
+subscription that arrives after a trim starts at the channel's base,
+and its first frame reports the trimmed results as shed.
 """
 
 from __future__ import annotations
@@ -114,9 +118,11 @@ class CursorSubscription:
 
     The channel is read through ``channels.length`` and
     ``channels.read`` on every call, because recovery replaces the
-    channels.  The cursor starts at the channel's start or, without
-    ``from_start``, at its end.  Same interface as
-    :class:`Subscription`.
+    channels.  The cursor is an absolute channel offset.  It starts at
+    the channel's base or, without ``from_start``, at its end; a start
+    above zero reports the results below the base as shed.  The hub
+    trims the channel behind the slowest cursor, so everything from the
+    cursor on stays readable.  Same interface as :class:`Subscription`.
     """
 
     def __init__(
@@ -131,13 +137,13 @@ class CursorSubscription:
         self.query_id = query_id
         self.capacity = capacity
         self.channels = channels
-        start = 0 if from_start else channels.length(query_id)
+        base = channels.base(query_id)
+        start = base if from_start else channels.length(query_id)
         self.cursor = start
-        """Channel index of the next result to send."""
+        """Channel offset of the next result to send."""
         self._settled = start
         """Channel length the backlog bound was last applied at."""
-        self._dropped_total = 0
-        self._dropped_unreported = 0
+        self._dropped_total = self._dropped_unreported = start if from_start else 0
         self.delivered_total = 0
         self.pressure = False
         """SLO-burn shedding, as on :class:`Subscription`: while set,
@@ -165,8 +171,12 @@ class CursorSubscription:
         capacity = max(1, self.capacity // 2 if self.pressure else self.capacity)
         return end, max(0, end - self.cursor - capacity)
 
-    def _settle(self) -> None:
-        """Move the cursor past what :meth:`_backlog` sheds."""
+    def settle(self) -> None:
+        """Move the cursor past what :meth:`_backlog` sheds.
+
+        Settling early, before every trim, sheds the same in total as
+        settling only at :meth:`take`: each settle moves the cursor to
+        at least ``end - capacity``, and ``end`` only grows."""
         end, shed = self._backlog()
         self._settled = max(self._settled, end)
         self.cursor += shed
@@ -180,14 +190,14 @@ class CursorSubscription:
         are bounded by it."""
         if self.pressure == active:
             return False
-        self._settle()
+        self.settle()
         self.pressure = active
         return True
 
     def take(self, limit: int) -> Tuple[ResultChunk, int]:
         """Up to ``limit`` unsent results, as a chunk of the channel's
         runs, + the unreported shed count."""
-        self._settle()
+        self.settle()
         start = self.cursor
         batch = self.channels.read(self.query_id, start, start + limit)
         self.cursor = start + len(batch)
@@ -315,6 +325,20 @@ class SubscriptionHub:
     def hold(self, subscription: AnySubscription) -> None:
         """Visit ``subscription`` again at the next :meth:`due`."""
         self._held.add(subscription)
+
+    def release(self, query_id: str) -> None:
+        """Trim ``query_id``'s channel behind its slowest cursor.
+
+        Every subscription applies its backlog bound first, so one whose
+        connection is away pins at most its capacity plus one run.  A
+        query with no subscription is never trimmed, and neither is a
+        poll-mode channel."""
+        subscriptions = self._by_query.get(query_id)
+        if self.tap_mode and subscriptions:
+            for subscription in subscriptions:
+                subscription.settle()
+            cursor = min(subscription.cursor for subscription in subscriptions)
+            self.engine.channels.trim(query_id, cursor)
 
     def poll(self, query_ids: Optional[List[str]] = None) -> int:
         """Poll-mode refresh: diff channels into buffers; returns new count.

@@ -2,12 +2,13 @@
 
 A channel holds window runs and open lists by reference.  Whatever the
 interleaving of window runs (0 to N keys), single-query lists, fan-out
-deliveries, snapshots, restores (twice from one snapshot) and cursor
-reads, the channel must read back exactly as a flat list of the
-delivered results would, its length must equal its count, the
-``on_deliver`` calls expanded into the channel's last ``count`` results
-must give the per-result delivery sequence, and a snapshot must not
-change when deliveries continue after it.
+deliveries, trims, snapshots, restores (twice from one snapshot) and
+cursor reads, the channel must read back exactly as the flat list of the
+delivered results would from its base on, its length must stay absolute
+and equal its count, a trim must drop exactly the runs that end at or
+below its offset, the ``on_deliver`` calls expanded into the channel's
+last ``count`` results must give the per-result delivery sequence, and a
+snapshot must not change when deliveries or trims continue after it.
 """
 
 from hypothesis import HealthCheck, given, seed, settings
@@ -33,6 +34,7 @@ _ops = st.one_of(
     st.tuples(st.just("snapshot")),
     st.tuples(st.just("restore")),
     st.tuples(st.just("read"), _query, st.integers(0, 40), st.integers(0, 12)),
+    st.tuples(st.just("trim"), _query, st.integers(0, 40)),
 )
 
 
@@ -45,6 +47,7 @@ class _Model:
             on_deliver=self._on_deliver if hooked else None
         )
         self.flat = {query_id: [] for query_id in QUERIES}
+        self.bases = dict.fromkeys(QUERIES, 0)
         self.sequence = []
         self.expanded = []
         self.snapshot = None
@@ -107,21 +110,39 @@ class _Model:
             output = QueryOutput(self._tick(), f"one:{self.clock}")
             channels.deliver(query_id, output.timestamp, output.value)
             self._delivered([(query_id, output)])
+        elif kind == "trim":
+            _, query_id, below = op
+            channels.trim(query_id, below)
+            base = channels.base(query_id)
+            length = len(self.flat[query_id])
+            # Whole runs only: never past ``below`` (a partly taken run
+            # stays), and every run that ends at or below it is gone.
+            assert self.bases[query_id] <= base <= max(self.bases[query_id], below)
+            parts = channels.read(query_id, base, length).parts
+            if parts:
+                run, lo, hi = parts[0]
+                assert (lo, hi) == (0, len(run)) and base + len(run) > below
+            else:
+                assert base == length
+            self.bases[query_id] = base
         elif kind == "snapshot":
             self.snapshot = (
                 channels.snapshot(),
                 {query_id: list(flat) for query_id, flat in self.flat.items()},
+                dict(self.bases),
             )
         elif kind == "restore":
             if self.snapshot is None:
                 return
-            state, flat = self.snapshot
+            state, flat, bases = self.snapshot
             channels.restore(state)
             self.flat = {query_id: list(outputs) for query_id, outputs in flat.items()}
+            self.bases = dict(bases)
         else:
             _, query_id, start, limit = op
             chunk = channels.read(query_id, start, start + limit)
-            expected = self.flat[query_id][start:start + limit]
+            lo = max(start, self.bases[query_id])
+            expected = self.flat[query_id][lo:start + limit]
             assert len(chunk) == len(expected)
             assert list(chunk) == expected
             assert chunk == expected
@@ -134,16 +155,23 @@ class _Model:
     def check(self) -> None:
         channels = self.channels
         for query_id, flat in self.flat.items():
+            base = self.bases[query_id]
             length = channels.length(query_id)
+            assert channels.base(query_id) == base
             assert length == len(flat) == channels.count(query_id)
-            assert list(channels.read(query_id, 0, length)) == flat
-            assert channels.results(query_id) == flat
+            assert list(channels.read(query_id, base, length)) == flat[base:]
+            assert channels.results(query_id) == flat[base:]
+        assert channels.retained() == sum(
+            len(flat) - self.bases[query_id] for query_id, flat in self.flat.items()
+        )
         if self.snapshot is not None:
-            state, flat = self.snapshot
+            state, flat, bases = self.snapshot
             frozen = QueryChannels()
             frozen.restore(state)
             for query_id, outputs in flat.items():
-                assert frozen.results(query_id) == outputs
+                assert frozen.base(query_id) == bases[query_id]
+                assert frozen.length(query_id) == len(outputs)
+                assert frozen.results(query_id) == outputs[bases[query_id]:]
 
 
 @seed(32)
@@ -174,15 +202,19 @@ def test_recovering_twice_from_one_snapshot_gives_the_same_channels(ops):
         model.apply(op)
     state = model.channels.snapshot()
     expected = {query_id: list(flat) for query_id, flat in model.flat.items()}
+    bases = dict(model.bases)
     for _ in range(2):
         model.channels.restore(state)
         model.apply(("window", "q0", 3))
         model.apply(("list", "q1", 2))
         model.apply(("fan", ["q0", "q2"], 2))
+        model.apply(("trim", "q0", len(model.flat["q0"]) - 1))
         model.flat = {query_id: list(flat) for query_id, flat in expected.items()}
+        model.bases = dict(bases)
     model.channels.restore(state)
     for query_id, flat in expected.items():
-        assert model.channels.results(query_id) == flat
+        assert model.channels.base(query_id) == bases[query_id]
+        assert model.channels.results(query_id) == flat[bases[query_id]:]
         assert model.channels.length(query_id) == len(flat)
 
 

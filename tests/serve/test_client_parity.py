@@ -121,8 +121,13 @@ def test_create_subscribe_push_watermark_results(make_server, connect, codec):
     assert client.watermark(10) is None
     streamed = client.collect(created.query_id, 5)
     assert sorted(output.timestamp for output in streamed) == [0, 1, 2, 3, 4]
+    # Subscribed from the start, so ``streamed`` is complete; the fetch
+    # returns what the channel still retains, from its ``base`` on.
     fetched = client.fetch_results(created.query_id)
-    assert sorted(map(repr, fetched)) == sorted(map(repr, streamed))
+    assert fetched.base + len(fetched) == 5
+    assert sorted(map(repr, fetched)) == sorted(
+        map(repr, streamed[fetched.base:])
+    )
     assert client.ping() is True
     assert client.stats()["active_queries"] == 1
     assert "snapshot" in client.obs_snapshot()

@@ -16,7 +16,9 @@ directly:
   overflow, pressure toggles, ``from_start`` both ways, resubscribe
   and unsubscribe;
 * (d) after ``engine.recover()`` a subscription neither re-sends nor
-  skips a result.
+  skips a result, also when the hub trims the channel behind its cursor
+  after every take (recovery restores the checkpoint's base and runs,
+  the same twice over).
 
 Also here: a ``drain`` keeps one checkpoint, the slotted result classes
 keep their equality, pickling and wire bytes, a cursor's chunk of runs
@@ -225,7 +227,9 @@ def test_inline_hub_registers_no_tap_and_never_offers(make_pipe, monkeypatch, co
     assert pipe.server.engine.channels._taps == {}
     (session,) = pipe.server.sessions.sessions()
     assert isinstance(session.subscriptions[query_id], CursorSubscription)
-    assert streamed == client.fetch_results(query_id)
+    fetched = client.fetch_results(query_id)
+    assert fetched.base + len(fetched) == 20
+    assert streamed[fetched.base:] == fetched
 
 
 # -- (c) cursor frames == buffered frames -----------------------------------------
@@ -401,36 +405,75 @@ def _pushes(engine, start_ms, count):
     engine.watermark(start_ms + 1_000)
 
 
-@pytest.mark.parametrize("checkpoint", [True, False])
-def test_recovery_neither_resends_nor_skips(checkpoint):
-    query_id = f"rp-recover-{checkpoint}"
+def _recover_midway(query_id, checkpoint, trim):
+    """Stream an aggregation through ``engine.recover()`` four windows
+    in, four results per take; ``trim`` releases the channel behind the
+    cursor after every take, as the server's flush does.  Returns what
+    was taken and the (shut down) engine."""
     oracle = _agg_engine(query_id)
     engine = _agg_engine(query_id, log_inputs=True)
+    channels = engine.channels
     hub = SubscriptionHub(engine, tap_mode=True)
     subscription = hub.subscribe(
         SessionState(client_id="c", session_id="s"), query_id
     )
+
+    def take():
+        batch, dropped = subscription.take(4)
+        assert dropped == 0
+        if trim:
+            hub.release(query_id)
+            assert channels.base(query_id) <= subscription.cursor
+        return list(batch)
+
     taken = []
-    restored = 0  # the channel length recovery rolls back to
+    restored = (0, 0)  # the channel's base and length at the checkpoint
     for start_ms in range(0, 6_000, 1_000):
         for target in (engine, oracle):
             _pushes(target, start_ms, 20)
-        taken += subscription.take(4)[0]
+        taken += take()
         if start_ms == 1_000 and checkpoint:
             engine.checkpoint()
-            restored = len(engine.results(query_id))
+            restored = (channels.base(query_id), channels.length(query_id))
+            assert (restored[0] > 0) == trim
         if start_ms == 4_000:
             # Sent past the checkpoint, with results still pending.
-            assert restored < subscription.cursor < len(engine.results(query_id))
+            assert restored[1] < subscription.cursor < channels.length(query_id)
             engine.recover()
+            assert channels.base(query_id) == restored[0]
+            if trim:
+                # Restoring twice from one checkpoint: same base and runs.
+                base, length = restored[0], channels.length(query_id)
+                first = list(channels.read(query_id, base, length))
+                engine.recover()
+                assert channels.base(query_id) == base
+                assert channels.length(query_id) == length
+                assert list(channels.read(query_id, base, length)) == first
     while subscription.pending:
-        batch, dropped = subscription.take(4)
-        assert dropped == 0
-        taken += batch
-    assert taken == engine.results(query_id) == oracle.results(query_id)
+        taken += take()
     assert len(taken) == 6 * 5
+    assert taken == oracle.results(query_id)
     engine.shutdown()
     oracle.shutdown()
+    return taken, engine
+
+
+@pytest.mark.parametrize("checkpoint", [True, False])
+def test_recovery_neither_resends_nor_skips(checkpoint):
+    taken, engine = _recover_midway(
+        f"rp-recover-{checkpoint}", checkpoint, trim=False
+    )
+    assert taken == engine.results(f"rp-recover-{checkpoint}")
+
+
+@pytest.mark.parametrize("checkpoint", [True, False])
+def test_recovery_with_trimmed_channels_neither_resends_nor_skips(checkpoint):
+    query_id = f"rp-recover-trim-{checkpoint}"
+    taken, engine = _recover_midway(query_id, checkpoint, trim=True)
+    # The engine retains only what the cursor has not taken: nothing.
+    assert engine.channels.length(query_id) == len(taken)
+    assert engine.channels.base(query_id) == len(taken)
+    assert engine.results(query_id) == []
 
 
 # -- satellites -------------------------------------------------------------------

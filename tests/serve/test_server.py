@@ -270,9 +270,11 @@ class TestSubscriptions:
         streamed, shed = client.take_results(created.query_id, wait_ms=5_000)
         fetched = client.fetch_results(created.query_id)
         assert shed == 0
-        assert sorted((o.timestamp, repr(o.value)) for o in streamed) == [
-            (o.timestamp, repr(o.value)) for o in fetched
-        ]
+        assert sorted(o.timestamp for o in streamed) == list(range(20))
+        assert fetched.base + len(fetched) == 20
+        assert sorted(
+            (o.timestamp, repr(o.value)) for o in streamed[fetched.base:]
+        ) == [(o.timestamp, repr(o.value)) for o in fetched]
         client.close()
 
     def test_from_start_backlog_then_live_tail(self, make_server):
@@ -472,7 +474,7 @@ class TestAsyncClient:
                     got.append(output.timestamp)
                 assert sorted(got) == [0, 1, 2]
                 fetched = await client.fetch_results(created.query_id)
-                assert len(fetched) == 3
+                assert fetched.base + len(fetched) == 3
                 stats = await client.stats()
                 assert stats["active_queries"] == 1
                 assert await client.ping()

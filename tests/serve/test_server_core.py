@@ -348,7 +348,11 @@ def _oracle(schedule):
 
 def run_through_pipe(schedule, make_pipe, backend, codec):
     """``run_over_wire`` with a pipe for the socket, every query also
-    subscribed: (canonical fetched results, sorted streamed results)."""
+    subscribed: the sorted streamed results.
+
+    Subscribed from the start with nothing shed, the stream is the
+    complete result; a subscribed channel keeps only what its subscriber
+    has not taken, so the fetch is the stream's tail from ``base`` on."""
     pipe = make_pipe(backend=backend, workers=2)
     client = PipeClient(pipe, client_id="equiv", codec=codec)
     assert client.codec == codec
@@ -373,18 +377,27 @@ def run_through_pipe(schedule, make_pipe, backend, codec):
             assert client.push(stream, events) == len(events)
         client.watermark(step_start + STEP_MS)
     client.drain()
-    fetched = _canonical(
-        {query_id: client.fetch_results(query_id) for query_id in query_ids}
-    )
-    streamed = {
-        query_id: sorted(
-            (output.timestamp, repr(output.value))
-            for output in client.collect(query_id, len(fetched[query_id]))
-        )
+    fetches = {query_id: client.fetch_results(query_id) for query_id in query_ids}
+    counts = client.stats()["result_counts"]
+    collected = {
+        query_id: client.collect(query_id, counts.get(query_id, 0))
         for query_id in query_ids
     }
     assert client._core.shed == {}
-    return fetched, streamed
+    for query_id, outputs in collected.items():
+        fetched = fetches[query_id]
+        assert fetched.base + len(fetched) == len(outputs)
+        if backend == "process":
+            assert fetched.base == 0  # poll mode never trims
+        tail = _canonical({query_id: outputs[fetched.base:]})[query_id]
+        assert sorted(tail) == _canonical({query_id: fetched})[query_id]
+    streamed = {
+        query_id: sorted(
+            (output.timestamp, repr(output.value)) for output in outputs
+        )
+        for query_id, outputs in collected.items()
+    }
+    return streamed
 
 
 class TestEquivalenceTwins:
@@ -398,11 +411,8 @@ class TestEquivalenceTwins:
     ):
         reference = _oracle(schedule)
         assert reference and any(reference.values())
-        piped, streamed = run_through_pipe(schedule, make_pipe, backend, codec)
+        piped = run_through_pipe(schedule, make_pipe, backend, codec)
         assert piped == reference
-        assert streamed == {
-            query_id: sorted(outputs) for query_id, outputs in piped.items()
-        }
         over_socket, _ = run_over_wire(
             schedule, make_server, backend=backend, codec=codec
         )
