@@ -51,15 +51,6 @@ live in ``serve_baseline.csv`` next to the throughput ratios;
 ``--latency --update`` merges them into that file without touching the
 ``--serve`` metrics.
 
-``--state`` gates the keyed-state backends (ISSUE 10): the median
-lsm/memory service-TPS ratio on a genuinely spilling SC1 aggregation
-workload (``state_spill_tps_ratio_sc1_agg``, interleaved pairs like
-``--observe-overhead``) carries an *absolute* floor of
-``STATE_SPILL_RATIO_FLOOR`` (0.7x in-memory) on top of the committed
-baseline gate (``benchmarks/baselines/state_baseline.csv``).  The lsm
-run must actually write segments; the copy-on-write snapshot speedup
-rides along ungated.
-
 ``--observe-overhead`` gates the telemetry subsystem (ISSUE 4) instead:
 the same SC1 workload is run in interleaved pairs with ``observe`` off
 and on, and the median on/off service-throughput ratio must stay at or
@@ -91,7 +82,6 @@ BASELINE_PATH = Path(__file__).parent / "baselines" / "perf_baseline.csv"
 SERVE_BASELINE_PATH = Path(__file__).parent / "baselines" / "serve_baseline.csv"
 RESIZE_BASELINE_PATH = Path(__file__).parent / "baselines" / "resize_baseline.csv"
 SHARING_BASELINE_PATH = Path(__file__).parent / "baselines" / "sharing_baseline.csv"
-STATE_BASELINE_PATH = Path(__file__).parent / "baselines" / "state_baseline.csv"
 TOLERANCE = 0.20
 RESIZE_TOLERANCE = 1.00
 """Migration pauses may grow at most this fraction over baseline."""
@@ -120,10 +110,6 @@ SHARING_GATED_METRICS = ("sharing_tps_ratio_500q_overlap",)
 SHARING_RATIO_FLOOR = 1.3
 """Absolute floor on sharing-on / sharing-off service TPS on the
 500-query ~30%-overlap workload (the ISSUE 8 bar)."""
-STATE_GATED_METRICS = ("state_spill_tps_ratio_sc1_agg",)
-STATE_SPILL_RATIO_FLOOR = 0.7
-"""Absolute floor on lsm / in-memory service TPS while spilling (the
-ISSUE 10 bar), machine-independent, on top of the baseline gate."""
 
 
 def _service_tps(batch_size: int, observe: bool = False) -> float:
@@ -223,27 +209,6 @@ def measure_resize() -> dict:
     except ImportError:  # imported as a package (pytest, tooling)
         from benchmarks.bench_resize_latency import measure_gate_metrics
     return measure_gate_metrics()
-
-
-def measure_state() -> dict:
-    """The keyed-state backend gate metrics (ISSUE 10)."""
-    try:
-        from bench_ablation_storage import (
-            measure_cow_snapshot,
-            measure_spill_ratio,
-        )
-    except ImportError:  # imported as a package (pytest, tooling)
-        from benchmarks.bench_ablation_storage import (
-            measure_cow_snapshot,
-            measure_spill_ratio,
-        )
-    spill = measure_spill_ratio()
-    cow = measure_cow_snapshot()
-    return {
-        "state_spill_tps_ratio_sc1_agg": spill["ratio"],
-        "state_spilled_bytes": spill["spilled_bytes"],
-        "state_cow_snapshot_speedup": cow["speedup"],
-    }
 
 
 def measure_sharing() -> dict:
@@ -377,49 +342,7 @@ def main(argv=None) -> int:
                              "1.3x sharing-off on the 500-query "
                              "~30%%-overlap workload, and within "
                              "tolerance of its committed baseline")
-    parser.add_argument("--state", action="store_true",
-                        help="gate the keyed-state backends: the "
-                             "spilling lsm run must hold >=0.7x "
-                             "in-memory service TPS")
     args = parser.parse_args(argv)
-
-    if args.state:
-        measured = measure_state()
-        for metric, value in measured.items():
-            print(f"{metric} = {value:,.3f}")
-        failures = []
-        ratio = measured["state_spill_tps_ratio_sc1_agg"]
-        if ratio < STATE_SPILL_RATIO_FLOOR:
-            failures.append(
-                f"spilling lsm run holds only {ratio:.3f}x in-memory "
-                f"service TPS (absolute floor "
-                f"{STATE_SPILL_RATIO_FLOOR:.1f}x)"
-            )
-        if measured["state_spilled_bytes"] <= 0:
-            failures.append(
-                "the lsm gate run wrote no segments — the workload no "
-                "longer spills, so the ratio is meaningless"
-            )
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        if args.update:
-            write_baseline(measured, STATE_BASELINE_PATH)
-            print(f"state baseline updated: {STATE_BASELINE_PATH}")
-            return 0
-        baseline = load_baseline(STATE_BASELINE_PATH)
-        failures = check(measured, baseline, gated=STATE_GATED_METRICS)
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        if not failures:
-            print(
-                f"state gate OK (spill ratio {ratio:.3f} vs baseline "
-                f"{baseline['state_spill_tps_ratio_sc1_agg']:.3f}, "
-                f"floor {STATE_SPILL_RATIO_FLOOR:.1f}; cow snapshot "
-                f"{measured['state_cow_snapshot_speedup']:.1f}x)"
-            )
-        return 1 if failures else 0
 
     if args.sharing:
         measured = measure_sharing()

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import logging
 import pickle
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -43,7 +41,6 @@ from repro.core.session import QueryRequest, SharedSession
 from repro.core.statistics import SharingStatistics
 from repro.core.shared_aggregation import SharedAggregationOperator
 from repro.core.shared_join import SharedJoinOperator
-from repro.minispe.checkpoint import incremental_delta
 from repro.minispe.cluster import SimulatedCluster
 from repro.minispe.graph import JobGraph, Partitioning
 from repro.minispe.operators import Operator
@@ -106,20 +103,6 @@ class EngineConfig:
     """Trace every Nth source push when ``observe`` is on."""
     obs_event_capacity: int = 65_536
     """Event-log ring size when ``observe`` is on."""
-    state_backend: str = "memory"
-    """Physical backend for the shared aggregations' keyed state:
-    ``"memory"`` keeps accumulator maps as plain dicts; ``"lsm"`` spills
-    them through per-operator append-only segment stores
-    (:mod:`repro.store`) so keyed state can exceed RAM and checkpoints
-    become incremental segment manifests.  Outputs are byte-identical
-    across backends."""
-    state_dir: Optional[str] = None
-    """Root directory for lsm spill files.  ``None`` (the default) lets
-    the engine create a temporary root it removes at shutdown; the
-    process backend injects the coordinator's root into workers so
-    checkpointed segments stay adoptable across kill/recover."""
-    state_memtable_entries: int = 16_384
-    """Buffered writes per spill store before a segment flush (lsm)."""
 
     def __post_init__(self) -> None:
         if len(self.streams) < 1:
@@ -127,11 +110,6 @@ class EngineConfig:
         if self.max_join_arity < 1:
             raise ValueError(
                 f"max_join_arity must be >= 1, got {self.max_join_arity}"
-            )
-        if self.state_backend not in ("memory", "lsm"):
-            raise ValueError(
-                f"unknown state backend {self.state_backend!r} "
-                "(expected 'memory' or 'lsm')"
             )
 
     @property
@@ -225,19 +203,6 @@ class AStreamEngine:
         # (empty on a process-backend coordinator: its shards own them).
         self._operators: Dict[str, List[Operator]] = {}
         self._stage_names: set = set()
-        # Spill root for the lsm backend.  Created before the graph so
-        # operator factories can place their stores under it; owned (and
-        # removed at shutdown) only when the caller did not name one —
-        # worker processes receive the coordinator's root and never
-        # clean it.
-        self._state_root: Optional[str] = None
-        self._owns_state_root = False
-        if self.config.state_backend == "lsm":
-            if self.config.state_dir is not None:
-                self._state_root = self.config.state_dir
-            else:
-                self._state_root = tempfile.mkdtemp(prefix="astream-state-")
-                self._owns_state_root = True
         self.obs: Optional[Observability] = (
             Observability(
                 sample_every=self.config.obs_sample_every,
@@ -282,16 +247,8 @@ class AStreamEngine:
         return JobRuntime(self.graph, obs=self.obs)
 
     def _make_aggregation(self, operator_key: str) -> SharedAggregationOperator:
-        """Construct one shared-aggregation instance with the configured
-        storage plane (state backend, spill root)."""
-        config = self.config
-        return SharedAggregationOperator(
-            operator_key,
-            profile=config.profile,
-            state_backend=config.state_backend,
-            state_dir=self._state_root,
-            memtable_entries=config.state_memtable_entries,
-        )
+        """Construct one shared-aggregation instance."""
+        return SharedAggregationOperator(operator_key, profile=self.config.profile)
 
     def _build_graph(self) -> JobGraph:
         config = self.config
@@ -663,22 +620,15 @@ class AStreamEngine:
         if self.obs is not None:
             duration_ms = (time.perf_counter_ns() - started_ns) / 1e6
             size_bytes = len(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
-            delta_segments, delta_bytes = incremental_delta(state)
             registry = self.obs.registry
             registry.counter("checkpoints").inc()
             registry.histogram("checkpoint_duration_ms").record(duration_ms)
             registry.histogram("checkpoint_size_bytes").record(size_bytes)
-            if delta_segments:
-                registry.histogram("checkpoint_delta_bytes").record(
-                    delta_bytes
-                )
             self.obs.events.emit(
                 "checkpoint",
                 checkpoint_id=checkpoint_id,
                 log_offset=log_offset,
                 size_bytes=size_bytes,
-                delta_segments=delta_segments,
-                delta_bytes=delta_bytes,
                 duration_ms=duration_ms,
             )
             logger.info(
@@ -1107,32 +1057,6 @@ class AStreamEngine:
         """Live shared-aggregation instances for a stage."""
         return self._operators.get(agg_key, [])
 
-    _STATE_SUMMARY = (
-        "spilled_bytes",
-        "spill_segments",
-        "spill_entries",
-        "spill_flushes",
-        "spill_compactions",
-    )
-    """Storage-plane stats ``state_summary`` totals (zero on the memory
-    backend, where no operator reports them)."""
-
-    def state_summary(self) -> Dict[str, Any]:
-        """Storage-plane rollup across the shared aggregations.
-
-        Totals the spill-store stats (lsm backend) of every aggregation
-        instance — the numbers the serve layer and the inspector panel
-        surface.
-        """
-        summary: Dict[str, Any] = {
-            "state_backend": self.config.state_backend,
-            **dict.fromkeys(self._STATE_SUMMARY, 0),
-        }
-        for entry in self.stats_snapshot().values():
-            if entry["name"] in self._STATE_SUMMARY:
-                summary[entry["name"]] += entry["value"]
-        return summary
-
     def describe(self) -> str:
         """Human-readable topology and query-population summary."""
         lines = [
@@ -1166,9 +1090,6 @@ class AStreamEngine:
         return "\n".join(lines)
 
     def shutdown(self) -> None:
-        """Release cluster slots, close operators, drop owned spill files."""
+        """Release cluster slots and close operators."""
         self.runtime.close()
         self.cluster.release(self.JOB_NAME)
-        if self._owns_state_root and self._state_root is not None:
-            shutil.rmtree(self._state_root, ignore_errors=True)
-            self._state_root = None

@@ -31,7 +31,6 @@ import copy
 from typing import Any, Dict, List
 
 from repro.core.router import merge_channel_snapshots
-from repro.core.shared_aggregation import materialize_agg_snapshot
 from repro.core.slicing import SliceIndex
 from repro.core.storage import make_store
 from repro.minispe.runtime import stable_hash
@@ -74,14 +73,7 @@ def _split_agg_state(donors: List[dict], new_count: int) -> List[dict]:
     Control keys (slicer, changelogs, specs, subscribed, session_specs)
     are replicated from donor 0; per-slice accumulator maps and session
     state are re-split by key.
-
-    lsm-backend donors arrive as incremental manifests (segment paths,
-    not values); they are materialised here — the splitter reads the
-    listed segments once — and the outputs are materialised snapshots,
-    which :meth:`SharedAggregationOperator.restore` re-spills when the
-    receiving shard runs the lsm backend.
     """
-    donors = [materialize_agg_snapshot(donor) for donor in donors]
     control = donors[0]
     horizon = max(d["slices"]._expiry_horizon_ms for d in donors)
     outputs: List[dict] = []

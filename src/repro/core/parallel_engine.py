@@ -349,19 +349,10 @@ class ProcessAStreamEngine(AStreamEngine):
         previous = getattr(self, "runtime", None)
         if isinstance(previous, ShardedRuntime):
             previous.terminate()
-        factory_config = self.config
-        if self.config.state_backend == "lsm":
-            # Workers spill under the coordinator's state root (each
-            # store takes a unique subdirectory), so checkpoint
-            # manifests reference paths that survive worker death and
-            # the coordinator can clean the whole tree at shutdown.
-            factory_config = dataclasses.replace(
-                self.config, state_dir=self._state_root
-            )
         pool = ProcessShardPool(
             self.workers,
             AStreamShardFactory(
-                factory_config,
+                self.config,
                 deliver_sample_every=(
                     self._deliver_sample_every
                     if self._pool_on_deliver is not None

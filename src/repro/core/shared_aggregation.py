@@ -22,13 +22,6 @@ Session windows are supported here (the paper: "time- and session-based
 windows", §3.1.3): tuples are still tagged and routed once, and the
 operator keeps per-query per-key session accumulators merged on the gap
 rule, fired when the watermark passes a session's end.
-
-Keyed state has two backends.  With ``state_backend="lsm"`` the
-per-slice accumulator maps live behind :class:`repro.store.SpilledSliceStore`
-views over one spill-to-disk LSM store per instance, so keyed state can
-exceed RAM; snapshots then carry an incremental *manifest* (immutable
-segment paths + per-slice key lists) instead of the accumulator values
-themselves.
 """
 
 from __future__ import annotations
@@ -53,8 +46,6 @@ from repro.core.slicing import SliceIndex, SliceManager
 from repro.minispe.operators import Operator
 from repro.minispe.record import ChangelogMarker, Record, Watermark
 from repro.minispe.windows import Window
-from repro.store.lsm import materialize_checkpoint
-from repro.store.spill import SpilledSliceStore, SpillingStoreHost
 
 
 def _merge_for(spec: AggregationSpec) -> Callable[[Any, Any], Any]:
@@ -204,27 +195,10 @@ class _SessionState:
 class SharedAggregationOperator(Operator):
     """Ad-hoc shared windowed aggregation over one tagged stream."""
 
-    def __init__(
-        self,
-        operator_key: str,
-        profile: bool = False,
-        state_backend: str = "memory",
-        state_dir: Optional[str] = None,
-        memtable_entries: int = 16_384,
-    ) -> None:
+    def __init__(self, operator_key: str, profile: bool = False) -> None:
         super().__init__(operator_key)
         self.operator_key = operator_key
         self.profile = profile
-        self.state_backend = state_backend
-        self._memtable_entries = memtable_entries
-        self._state_dir = state_dir
-        self._store_host: Optional[SpillingStoreHost] = None
-        if state_backend == "lsm":
-            self._store_host = SpillingStoreHost(
-                state_dir,
-                memtable_entries=memtable_entries,
-                prefix=operator_key.replace(":", "_").replace("~", "-") + "-",
-            )
 
         self._slicer = SliceManager()
         self._slices = SliceIndex()
@@ -482,13 +456,8 @@ class SharedAggregationOperator(Operator):
         start, end, epoch = self._slicer.slice_bounds(record.timestamp)
         slice_ = self._slices.get_or_create(start, end, epoch)
         if slice_.store is None:
-            # slot -> key -> accumulator, pseudo-slot -> key -> row; a
-            # dict-shaped spill view when the lsm backend is active, a
-            # plain dict otherwise.
-            if self._store_host is not None:
-                slice_.store = self._store_host.make_slice_store(start)
-            else:
-                slice_.store = {}
+            # slot -> key -> accumulator, pseudo-slot -> key -> row.
+            slice_.store = {}
         store: Dict[int, Dict[Any, Any]] = slice_.store
         key = record.key
         value = record.value
@@ -542,13 +511,15 @@ class SharedAggregationOperator(Operator):
                 row = per_key.get(key)
                 segment = group.segment_of.get(hit) if exact else None
                 if row is None:
-                    row = _DEMOTED if segment is None else group.empty.copy()
+                    row = per_key[key] = (
+                        _DEMOTED if segment is None else group.empty.copy()
+                    )
                 elif row and segment is None:
                     for slot, (a, b) in group.ranges.items():
                         acc = group.read(row, a, b)
                         if acc is not None:
                             store.setdefault(slot, {})[key] = acc
-                    row = _DEMOTED
+                    row = per_key[key] = _DEMOTED
                 if not row:
                     per_slot |= hit
                 else:
@@ -560,7 +531,6 @@ class SharedAggregationOperator(Operator):
                         row[segment + 1] = merge(row[segment + 1], delta)
                     row[-2] |= 1 << segment
                     updates += 1
-                per_key[key] = row  # write back: spill views persist it
         self.partial_updates += updates
         return per_slot
 
@@ -617,11 +587,6 @@ class SharedAggregationOperator(Operator):
         if expired:
             live = {slice_.epoch for slice_ in self._slices}
             self._layouts = {e: l for e, l in self._layouts.items() if e in live}
-        if self._store_host is not None:
-            # Tombstone expired slices so compaction reclaims the disk.
-            for slice_ in expired:
-                if isinstance(slice_.store, SpilledSliceStore):
-                    slice_.store.drop()
         # Bound metadata growth (see SharedJoinOperator._expire).
         if self._slicer.prune_before(horizon):
             oldest_epoch = self._slicer.timeline.epoch_for(horizon)[0]
@@ -727,8 +692,7 @@ class SharedAggregationOperator(Operator):
         return len(self._slices)
 
     def stats(self) -> Dict[str, Tuple[float, str]]:
-        """Slice/session sizes and work counters, plus spill-store
-        entries on the lsm backend.  All additive."""
+        """Slice/session sizes and work counters.  All additive."""
         values = {
             "slices": len(self._slices),
             "slices_created": self._slices.created_total,
@@ -741,190 +705,31 @@ class SharedAggregationOperator(Operator):
             "bitset_ops": self.bitset_ops,
             "profile_ns": self.profile_ns,
         }
-        if self._store_host is not None:
-            store = self._store_host.stats()
-            values.update(
-                spilled_bytes=store["spilled_bytes"],
-                spill_segments=store["segments"],
-                spill_entries=store["entries"],
-                spill_memtable_entries=store["memtable_entries"],
-                spill_flushes=store["flushes"],
-                spill_compactions=store["compactions"],
-            )
         return {name: (value, "sum") for name, value in values.items()}
 
     # -- checkpointing ---------------------------------------------------------
 
     def snapshot(self) -> Any:
-        if self._store_host is None:
-            return copy.deepcopy(
-                {
-                    "slicer": self._slicer,
-                    "slices": self._slices,
-                    "changelogs": self._changelogs,
-                    "specs": self._specs,
-                    "subscribed": self._subscribed,
-                    "session_specs": self._session_specs,
-                    "session_state": self._session_state,
-                }
-            )
-        # lsm: metadata plus an incremental segment manifest.  The
-        # accumulator values stay in their immutable on-disk segments;
-        # the payload carries segment *paths* (and the per-slice key
-        # lists needed to rebuild the views), so checkpoint cost scales
-        # with the delta written since the last barrier, not with total
-        # state size.
-        store = self._store_host.store
-        for slice_ in self._slices:
-            if isinstance(slice_.store, SpilledSliceStore):
-                slice_.store.spill_hot()
-        if store.stats()["segments"] > _COMPACT_SEGMENTS:
-            store.compact()  # background-free compaction at the barrier
-        return {
-            "state_backend": "lsm",
-            "slicer": copy.deepcopy(self._slicer),
-            "changelogs": copy.deepcopy(self._changelogs),
-            "specs": copy.deepcopy(self._specs),
-            "subscribed": self._subscribed,
-            "session_specs": copy.deepcopy(self._session_specs),
-            "session_state": copy.deepcopy(self._session_state),
-            "slices_meta": [
-                (
-                    slice_.start,
-                    slice_.end,
-                    slice_.epoch,
-                    slice_.store.key_manifest()
-                    if isinstance(slice_.store, SpilledSliceStore)
-                    else None,
-                )
-                for slice_ in self._slices
-            ],
-            "created_total": self._slices.created_total,
-            "expired_total": self._slices.expired_total,
-            "expiry_horizon": self._slices._expiry_horizon_ms,
-            "store_checkpoint": store.checkpoint(),
-        }
+        return copy.deepcopy(
+            {
+                "slicer": self._slicer,
+                "slices": self._slices,
+                "changelogs": self._changelogs,
+                "specs": self._specs,
+                "subscribed": self._subscribed,
+                "session_specs": self._session_specs,
+                "session_state": self._session_state,
+            }
+        )
 
     def restore(self, snapshot: Any) -> None:
-        """Restore from either snapshot shape, on either backend.
-
-        Memory-backend snapshots are the materialised dict shape; lsm
-        snapshots are manifests.  Elastic resize and recovery may cross
-        the two (a memory donor restored into an lsm instance, or an lsm
-        checkpoint inspected by a memory one), so both are accepted and
-        converted as needed.
-        """
-        is_manifest = (
-            isinstance(snapshot, dict)
-            and snapshot.get("state_backend") == "lsm"
-        )
-        if is_manifest and self._store_host is not None:
-            self._restore_manifest(snapshot)
-        else:
-            if is_manifest:
-                snapshot = materialize_agg_snapshot(snapshot)
-            self._restore_materialized(snapshot)
-        self._rebuild_layouts()
-
-    def _restore_materialized(self, snapshot: Any) -> None:
         state = copy.deepcopy(snapshot)
         self._slicer = state["slicer"]
+        self._slices = state["slices"]
         self._changelogs = state["changelogs"]
         self._specs = state["specs"]
         self._subscribed = state["subscribed"]
         self._session_specs = state["session_specs"]
         self._session_state = state["session_state"]
         self._rebuild_fold_masks()
-        slices: SliceIndex = state["slices"]
-        if self._store_host is None:
-            self._slices = slices
-            return
-        # Re-spill the materialised accumulators into this instance's
-        # own store (resize/recovery hand materialised donors around).
-        self._store_host.store.clear()
-        rebuilt = SliceIndex()
-        for slice_ in slices:
-            new_slice = rebuilt.get_or_create(
-                slice_.start, slice_.end, slice_.epoch
-            )
-            if not slice_.store:
-                continue
-            spill = self._store_host.make_slice_store(slice_.start)
-            for slot, per_key in slice_.store.items():
-                view = spill.setdefault(slot)
-                for key, acc in per_key.items():
-                    view[key] = acc
-            new_slice.store = spill
-        rebuilt.created_total = slices.created_total
-        rebuilt.expired_total = slices.expired_total
-        rebuilt._expiry_horizon_ms = slices._expiry_horizon_ms
-        self._slices = rebuilt
-
-    def _restore_manifest(self, snapshot: Dict[str, Any]) -> None:
-        """lsm manifest -> lsm instance: adopt segments by path."""
-        self._slicer = copy.deepcopy(snapshot["slicer"])
-        self._changelogs = copy.deepcopy(snapshot["changelogs"])
-        self._specs = copy.deepcopy(snapshot["specs"])
-        self._subscribed = snapshot["subscribed"]
-        self._session_specs = copy.deepcopy(snapshot["session_specs"])
-        self._session_state = copy.deepcopy(snapshot["session_state"])
-        self._rebuild_fold_masks()
-        self._store_host.store.restore(snapshot["store_checkpoint"])
-        rebuilt = SliceIndex()
-        for start, end, epoch, manifest in snapshot["slices_meta"]:
-            slice_ = rebuilt.get_or_create(start, end, epoch)
-            if manifest:
-                spill = self._store_host.make_slice_store(start)
-                spill.adopt_keys(manifest)
-                slice_.store = spill
-        rebuilt.created_total = snapshot["created_total"]
-        rebuilt.expired_total = snapshot["expired_total"]
-        rebuilt._expiry_horizon_ms = snapshot["expiry_horizon"]
-        self._slices = rebuilt
-
-    def close(self) -> None:
-        """Release the spill store (its directory, if operator-owned)."""
-        if self._store_host is not None:
-            self._store_host.close()
-
-
-# Compact the spill store at a checkpoint barrier once it holds more than
-# this many segments: read amplification stays bounded while most
-# checkpoints still ship only the delta segments.
-_COMPACT_SEGMENTS = 8
-
-
-def materialize_agg_snapshot(snapshot: Any) -> Any:
-    """Expand an lsm-manifest snapshot into the materialised dict shape.
-
-    Migration splits donor state key-by-key, and a memory-backend
-    instance restoring an lsm checkpoint needs plain values; both paths
-    call this.  Materialised snapshots pass through unchanged.  The
-    control state is the manifest's own objects, not copies: both
-    callers copy what they keep, as they do for a memory snapshot.
-    """
-    if not (
-        isinstance(snapshot, dict) and snapshot.get("state_backend") == "lsm"
-    ):
-        return snapshot
-    materialized = materialize_checkpoint(snapshot["store_checkpoint"])
-    slices = SliceIndex()
-    for start, end, epoch, manifest in snapshot["slices_meta"]:
-        slice_ = slices.get_or_create(start, end, epoch)
-        if manifest:
-            slice_.store = {
-                slot: {
-                    key: materialized[(start, slot, key)]
-                    for key in keys
-                    if (start, slot, key) in materialized
-                }
-                for slot, keys in manifest.items()
-            }
-    slices.created_total = snapshot["created_total"]
-    slices.expired_total = snapshot["expired_total"]
-    slices._expiry_horizon_ms = snapshot["expiry_horizon"]
-    control = (
-        "slicer", "changelogs", "specs", "subscribed",
-        "session_specs", "session_state",
-    )
-    return {"slices": slices, **{key: snapshot[key] for key in control}}
+        self._rebuild_layouts()

@@ -9,8 +9,8 @@ plain-text dashboard:
 * per-operator latency breakdown — exclusive time per stage from the
   sampled span traces, with each stage's share of the end-to-end time;
 * operator state — slice counts, changelog table sizes, join/agg
-  cardinalities, router fan-out and spill-store gauges (segments,
-  spilled bytes) — grouped per operator (and per shard on the process backend);
+  cardinalities and router fan-out — grouped per operator (and per shard
+  on the process backend);
 * shard balance — per-shard input records and the straggler skew gauge;
 * the tail of the structured event log.
 
@@ -39,11 +39,6 @@ _STATE_GAUGES = (
     "sharing_grouped_slots",
     "sharing_cover_skips",
     "sharing_residual_checks",
-    # Spill-to-disk keyed state (lsm backend).
-    "spilled_bytes",
-    "spill_segments",
-    "spill_memtable_entries",
-    "spill_flushes",
 )
 
 

@@ -344,14 +344,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--batch-size", type=int, default=1,
                         help="data-path micro-batch size")
-    parser.add_argument("--state-backend", default="memory",
-                        choices=("memory", "lsm"),
-                        help="keyed-state backend for shared aggregations: "
-                             "'lsm' spills accumulators to disk so state "
-                             "can exceed RAM")
-    parser.add_argument("--state-dir", default=None, metavar="DIR",
-                        help="spill root for --state-backend lsm "
-                             "(default: a temp dir removed at shutdown)")
     parser.add_argument("--profile", action="store_true",
                         help="cProfile the run and dump per-operator "
                              "cumulative stats next to benchmark results "
@@ -387,10 +379,6 @@ def main(argv: Optional[list] = None) -> int:
         profile=args.profile,
         observe=args.observe,
         obs_sample_every=args.obs_sample_every,
-        engine_overrides=dict(
-            state_backend=args.state_backend,
-            state_dir=args.state_dir,
-        ),
     )
     scenario_kwargs = dict(
         scenario=args.scenario,

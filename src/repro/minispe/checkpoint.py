@@ -82,35 +82,6 @@ def repartition_packed(
     return pack_shard_states(repartitioner(states, new_count))
 
 
-def incremental_delta(state: Any) -> Tuple[int, int]:
-    """Sum the incremental lsm deltas buried in a checkpoint payload.
-
-    Walks a checkpoint state tree — packed shard snapshots, the plain
-    ``{vertex: {instance: state}}`` shape, or any nesting of
-    dict/list/tuple — and totals every embedded lsm store manifest
-    (dicts with ``backend == "lsm"``): returns
-    ``(new_segments, new_bytes)``, i.e. how many spill segments (and
-    on-disk bytes) this checkpoint shipped that the previous one did
-    not.  Zero for pure in-memory checkpoints; the engine reports it
-    next to the pickled payload size so incremental checkpoint cost is
-    observable.
-    """
-    new_segments = 0
-    new_bytes = 0
-    stack = [state]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, dict):
-            if node.get("backend") == "lsm" and "new_segments" in node:
-                new_segments += len(node.get("new_segments", ()))
-                new_bytes += int(node.get("new_bytes", 0))
-                continue
-            stack.extend(node.values())
-        elif isinstance(node, (list, tuple)):
-            stack.extend(node)
-    return new_segments, new_bytes
-
-
 class CheckpointFailed(RuntimeError):
     """A triggered checkpoint was not acknowledged by every instance.
 

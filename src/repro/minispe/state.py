@@ -1,9 +1,10 @@
-"""Operator state backends with snapshot/restore support.
+"""Operator state with snapshot/restore support.
 
 Two kinds of state mirror Flink's model:
 
 * :class:`KeyedState` — a per-key map scoped to the record key currently
-  being processed.  Shared operators use it for per-partition slice stores.
+  being processed.  The per-query window operators keep their
+  ``(key, window)`` accumulators in it.
 * :class:`OperatorState` — a single value per operator instance (e.g. the
   set of active queries inside a shared operator).
 
@@ -15,19 +16,14 @@ deep copy.  Later mutation of live state therefore still cannot corrupt
 a completed checkpoint, at a fraction of the old whole-map
 ``copy.deepcopy`` cost (benchmarked in ``bench_ablation_storage.py``).
 
-:class:`KeyedState` sits on the pluggable
-:class:`repro.store.StateStore` interface: the default backend is the
-in-memory dict; passing an :class:`repro.store.LSMStateStore` (or
-``store=make_state_store("lsm")``) spills values to disk so keyed state
-can exceed RAM.
+Keyed state is a plain in-memory dict: state larger than RAM is out of
+scope.
 """
 
 from __future__ import annotations
 
 import copy
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple
-
-from repro.store.backend import MemoryStateStore, StateStore
 
 _IMMUTABLE_SCALARS = (int, float, str, bytes, bool, frozenset, type(None))
 
@@ -50,24 +46,11 @@ class KeyedState:
 
         state = KeyedState(default_factory=list)
         state.get(key).append(tuple_)
-
-    ``store`` selects the physical backend (in-memory dict by default);
-    any :class:`repro.store.StateStore` works, including the
-    spill-to-disk LSM store.
     """
 
-    def __init__(
-        self,
-        default_factory: Optional[Callable[[], Any]] = None,
-        store: Optional[StateStore] = None,
-    ) -> None:
-        self._store: StateStore = store if store is not None else MemoryStateStore()
+    def __init__(self, default_factory: Optional[Callable[[], Any]] = None) -> None:
+        self._entries: Dict[Any, Any] = {}
         self._default_factory = default_factory
-
-    @property
-    def store(self) -> StateStore:
-        """The physical backend this state sits on."""
-        return self._store
 
     def get(self, key: Any) -> Any:
         """Return the state for ``key``, creating it via the factory if absent.
@@ -77,12 +60,12 @@ class KeyedState:
         Use :meth:`peek` on read-only paths — probing here permanently
         materialises an entry per probed key.
         """
-        value = self._store.get(key, _MISSING)
+        value = self._entries.get(key, _MISSING)
         if value is _MISSING:
             if self._default_factory is None:
                 return None
             value = self._default_factory()
-            self._store.put(key, value)
+            self._entries[key] = value
         return value
 
     def peek(self, key: Any, default: Any = None) -> Any:
@@ -92,34 +75,35 @@ class KeyedState:
         ``default`` and the map is left untouched, so probes do not
         inflate state size or snapshot cost.
         """
-        return self._store.get(key, default)
+        return self._entries.get(key, default)
 
     def put(self, key: Any, value: Any) -> None:
         """Set the state for ``key``."""
-        self._store.put(key, value)
+        self._entries[key] = value
 
     def contains(self, key: Any) -> bool:
         """Return True if state exists for ``key``."""
-        return key in self._store
+        return key in self._entries
 
     def remove(self, key: Any) -> None:
         """Drop the state for ``key`` (no-op if absent)."""
-        self._store.delete(key)
+        self._entries.pop(key, None)
 
     def clear(self) -> None:
         """Drop all per-key state."""
-        self._store.clear()
+        self._entries.clear()
 
     def keys(self) -> Iterator[Any]:
-        """Iterate over keys that currently hold state."""
-        return self._store.keys()
+        """Iterate over keys that currently hold state (a copy, so the
+        map may change during the loop)."""
+        return iter(list(self._entries))
 
     def items(self) -> Iterator[Tuple[Any, Any]]:
-        """Iterate over ``(key, state)`` pairs."""
-        return self._store.items()
+        """Iterate over ``(key, state)`` pairs (a copy, as :meth:`keys`)."""
+        return iter(list(self._entries.items()))
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._entries)
 
     def snapshot(self) -> Dict[Any, Any]:
         """Copy-on-write snapshot of all entries for checkpointing.
@@ -127,13 +111,11 @@ class KeyedState:
         Immutable values are shared (they cannot change under the
         checkpoint); mutable values are deep-copied.
         """
-        return {key: _copy_value(value) for key, value in self._store.items()}
+        return {key: _copy_value(value) for key, value in self._entries.items()}
 
     def restore(self, snapshot: Dict[Any, Any]) -> None:
         """Replace the entries from ``snapshot`` (copy-on-write copies)."""
-        self._store.clear()
-        for key, value in snapshot.items():
-            self._store.put(key, _copy_value(value))
+        self._entries = {key: _copy_value(value) for key, value in snapshot.items()}
 
 
 class _Missing:

@@ -54,7 +54,6 @@ class WindowedAggregateOperator(Operator):
         finish: Callable[[Any], Any] = lambda acc: acc,
         trigger: Optional[Trigger] = None,
         name: str = "window_agg",
-        state: Optional[KeyedState] = None,
     ) -> None:
         super().__init__(name)
         self._assigner = assigner
@@ -66,9 +65,7 @@ class WindowedAggregateOperator(Operator):
         if assigner.is_session() and merge is None:
             raise ValueError("session windows require a merge function")
         # (key, window) -> accumulator; for sessions windows get merged.
-        # Backed by KeyedState so the physical store is pluggable (pass
-        # state=KeyedState(store=make_state_store("lsm")) to spill).
-        self._accumulators: KeyedState = state or KeyedState()
+        self._accumulators = KeyedState()
 
     def process_batch(self, records: List[Record]) -> None:
         assigner_assign = self._assigner.assign

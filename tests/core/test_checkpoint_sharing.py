@@ -17,7 +17,6 @@ import dataclasses
 import pickle
 import tracemalloc
 
-import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from repro.core.changelog import Changelog, QueryActivation
@@ -37,7 +36,6 @@ from repro.core.query import (
 from repro.workloads.datagen import DataTuple
 
 STREAMS = ("A", "B")
-BACKENDS = ("memory", "lsm")
 PHASES = 6
 PHASE_MS = 500
 FINAL_WATERMARK_MS = PHASES * PHASE_MS + 5_000
@@ -53,15 +51,9 @@ def _even_third_field(value) -> bool:
     return value.fields[2] % 2 == 0
 
 
-def _engine(backend: str) -> AStreamEngine:
+def _engine() -> AStreamEngine:
     return AStreamEngine(
-        EngineConfig(
-            streams=STREAMS,
-            parallelism=1,
-            log_inputs=True,
-            state_backend=backend,
-            state_memtable_entries=8,
-        )
+        EngineConfig(streams=STREAMS, parallelism=1, log_inputs=True)
     )
 
 
@@ -155,7 +147,6 @@ def _apply(engine: AStreamEngine, op) -> None:
         engine.watermark(at_ms)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @seed(20190630)
 @settings(
     max_examples=20,
@@ -163,17 +154,15 @@ def _apply(engine: AStreamEngine, op) -> None:
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(schedule=_schedules())
-def test_checkpoint_is_isolated_from_later_input_and_recoveries(
-    backend, schedule
-):
+def test_checkpoint_is_isolated_from_later_input_and_recoveries(schedule):
     ops, checkpoint_at = schedule
-    uninterrupted = _engine(backend)
+    uninterrupted = _engine()
     for op in ops:
         _apply(uninterrupted, op)
     expected = _canonical(uninterrupted)
     uninterrupted.shutdown()
 
-    engine = _engine(backend)
+    engine = _engine()
     try:
         for op in ops[:checkpoint_at]:
             _apply(engine, op)
@@ -200,7 +189,7 @@ def _keyed_operators(engine: AStreamEngine, vertex: str):
 
 def _pinned_engine() -> AStreamEngine:
     """200 aggregations and one join, one changelog each, as served."""
-    engine = _engine("memory")
+    engine = _engine()
     kinds = list(AggregationKind)
     for index in range(200):
         engine.submit(

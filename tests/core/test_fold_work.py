@@ -21,14 +21,12 @@ These tests count the work directly:
 * the derived fold state (per-spec slot masks, the session mask, the
   window-length multiset, the segment layouts) is rebuilt on restore
   and after a migration split, and stays out of the snapshot; the
-  snapshot and each split part carry exactly their backend's listed
-  keys, so nothing extra rides a checkpoint or a migration unnoticed.
+  snapshot and each split part carry exactly the listed keys, so
+  nothing extra rides a checkpoint or a migration unnoticed.
 """
 
 import random
 from typing import Dict, List
-
-import pytest
 
 from repro.core.changelog import Changelog, QueryActivation, QueryDeactivation
 from repro.core.migration import _split_agg_state
@@ -79,10 +77,8 @@ def _marker(sequence, at_ms, created=(), deleted=(), width=0) -> ChangelogMarker
     )
 
 
-def _operator(state_backend: str = "memory", **kwargs) -> SharedAggregationOperator:
-    operator = SharedAggregationOperator(
-        "agg:A", state_backend=state_backend, **kwargs
-    )
+def _operator(**kwargs) -> SharedAggregationOperator:
+    operator = SharedAggregationOperator("agg:A", **kwargs)
     operator.set_collector(flat_collector([]))
     return operator
 
@@ -348,8 +344,7 @@ def test_other_members_keep_the_per_slot_fold():
         assert repr(store[slot][9]) == partials[slot][9]
 
 
-@pytest.mark.parametrize("state_backend", ["memory", "lsm"])
-def test_mixed_int_and_float_samples_match_a_per_slot_fold(state_backend):
+def test_mixed_int_and_float_samples_match_a_per_slot_fold():
     kinds = (
         AggregationKind.SUM, AggregationKind.AVG, AggregationKind.MIN,
         AggregationKind.MAX, AggregationKind.COUNT,
@@ -364,7 +359,7 @@ def test_mixed_int_and_float_samples_match_a_per_slot_fold(state_backend):
             else FieldPredicate(1, Comparison.GE, low)
         )
         queries[slot] = _query(WindowSpec.tumbling(10_000), spec, predicate)
-    operator = _operator(state_backend)
+    operator = _operator()
     operator.on_marker(_marker(1, 0, created=list(queries.items()), width=20))
     samples = {
         0: [3, 2**53 + 1, 0.5, -4, 7],
@@ -393,7 +388,6 @@ def test_mixed_int_and_float_samples_match_a_per_slot_fold(state_backend):
         assert kept == ({0, 1, 2, 3, 4} if group.spec.kind is AggregationKind.COUNT else {3})
 
     _assert_fires_as_a_per_slot_fold(operator, queries, records)
-    operator.close()
 
 
 def _assert_fires_as_a_per_slot_fold(operator, queries, records) -> None:
@@ -416,8 +410,7 @@ def _assert_fires_as_a_per_slot_fold(operator, queries, records) -> None:
     assert fired == expected
 
 
-@pytest.mark.parametrize("state_backend", ["memory", "lsm"])
-def test_member_partials_restored_per_slot_keep_the_per_slot_fold(state_backend):
+def test_member_partials_restored_per_slot_keep_the_per_slot_fold():
     """A checkpoint taken before segment rows existed holds every
     member's partials per slot.  Restored, those (member, key)s stay on
     the per-slot fold, so int and then float records folded after the
@@ -452,7 +445,7 @@ def test_member_partials_restored_per_slot_keep_the_per_slot_fold(state_backend)
     (slice_,) = list(older["slices"])
     slice_.store = _per_slot_fold(queries, before)  # what a per-slot fold checkpointed
 
-    operator = _operator(state_backend)
+    operator = _operator()
     operator.restore(older)
     operator.process_batch(after)
     (slice_,) = list(operator._slices)
@@ -461,7 +454,6 @@ def test_member_partials_restored_per_slot_keep_the_per_slot_fold(state_backend)
     rows = slice_.store.get(-1)
     assert rows.get(0) == () and rows.get(1) == () and rows.get(2)
     _assert_fires_as_a_per_slot_fold(operator, queries, before + after)
-    operator.close()
 
 
 def test_a_late_record_replays_no_changelog_behind_the_horizon():
@@ -515,18 +507,11 @@ def test_a_late_record_replays_no_changelog_behind_the_horizon():
     assert late_replays <= 200 + late_records * 12
 
 
-# The aggregation snapshot's top-level keys: the materialised shape
-# (memory backend, and every migration split part) and the lsm manifest.
-MATERIALIZED_KEYS = {
+# The aggregation snapshot's top-level keys, also those of every
+# migration split part.
+SNAPSHOT_KEYS = {
     "slicer", "slices", "changelogs", "specs", "subscribed",
     "session_specs", "session_state",
-}
-SNAPSHOT_KEYS = {
-    "memory": MATERIALIZED_KEYS,
-    "lsm": MATERIALIZED_KEYS - {"slices"} | {
-        "state_backend", "slices_meta", "created_total", "expired_total",
-        "expiry_horizon", "store_checkpoint",
-    },
 }
 
 
@@ -565,10 +550,10 @@ def _churn_predicate(slot: int) -> Predicate:
     )[slot % 5]
 
 
-def _churned_operator(state_backend: str) -> SharedAggregationOperator:
+def _churned_operator() -> SharedAggregationOperator:
     """Mixed specs, windows, predicates and sessions, with deletes and
     slot reuse, tagged by the predicates (so segment rows form)."""
-    operator = _operator(state_backend)
+    operator = _operator()
     specs = (SUM, MAX, AVG, AggregationSpec(AggregationKind.COUNT))
     windows = (
         WindowSpec.tumbling(1_000),
@@ -592,9 +577,8 @@ def _churned_operator(state_backend: str) -> SharedAggregationOperator:
     return operator
 
 
-@pytest.mark.parametrize("state_backend", ["memory", "lsm"])
-def test_fold_state_is_rebuilt_on_restore_and_split(state_backend):
-    built = _churned_operator(state_backend)
+def test_fold_state_is_rebuilt_on_restore_and_split():
+    built = _churned_operator()
     masks: Dict[AggregationSpec, int] = {}
     for slot, spec in built._specs.items():
         masks[spec] = masks.get(spec, 0) | 1 << slot
@@ -602,7 +586,7 @@ def test_fold_state_is_rebuilt_on_restore_and_split(state_backend):
     assert built._session_mask == sum(1 << slot for slot in built._session_specs)
     assert built._slicer.max_retention_ms == 4_000
     snapshot = built.snapshot()
-    assert set(snapshot) == SNAPSHOT_KEYS[state_backend]
+    assert set(snapshot) == SNAPSHOT_KEYS
     assert set(snapshot["slicer"].__getstate__()) == {
         "timeline", "_current", "_views", "_cached_bounds",
     }
@@ -612,22 +596,18 @@ def test_fold_state_is_rebuilt_on_restore_and_split(state_backend):
     assert all(layout.groups for layout in built._layouts.values())
     assert any(slot < 0 for slice_ in built._slices for slot, _ in slice_.store.items())
 
-    for backend in ("memory", "lsm"):
-        restored = _operator(backend)
-        restored.restore(snapshot)
-        assert _fold_state(restored) == _fold_state(built)
-        assert _layouts(restored) == _layouts(built)
-        restored.close()
+    restored = _operator()
+    restored.restore(snapshot)
+    assert _fold_state(restored) == _fold_state(built)
+    assert _layouts(restored) == _layouts(built)
     for part in _split_agg_state([snapshot], 2):
-        assert set(part) == MATERIALIZED_KEYS
-        split = _operator(state_backend)
+        assert set(part) == SNAPSHOT_KEYS
+        split = _operator()
         split.restore(part)
         assert _fold_state(split) == _fold_state(built)
         shapes = _layouts(split)
         assert set(shapes) == {slice_.epoch for slice_ in split._slices}
         assert shapes == {epoch: _layouts(built)[epoch] for epoch in shapes}
-        split.close()
-    built.close()
 
 
 def test_slicer_state_from_an_older_checkpoint_rebuilds_the_maximum():

@@ -75,7 +75,6 @@ class TestSingleQueryCorrectness:
         assert len(outputs) == 1
         assert outputs[0].value.value == 10
 
-    @pytest.mark.parametrize("state_backend", ["memory", "lsm"])
     @pytest.mark.parametrize(
         "kind,expected",
         [
@@ -86,8 +85,8 @@ class TestSingleQueryCorrectness:
             (AggregationKind.AVG, 3.0),
         ],
     )
-    def test_aggregation_kinds(self, kind, expected, state_backend):
-        engine = make_engine(state_backend=state_backend)
+    def test_aggregation_kinds(self, kind, expected):
+        engine = make_engine()
         query = _agg(
             WindowSpec.tumbling(1_000),
             spec=AggregationSpec(kind, field_index=0),

@@ -8,8 +8,6 @@ correctness check: two completely different execution paths, one answer.
 
 from collections import Counter
 
-import pytest
-
 from repro.baseline import BaselineDeploymentModel, QueryAtATimeEngine
 from repro.core.engine import AStreamEngine, EngineConfig
 from repro.core.query import (
@@ -27,11 +25,9 @@ from repro.minispe.cluster import ClusterSpec, SimulatedCluster
 from repro.workloads.datagen import DataGenerator, DataTuple
 
 
-def _engines(state_backend: str = "memory"):
+def _engines():
     astream = AStreamEngine(
-        EngineConfig(
-            streams=("A", "B"), parallelism=2, state_backend=state_backend
-        ),
+        EngineConfig(streams=("A", "B"), parallelism=2),
         cluster=SimulatedCluster(ClusterSpec(nodes=4)),
     )
     baseline = QueryAtATimeEngine(
@@ -128,8 +124,7 @@ def test_aggregation_queries_agree():
         assert astream.result_count(query.query_id) > 0
 
 
-@pytest.mark.parametrize("state_backend", ["memory", "lsm"])
-def test_every_aggregate_kind_agrees(state_backend):
+def test_every_aggregate_kind_agrees():
     """All five kinds over two fields in one population: the shared fold
     lifts a tuple once per distinct aggregate and merges the lift into
     each matched query, which must equal a per-query fold exactly."""
@@ -139,13 +134,13 @@ def test_every_aggregate_kind_agrees(state_backend):
             predicate=FieldPredicate(field_index, Comparison.LT, 70),
             window_spec=WindowSpec.tumbling(length),
             aggregation=AggregationSpec(kind, field_index=field_index),
-            query_id=f"kinds-{state_backend}-{kind.value}-{field_index}-{length}",
+            query_id=f"kinds-{kind.value}-{field_index}-{length}",
         )
         for kind in AggregationKind
         for field_index in (0, 3)
         for length in (1_000, 2_000)
     ]
-    astream, baseline = _engines(state_backend)
+    astream, baseline = _engines()
     try:
         _drive(astream, queries, is_astream=True)
     finally:
@@ -178,8 +173,7 @@ def test_mixed_population_agrees():
     assert _agg_multiset(astream, "mx-a") == _agg_multiset(baseline, "mx-a")
 
 
-@pytest.mark.parametrize("state_backend", ["memory", "lsm"])
-def test_late_record_after_its_slice_fired_agrees(state_backend):
+def test_late_record_after_its_slice_fired_agrees():
     """Records behind the watermark, after the first window over their
     slice fired (its segment rows are prefixes by then) but within the
     allowed lateness, reach the sliding windows that fire later.  One is
@@ -202,7 +196,7 @@ def test_late_record_after_its_slice_fired_agrees(state_backend):
             predicate=predicate,
             window_spec=window,
             aggregation=AggregationSpec(kind, field_index=0),
-            query_id=f"late-{state_backend}-{kind.value}-{index}",
+            query_id=f"late-{kind.value}-{index}",
         )
         for kind in AggregationKind
         for index, predicate in enumerate(predicates)
@@ -228,7 +222,7 @@ def test_late_record_after_its_slice_fired_agrees(state_backend):
             engine.push("A", ts, generator.next_tuple())
         engine.watermark(12_000)
 
-    astream, baseline = _engines(state_backend)
+    astream, baseline = _engines()
     try:
         drive(astream, True)
     finally:
@@ -249,8 +243,7 @@ def test_late_record_after_its_slice_fired_agrees(state_backend):
         assert sum(later.values()) > 0, query.query_id
 
 
-@pytest.mark.parametrize("state_backend", ["memory", "lsm"])
-def test_second_create_at_the_same_time_agrees(state_backend):
+def test_second_create_at_the_same_time_agrees():
     """Two changelogs at one event time with records between them: the
     second starts a new epoch (its own segment layout, with groups added
     before and into the first's) while the slices already open at that
@@ -263,7 +256,7 @@ def test_second_create_at_the_same_time_agrees(state_backend):
             predicate=predicate,
             window_spec=WindowSpec.tumbling(1_000),
             aggregation=AggregationSpec(kind, field_index=field),
-            query_id=f"same-time-{state_backend}-{name}",
+            query_id=f"same-time-{name}",
         )
 
     first = [
@@ -288,7 +281,7 @@ def test_second_create_at_the_same_time_agrees(state_backend):
                 engine.push("A", ts, generator.next_tuple())
         engine.watermark(10_000)
 
-    astream, baseline = _engines(state_backend)
+    astream, baseline = _engines()
     try:
         drive(astream, True)
     finally:
@@ -362,11 +355,8 @@ def _tumbling_populations(draw):
 @given(
     _tumbling_populations(),
     st.integers(0, 2**16),
-    st.sampled_from(["memory", "lsm"]),
 )
-def test_random_populations_agree_across_engines(
-    population, data_seed, state_backend
-):
+def test_random_populations_agree_across_engines(population, data_seed):
     run_tag = next(_tag_counter)
     queries = []
     for index, kind, length, _, _, _, aggregation, predicate in population:
@@ -404,11 +394,11 @@ def test_random_populations_agree_across_engines(
             engine.push("B", ts, gen_b.next_tuple())
         engine.watermark(12_000)
 
-    astream, baseline = _engines(state_backend)
+    astream, baseline = _engines()
     try:
         drive(astream, True)
     finally:
-        astream.shutdown()  # results stay readable; removes the spill dir
+        astream.shutdown()  # results stay readable
     drive(baseline, False)
     for query in queries:
         if isinstance(query, JoinQuery):

@@ -1,8 +1,6 @@
-"""Tests for keyed and operator state backends."""
+"""Tests for keyed and operator state."""
 
 from repro.minispe.state import KeyedState, OperatorState
-from repro.store.backend import make_state_store
-from repro.store.lsm import LSMStateStore
 
 
 class TestKeyedState:
@@ -87,26 +85,6 @@ class TestKeyedState:
         assert snapshot["copied"][1] is not nested[1]
         nested[1].append(3)
         assert snapshot["copied"] == ("outer", [1, 2])
-
-    def test_keyed_state_over_lsm_store(self):
-        store = make_state_store("lsm", memtable_entries=4)
-        state = KeyedState(default_factory=list, store=store)
-        assert state.store is store
-        for i in range(12):  # crosses the memtable cap → spills
-            state.put(i, [i])
-        assert isinstance(store, LSMStateStore)
-        assert store.stats()["segments"] > 0
-        assert len(state) == 12
-        assert state.peek(3) == [3]
-        snapshot = state.snapshot()
-        state.get(3).append(99)
-        assert snapshot[3] == [3]
-        fresh = KeyedState(store=make_state_store("lsm"))
-        fresh.restore(snapshot)
-        assert fresh.peek(3) == [3]
-        assert len(fresh) == 12
-        fresh.store.close()
-        store.close()
 
 
 class TestOperatorState:

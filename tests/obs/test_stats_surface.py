@@ -1,11 +1,10 @@
 """One stats surface (ISSUE 19).
 
 Operators declare their counters once in ``stats()``; ``component_stats``,
-``sharing_summary``, ``state_summary`` and the registry gauges of
-``obs_snapshot`` are projections of ``stats_snapshot()``, merged by each
-stat's own hint — so the same input must read the same on every backend
-and through every view, and the process backend's views must outlive its
-worker pool.  (The wire ``stats`` frame is held to the same snapshot in
+``sharing_summary`` and the registry gauges of ``obs_snapshot`` are
+projections of ``stats_snapshot()``, merged by each stat's own hint — so
+the same input must read the same on every backend and through every
+view, and the process backend's views must outlive its worker pool.  (The wire ``stats`` frame is held to the same snapshot in
 ``tests/serve/test_server.py``.)
 """
 
@@ -116,15 +115,12 @@ class TestOneSnapshotEveryView:
 class TestProcessViewsOutliveThePool:
     def test_every_stats_view_is_readable_after_shutdown(self):
         engine = run(
-            ProcessAStreamEngine(
-                _config(parallelism=1, state_backend="lsm"), workers=2
-            )
+            ProcessAStreamEngine(_config(parallelism=1), workers=2)
         )
         views = {
             "stats_snapshot": engine.stats_snapshot,
             "component_stats": engine.component_stats,
             "sharing_summary": engine.sharing_summary,
-            "state_summary": engine.state_summary,
             "cost_profile": engine.cost_profile,
         }
         live = {name: view() for name, view in views.items()}
