@@ -32,12 +32,19 @@ bound is inclusive and ``(low, 1)`` when exclusive (and symmetrically
 ``end_key = (high, 1)`` inclusive / ``(high, 0)`` exclusive).  Interval
 membership, emptiness, overlap, and the stabbing segmentation all reduce
 to tuple comparisons in that space.
+
+The selection keeps each anchor field's overlap components live
+(:class:`AnchorIndex`): a create or delete updates the one component it
+lands in by bisection, never re-sorting the field's members, and the
+result equals sweeping the whole member set from scratch.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
+from operator import and_, xor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.query import (
@@ -334,8 +341,19 @@ def stabbing_segments(
     return cuts, segment_masks, all_slots
 
 
-_Residual = Tuple[Tuple[Tuple[int, float, bool, float, bool], ...], int]
+_Checks = Tuple[Tuple[int, float, bool, float, bool], ...]
+"""Per-field bound checks ``(field, low, low_inc, high, high_inc)``."""
+
+_Residual = Tuple[_Checks, int]
 """(per-field bound checks, slots-bitset) for one residual member."""
+
+
+def _residual_checks(normalized: NormalizedPredicate) -> _Checks:
+    """The bound checks a residual member is refined with, per tuple."""
+    return tuple(
+        (f, iv.low, iv.low_inclusive, iv.high, iv.high_inclusive)
+        for f, iv in normalized.constraints
+    )
 
 
 class SharingGroup:
@@ -371,51 +389,61 @@ class SharingGroup:
         single_members: Sequence[Tuple[Interval, int]],
         residual_members: Sequence[Tuple[NormalizedPredicate, int]],
     ) -> None:
-        self.field_index = field_index
-        self.evaluations = 0
-        self.cover_skips = 0
-        self.index_probes = 0
-        self.residual_checks = 0
-        self.member_count = len(single_members) + len(residual_members)
-        self.residual_count = len(residual_members)
-
         anchor_intervals = [interval for interval, _ in single_members]
         anchor_intervals.extend(
             norm.interval_for(field_index) for norm, _ in residual_members
         )
-        # Interval.hull folded over every member, without the temporaries.
-        low, low_exclusive = min(
-            (interval.low, not interval.low_inclusive)
-            for interval in anchor_intervals
-        )
-        high, high_inclusive = max(
-            (interval.high, interval.high_inclusive)
-            for interval in anchor_intervals
-        )
-        hull = Interval(low, not low_exclusive, high, bool(high_inclusive))
-        self.cover = hull
-        self._hull_start = hull.start_key
-        self._hull_end = hull.end_key
-
-        self._cuts, self._segment_masks, mask = stabbing_segments(single_members)
-
+        cuts, segment_masks, mask = stabbing_segments(single_members)
         residuals: List[_Residual] = []
         for norm, slots in residual_members:
-            checks = tuple(
-                (f, iv.low, iv.low_inclusive, iv.high, iv.high_inclusive)
-                for f, iv in norm.constraints
-            )
-            residuals.append((checks, slots))
+            residuals.append((_residual_checks(norm), slots))
             mask |= slots
+        self._layout(
+            field_index,
+            min(interval.start_key for interval in anchor_intervals),
+            max(interval.end_key for interval in anchor_intervals),
+            cuts,
+            segment_masks,
+            residuals,
+            mask,
+            len(anchor_intervals),
+        )
+
+    def _layout(
+        self,
+        field_index: int,
+        hull_start: _Key,
+        hull_end: _Key,
+        cuts: List[_Key],
+        segment_masks: List[int],
+        residuals: List[_Residual],
+        slots_mask: int,
+        member_count: int,
+    ) -> None:
+        """Install one compiled index, with zeroed counters."""
+        self.field_index = field_index
+        self.slots_mask = slots_mask
+        self.member_count = member_count
+        self.residual_count = len(residuals)
+        self.cover = Interval(
+            hull_start[0], not hull_start[1], hull_end[0], bool(hull_end[1])
+        )
+        self._hull_start = hull_start
+        self._hull_end = hull_end
+        self._cuts = cuts
+        self._segment_masks = segment_masks
         self._residuals = residuals
-        self.slots_mask = mask
+        self.evaluations = 0
+        self.cover_skips = 0
+        self.index_probes = 0
+        self.residual_checks = 0
 
     def fresh(self) -> "SharingGroup":
         """This group's compiled index under new, zeroed counters.
 
-        Epoch views whose anchor did not change share one compiled index
-        (cover, cuts, segment masks, residuals — never mutated after
-        ``__init__``); each view still counts its own work.
+        Epoch views whose component did not change share one compiled
+        index (cover, cuts, segment masks, residuals — never mutated once
+        laid out); each view still counts its own work.
         """
         copy = SharingGroup.__new__(SharingGroup)
         for name in self.__slots__:
@@ -530,13 +558,6 @@ class SelectionPlan:
         }
 
 
-_Member = Tuple[Optional[NormalizedPredicate], Predicate, int]
-"""(normalized form or None for a UDF, original predicate, slots-bitset)."""
-
-AnchorPlan = Tuple[List[Tuple[Predicate, int]], List[SharingGroup]]
-"""One anchor field's compiled share of a plan: (direct, groups)."""
-
-
 def sharing_anchor(normalized: Optional[NormalizedPredicate]) -> Optional[int]:
     """The anchor field a predicate clusters on, or None when it stays out
     of every group: black-box UDFs, constant true and constant false."""
@@ -545,111 +566,289 @@ def sharing_anchor(normalized: Optional[NormalizedPredicate]) -> Optional[int]:
     return normalized.anchor_field
 
 
-def compile_anchor(anchor: int, members: Sequence[_Member]) -> AnchorPlan:
-    """Sweep one anchor field's members into overlap components.
+# ---------------------------------------------------------------------------
+# Incrementally maintained overlap components
+# ---------------------------------------------------------------------------
 
-    Sorted by start key, a member joins the open component while its
-    interval begins before the component's furthest end.  A component
-    of one stays direct, larger ones become :class:`SharingGroup` s, both
-    in sweep order.  The result depends only on the member *set*, so a
-    changelog need only recompile the anchors whose members changed.
-    """
-    ordered = sorted(
-        (
-            (normalized.interval_for(anchor), normalized, predicate, slots)
-            for normalized, predicate, slots in members
-        ),
-        key=lambda entry: (entry[0].start_key, entry[0].end_key, entry[3]),
+
+AnchorMember = Tuple[_Key, _Key, int, Predicate, Optional[_Checks]]
+"""``(start_key, end_key, slots, predicate, checks)``: one member of an
+anchor field — its anchor interval's key range, its slots-bitset, the
+predicate a one-member component evaluates directly, and the residual
+checks of a multi-field member (None for a one-field one).  Members'
+slots are disjoint, so the first three fields alone order them: the
+order the from-scratch sweep sorts by."""
+
+
+def anchor_bounds(
+    normalized: NormalizedPredicate,
+) -> Tuple[_Key, _Key, Optional[_Checks]]:
+    """``(start_key, end_key, checks)`` of an anchored predicate's
+    :data:`AnchorMember`."""
+    interval = normalized.constraints[0][1]
+    checks = (
+        _residual_checks(normalized) if len(normalized.constraints) > 1 else None
     )
-    direct: List[Tuple[Predicate, int]] = []
-    groups: List[SharingGroup] = []
+    return interval.start_key, interval.end_key, checks
 
-    def flush(component: List[tuple]) -> None:
-        if len(component) == 1:
-            _, _, predicate, slots = component[0]
-            direct.append((predicate, slots))
-            return
-        singles: List[Tuple[Interval, int]] = []
-        residuals: List[Tuple[NormalizedPredicate, int]] = []
-        for interval, normalized, _, slots in component:
-            if len(normalized.constraints) == 1:
-                singles.append((interval, slots))
+
+class _Component:
+    """One overlap component of an anchor field, updated by deltas.
+
+    ``singles`` and ``residuals`` hold the members, sorted.  ``cuts``
+    are the single members' endpoint keys, and ``toggles[i]`` XORs the
+    slots of the members starting or ending at ``cuts[i]``: the stabbing
+    sweep's toggles, so the segment masks are their prefix XOR.  Slots
+    are disjoint, so a toggle is zero exactly when no endpoint is left
+    at its cut, and the cut goes.  ``start`` / ``end`` is the hull.
+    """
+
+    __slots__ = (
+        "start",
+        "end",
+        "slots",
+        "singles",
+        "cuts",
+        "toggles",
+        "residuals",
+        "residual_pairs",
+        "published",
+    )
+
+    def __init__(self, member: AnchorMember) -> None:
+        self.start, self.end = member[0], member[1]
+        self.slots = 0
+        self.singles: List[AnchorMember] = []
+        self.cuts: List[_Key] = []
+        self.toggles: List[int] = []
+        self.residuals: List[AnchorMember] = []
+        self.residual_pairs: List[_Residual] = []
+        """``residuals`` as the group evaluates them: (checks, slots)."""
+        self.published: Optional[Tuple[_Key, bool]] = None
+        """(start, is a group) this component is listed under, if any."""
+        self.add(member)
+
+    @property
+    def size(self) -> int:
+        return len(self.singles) + len(self.residuals)
+
+    def _toggle(self, key: _Key, slots: int) -> None:
+        cuts = self.cuts
+        index = bisect_left(cuts, key)
+        if index < len(cuts) and cuts[index] == key:
+            bits = self.toggles[index] ^ slots
+            if bits:
+                self.toggles[index] = bits
             else:
-                residuals.append((normalized, slots))
-        groups.append(SharingGroup(anchor, singles, residuals))
-
-    component: List[tuple] = []
-    max_end: Optional[_Key] = None
-    for entry in ordered:
-        interval = entry[0]
-        if component and interval.start_key < max_end:
-            component.append(entry)
-            max_end = max(max_end, interval.end_key)
-            continue
-        if component:
-            flush(component)
-        component = [entry]
-        max_end = interval.end_key
-    if component:
-        flush(component)
-    return direct, groups
-
-
-def assemble_plan(
-    loose: Sequence[_Member], anchors: Dict[int, AnchorPlan]
-) -> SelectionPlan:
-    """One view's plan from its unanchored members and compiled anchors.
-
-    ``loose`` holds the members :func:`sharing_anchor` leaves out, in
-    pair order: UDFs and constant-true predicates are evaluated direct,
-    constant-false ones fold away.  Anchors follow in field order.
-    Every group enters the plan as a :meth:`SharingGroup.fresh` copy, so
-    each view counts its own work over a shared compiled index.
-    """
-    plan = SelectionPlan()
-    for normalized, predicate, slots in loose:
-        if normalized is not None and not normalized.satisfiable:
-            plan.folded_slots |= slots
+                del cuts[index]
+                del self.toggles[index]
         else:
-            plan.direct.append((predicate, slots))
-    for anchor in sorted(anchors):
-        direct, groups = anchors[anchor]
-        plan.direct.extend(direct)
-        plan.groups.extend(group.fresh() for group in groups)
-    return plan
+            cuts.insert(index, key)
+            self.toggles.insert(index, slots)
 
-
-def compile_selection_plan(
-    pairs: Sequence[Tuple[Predicate, int]],
-    share_overlapping: bool = True,
-) -> SelectionPlan:
-    """Rewrite deduplicated (predicate, slots) pairs into a shared plan.
-
-    Deterministic: the same pairs (and they are derived from the sorted
-    slot table) compile to the same plan on every backend and after
-    every recovery, which is what keeps sharded and restored runs
-    byte-equal to the inline oracle.  The selection operator maintains
-    the same plan incrementally (one :func:`compile_anchor` per changed
-    anchor); this from-scratch form is its test oracle.
-    """
-    if not share_overlapping:
-        return SelectionPlan(direct=list(pairs))
-    loose: List[_Member] = []
-    clusters: Dict[int, List[_Member]] = {}
-    for predicate, slots in pairs:
-        normalized = normalize(predicate)
-        anchor = sharing_anchor(normalized)
-        if anchor is None:
-            loose.append((normalized, predicate, slots))
+    def add(self, member: AnchorMember) -> None:
+        start, end, slots, _, checks = member
+        if checks is None:
+            insort(self.singles, member)
+            self._toggle(start, slots)
+            self._toggle(end, slots)
         else:
-            clusters.setdefault(anchor, []).append((normalized, predicate, slots))
-    return assemble_plan(
-        loose,
-        {
-            anchor: compile_anchor(anchor, members)
-            for anchor, members in clusters.items()
-        },
-    )
+            index = bisect_left(self.residuals, member)
+            self.residuals.insert(index, member)
+            self.residual_pairs.insert(index, (checks, slots))
+        self.slots |= slots
+        if start < self.start:
+            self.start = start
+        if end > self.end:
+            self.end = end
+
+    def discard(self, member: AnchorMember) -> None:
+        """Take a member out; the hull is the caller's to fix."""
+        start, end, slots, _, checks = member
+        if checks is None:
+            del self.singles[bisect_left(self.singles, member)]
+            self._toggle(start, slots)
+            self._toggle(end, slots)
+        else:
+            index = bisect_left(self.residuals, member)
+            del self.residuals[index]
+            del self.residual_pairs[index]
+        self.slots &= ~slots
+
+    def absorb(self, other: "_Component") -> None:
+        """Append ``other``, whose hull lies at or after this one's end."""
+        cuts, toggles = other.cuts, other.toggles
+        if self.cuts and cuts and self.cuts[-1] == cuts[0]:  # touching hulls
+            self.toggles[-1] ^= toggles[0]
+            cuts, toggles = cuts[1:], toggles[1:]
+        self.cuts += cuts
+        self.toggles += toggles
+        self.singles += other.singles
+        self.residuals += other.residuals
+        self.residual_pairs += other.residual_pairs
+        self.slots |= other.slots
+        self.end = other.end
+
+    def splits(self) -> bool:
+        """Whether these single members chain into more than one component.
+
+        The sweep breaks at a cut no member straddles, i.e. where the
+        masks of the segments on either side share no slot.  Both the
+        prefix XOR and the scan run in C.
+        """
+        masks = list(accumulate(self.toggles, xor))
+        return 0 in map(and_, masks, islice(masks, 1, len(masks) - 1))
+
+    def compile(self, field_index: int) -> SharingGroup:
+        """This component as a group, on copies of its lists."""
+        group = SharingGroup.__new__(SharingGroup)
+        group._layout(
+            field_index,
+            self.start,
+            self.end,
+            list(self.cuts),
+            list(accumulate(self.toggles, xor)),
+            list(self.residual_pairs),
+            self.slots,
+            self.size,
+        )
+        return group
+
+
+def _sweep(members: Sequence[AnchorMember]) -> List[_Component]:
+    """Sorted members chained into components: a member joins the open
+    component while it starts strictly before the component's end."""
+    components: List[_Component] = []
+    for member in members:
+        if components and member[0] < components[-1].end:
+            components[-1].add(member)
+        else:
+            components.append(_Component(member))
+    return components
+
+
+class AnchorIndex:
+    """One anchor field's share of a selection plan, maintained by deltas.
+
+    Components are kept as sorted disjoint hulls.  A member that
+    overlaps some hulls merges them (their lists are concatenated), one
+    that overlaps none starts a component.  A removal is re-swept only
+    when it can split its component: when the component holds residual
+    members, or when a cut no remaining single member straddles appears.
+    ``direct`` and ``groups`` are the plan's share in key order — the
+    one-member components' ``(predicate, slots)`` and the others'
+    :class:`SharingGroup` s — and :meth:`publish` recompiles only the
+    components changed since its last call.  So a change costs
+    ``O(log members)`` Python steps plus C-level list copies of the one
+    component it lands in.  The result depends only on the member set,
+    and equals the from-scratch sweep.
+    """
+
+    def __init__(self, field_index: int) -> None:
+        self.field_index = field_index
+        self._components: List[_Component] = []
+        self._starts: List[_Key] = []
+        self._ends: List[_Key] = []
+        self.direct: List[Tuple[Predicate, int]] = []
+        self._direct_starts: List[_Key] = []
+        self.groups: List[SharingGroup] = []
+        self._group_starts: List[_Key] = []
+        self._changed: Dict[_Component, None] = {}
+
+    def _unpublish(self, component: _Component) -> None:
+        if component.published is None:
+            return
+        start, grouped = component.published
+        starts, items = (
+            (self._group_starts, self.groups)
+            if grouped
+            else (self._direct_starts, self.direct)
+        )
+        index = bisect_left(starts, start)
+        del starts[index]
+        del items[index]
+        component.published = None
+
+    def _find(self, member: AnchorMember) -> int:
+        return bisect_right(self._starts, member[0]) - 1
+
+    def _set_hull(self, index: int, component: _Component) -> None:
+        self._starts[index] = component.start
+        self._ends[index] = component.end
+
+    def insert(self, member: AnchorMember) -> None:
+        """Add a member, merging every component whose hull it overlaps."""
+        start, end = member[0], member[1]
+        low = bisect_right(self._ends, start)  # first hull ending after start
+        high = bisect_left(self._starts, end)  # first hull starting at/after end
+        if low == high:
+            component = _Component(member)
+            self._components.insert(low, component)
+            self._starts.insert(low, start)
+            self._ends.insert(low, end)
+        else:
+            component = self._components[low]
+            self._unpublish(component)
+            for other in self._components[low + 1 : high]:
+                self._unpublish(other)
+                self._changed.pop(other, None)
+                component.absorb(other)
+            component.add(member)
+            del self._components[low + 1 : high]
+            del self._starts[low + 1 : high]
+            del self._ends[low + 1 : high]
+            self._set_hull(low, component)
+        self._changed[component] = None
+
+    def remove(self, member: AnchorMember) -> None:
+        """Take a member out, re-sweeping its component if it can split."""
+        index = self._find(member)
+        component = self._components[index]
+        self._unpublish(component)
+        component.discard(member)
+        if not component.slots:
+            del self._components[index]
+            del self._starts[index]
+            del self._ends[index]
+            self._changed.pop(component, None)
+            return
+        if component.residuals or component.splits():
+            self._changed.pop(component, None)
+            parts = _sweep(sorted(component.singles + component.residuals))
+            self._components[index : index + 1] = parts
+            self._starts[index : index + 1] = [part.start for part in parts]
+            self._ends[index : index + 1] = [part.end for part in parts]
+            for part in parts:
+                self._changed[part] = None
+            return
+        component.start, component.end = component.cuts[0], component.cuts[-1]
+        self._set_hull(index, component)
+        self._changed[component] = None
+
+    def replace(self, old: AnchorMember, new: AnchorMember) -> None:
+        """Swap a member for one over the same interval (new slots or
+        predicate): the components keep their shape."""
+        component = self._components[self._find(old)]
+        self._unpublish(component)
+        component.discard(old)
+        component.add(new)
+        self._changed[component] = None
+
+    def publish(self) -> None:
+        """List the components changed since the last call afresh."""
+        for component in self._changed:
+            if component.size == 1:
+                member = (component.singles or component.residuals)[0]
+                starts, items = self._direct_starts, self.direct
+                item: Any = (member[3], member[2])
+            else:
+                starts, items = self._group_starts, self.groups
+                item = component.compile(self.field_index)
+            index = bisect_left(starts, component.start)
+            starts.insert(index, component.start)
+            items.insert(index, item)
+            component.published = (component.start, component.size > 1)
+        self._changed.clear()
 
 
 # ---------------------------------------------------------------------------

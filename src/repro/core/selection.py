@@ -20,19 +20,19 @@ interval stabbing index + per-query residual filters).  The rewrite is
 exact, so the emitted qs-bitsets are byte-identical with the optimizer
 on or off.
 
-The distinct-predicate table and its per-anchor compiled plans are live
-state, maintained from each changelog's own created and deleted slots:
-a predicate is normalized once, when its first slot arrives, and a
-changelog recompiles only the anchor fields whose member set changed —
-a create costs one anchor, not the whole population.
+The distinct-predicate table and the plan's parts are live state,
+maintained from each changelog's own created and deleted slots: a
+predicate is normalized once, when its first slot arrives, and joins
+its anchor field's :class:`~repro.core.planner.AnchorIndex`, which
+updates only the overlap component the change lands in.  A create costs
+what it changes, not what is standing.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 import operator as _compare
@@ -40,11 +40,10 @@ import operator as _compare
 from repro.core.bitset import QuerySet
 from repro.core.changelog import Changelog
 from repro.core.planner import (
-    AnchorPlan,
+    AnchorIndex,
     NormalizedPredicate,
     SelectionPlan,
-    assemble_plan,
-    compile_anchor,
+    anchor_bounds,
     normalize,
     sharing_anchor,
 )
@@ -68,31 +67,86 @@ EPOCH_TAG = "epoch"
 """Record tag holding the changelog epoch the tuple was tagged under."""
 
 
+def _entry_key(slot: int, predicate: Predicate, dedup: bool) -> Any:
+    """Group slots by distinct predicate (identity for UDFs).
+
+    Hashable value-predicates (the generated ``FieldPredicate`` and
+    ``TruePredicate`` dataclasses) deduplicate by value; unhashable
+    black-box predicates fall back to one group per object, and
+    without dedup every slot is its own entry.
+    """
+    if not dedup:
+        return ("slot", slot)
+    try:
+        return (type(predicate), hash(predicate), predicate)
+    except TypeError:
+        return ("id", id(predicate))
+
+
+def _lowest(slots: int) -> int:
+    return (slots & -slots).bit_length() - 1
+
+
 @dataclass
 class _EpochView:
     """The queries watching this stream during one epoch.
 
-    ``predicates`` maps each *distinct* predicate to the bitset of slots
-    that use it: queries sharing a predicate are evaluated once and
-    their bits OR-ed in together.  ``plan`` is the compiled evaluation
-    plan over those pairs — overlapping predicates merged into covering
-    groups with residual filters (the §7 sharing optimizer); it is a
-    derived cache, never snapshotted.  Its groups share their compiled
-    index with the other views' but count work of their own.
+    ``plan`` is the compiled evaluation plan — distinct predicates
+    evaluated once, overlapping ones merged into covering groups with
+    residual filters (the §7 sharing optimizer); it is a derived cache,
+    never snapshotted.  Its groups share their compiled index with the
+    other views' but count work of their own.
     """
 
     start_ms: int
     sequence: int
-    predicates: List[Tuple[Predicate, int]]
-    """(predicate, slots-bitset) pairs, one entry per distinct predicate,
-    ordered by lowest slot; the predicate is that slot's."""
+    table: Dict[int, Predicate]
+    """The slot table in force (slot -> predicate); never mutated."""
+    dedup: bool
     plan: SelectionPlan
+
+    @property
+    def predicates(self) -> List[Tuple[Predicate, int]]:
+        """(predicate, slots-bitset) pairs, one per distinct predicate,
+        ordered by lowest slot; the predicate is that slot's.  Derived
+        from ``table`` on demand (snapshots and tests ask)."""
+        return self.pairs({})
+
+    def pairs(
+        self, interned: Dict[Tuple[int, int], Tuple[Predicate, int]]
+    ) -> List[Tuple[Predicate, int]]:
+        """:attr:`predicates`, taking each pair from ``interned`` (keyed by
+        predicate id and slots) when there, so that the views one
+        snapshot lists share the pairs they have in common."""
+        groups: Dict[Any, List] = {}
+        for slot in sorted(self.table):
+            predicate = self.table[slot]
+            group = groups.setdefault(
+                _entry_key(slot, predicate, self.dedup), [predicate, 0]
+            )
+            group[1] |= 1 << slot
+        pairs = []
+        for predicate, slots in groups.values():
+            pair = interned.get((id(predicate), slots))
+            if pair is None:
+                pair = interned[id(predicate), slots] = (predicate, slots)
+            pairs.append(pair)
+        return pairs
 
 
 class _Entry:
     """One distinct predicate of the live slot table."""
 
-    __slots__ = ("key", "predicate", "slots", "low", "normalized", "anchor")
+    __slots__ = (
+        "key",
+        "predicate",
+        "slots",
+        "normalized",
+        "anchor",
+        "bounds",
+        "placed_slots",
+        "placed_predicate",
+    )
 
     def __init__(
         self, key: Any, normalized: Optional[NormalizedPredicate]
@@ -101,11 +155,16 @@ class _Entry:
         self.predicate: Optional[Predicate] = None
         """The lowest slot's predicate, as a regroup from scratch picks."""
         self.slots = 0
-        self.low = 0
-        """Lowest slot in ``slots``: orders the view's pairs."""
         self.normalized = normalized
         self.anchor = sharing_anchor(normalized)
-        """Anchor field whose compiled plan holds this entry, or None."""
+        """Anchor field whose index holds this entry, or None."""
+        self.bounds = (
+            anchor_bounds(normalized) if self.anchor is not None else None
+        )
+        """(start_key, end_key, checks) of its anchor member."""
+        self.placed_slots = 0
+        self.placed_predicate: Optional[Predicate] = None
+        """What the plan's parts hold of this entry (0: nothing)."""
 
 
 class SharedSelectionOperator(Operator):
@@ -144,10 +203,15 @@ class SharedSelectionOperator(Operator):
         self._slot_predicates: Dict[int, Predicate] = {}
         self._slot_entries: Dict[int, _Entry] = {}
         self._entries: Dict[Any, _Entry] = {}
-        """Grouping key -> distinct predicate (see :meth:`_entry_key`)."""
-        self._anchor_entries: Dict[int, Dict[Any, _Entry]] = {}
-        self._anchor_plans: Dict[int, AnchorPlan] = {}
-        """Anchor field -> its compiled share of the current plan."""
+        """Grouping key -> distinct predicate (see :func:`_entry_key`)."""
+        self._anchors: Dict[int, AnchorIndex] = {}
+        """Anchor field -> its share of the current plan."""
+        self._loose_lows: List[int] = []
+        self._loose_pairs: List[Tuple[Predicate, int]] = []
+        """Direct (predicate, slots) of the unanchored entries, by lowest
+        slot (``_loose_lows``): UDFs and constant true."""
+        self._folded = 0
+        """Slots of the predicates folded to constant false."""
         self._views: List[_EpochView] = [self._make_view(0, 0)]
         self._view_starts: List[int] = [0]
         self.profile = profile
@@ -164,20 +228,23 @@ class SharedSelectionOperator(Operator):
     # -- changelog handling ----------------------------------------------------
 
     def _make_view(self, start_ms: int, sequence: int) -> _EpochView:
-        """Snapshot the live tables as one epoch's view: the pairs in
-        lowest-slot order, the plan assembled from the compiled anchors."""
-        ordered = sorted(self._entries.values(), key=attrgetter("low"))
+        """Snapshot the live tables as one epoch's view: C-level copies of
+        the slot table and the plan's lists, fresh counters per group."""
+        direct = list(self._loose_pairs)
+        groups = []
+        for anchor in sorted(self._anchors):
+            index = self._anchors[anchor]
+            direct += index.direct
+            groups += index.groups
         return _EpochView(
             start_ms=start_ms,
             sequence=sequence,
-            predicates=[(entry.predicate, entry.slots) for entry in ordered],
-            plan=assemble_plan(
-                [
-                    (entry.normalized, entry.predicate, entry.slots)
-                    for entry in ordered
-                    if entry.anchor is None
-                ],
-                self._anchor_plans,
+            table=dict(self._slot_predicates),
+            dedup=self.dedup_predicates,
+            plan=SelectionPlan(
+                direct=direct,
+                groups=[group.fresh() for group in groups],
+                folded_slots=self._folded,
             ),
         )
 
@@ -212,74 +279,90 @@ class SharedSelectionOperator(Operator):
             self._views.append(view)
             self._view_starts.append(timestamp_ms)
 
-    def _entry_key(self, slot: int, predicate: Predicate) -> Any:
-        """Group slots by distinct predicate (identity for UDFs).
-
-        Hashable value-predicates (the generated ``FieldPredicate`` and
-        ``TruePredicate`` dataclasses) deduplicate by value; unhashable
-        black-box predicates fall back to one group per object, and
-        without dedup every slot is its own entry.
-        """
-        if not self.dedup_predicates:
-            return ("slot", slot)
-        try:
-            return (type(predicate), hash(predicate), predicate)
-        except TypeError:
-            return ("id", id(predicate))
-
     def _update_slots(self, changes: Dict[int, Optional[Predicate]]) -> None:
         """Point each changed slot at its new predicate (None: vacated).
 
         Touches only the entries those slots leave or join: a new
-        distinct predicate is normalized once, and only anchors whose
-        member set changed are recompiled.
+        distinct predicate is normalized once, and only the entries
+        whose slots or representative changed move in the plan's parts.
+        They move in two passes, first shrinking each to the slots it
+        keeps, then growing it to its new ones, so the parts never hold
+        one slot twice.
         """
-        before: Dict[Any, Tuple[_Entry, int]] = {}
+        before: Dict[Any, _Entry] = {}
         for slot in changes:
             entry = self._slot_entries.pop(slot, None)
             if entry is not None:
                 del self._slot_predicates[slot]
-                before.setdefault(entry.key, (entry, entry.slots))
+                before[entry.key] = entry
                 entry.slots &= ~(1 << slot)
         share = self.share_overlapping and self.dedup_predicates
         for slot, predicate in changes.items():
             if predicate is None:
                 continue
-            key = self._entry_key(slot, predicate)
+            key = _entry_key(slot, predicate, self.dedup_predicates)
             entry = self._entries.get(key)
             if entry is None:
                 entry = _Entry(key, normalize(predicate) if share else None)
                 self._entries[key] = entry
-                if entry.anchor is not None:
-                    self._anchor_entries.setdefault(entry.anchor, {})[key] = entry
-            before.setdefault(key, (entry, entry.slots))
+            before[key] = entry
             entry.slots |= 1 << slot
             self._slot_entries[slot] = entry
             self._slot_predicates[slot] = predicate
-        dirty = set()
-        for key, (entry, slots) in before.items():
+        touched: Dict[AnchorIndex, None] = {}
+        for key, entry in before.items():
             if entry.slots:
-                entry.low = (entry.slots & -entry.slots).bit_length() - 1
-                entry.predicate = self._slot_predicates[entry.low]
+                entry.predicate = self._slot_predicates[_lowest(entry.slots)]
             else:
                 del self._entries[key]
-                if entry.anchor is not None:
-                    del self._anchor_entries[entry.anchor][key]
-            if entry.anchor is not None and entry.slots != slots:
-                dirty.add(entry.anchor)
-        for anchor in dirty:
-            members = self._anchor_entries[anchor]
-            if members:
-                self._anchor_plans[anchor] = compile_anchor(
-                    anchor,
-                    [
-                        (entry.normalized, entry.predicate, entry.slots)
-                        for entry in members.values()
-                    ],
-                )
+            keep = entry.placed_slots & entry.slots
+            self._place(entry, keep, entry.placed_predicate, touched)
+        for entry in before.values():
+            self._place(entry, entry.slots, entry.predicate, touched)
+        for index in touched:
+            index.publish()
+
+    def _place(
+        self,
+        entry: _Entry,
+        slots: int,
+        predicate: Optional[Predicate],
+        touched: Dict[AnchorIndex, None],
+    ) -> None:
+        """Move what the plan's parts hold of ``entry`` to ``slots``
+        under ``predicate`` (no slots: take it out)."""
+        placed = entry.placed_slots
+        if placed == slots and entry.placed_predicate is predicate:
+            return
+        if entry.anchor is not None:
+            index = self._anchors.get(entry.anchor)
+            if index is None:
+                index = self._anchors[entry.anchor] = AnchorIndex(entry.anchor)
+            start, end, checks = entry.bounds
+            member = (start, end, slots, predicate, checks)
+            old = (start, end, placed, entry.placed_predicate, checks)
+            if not placed:
+                index.insert(member)
+            elif not slots:
+                index.remove(old)
             else:
-                del self._anchor_entries[anchor]
-                del self._anchor_plans[anchor]
+                index.replace(old, member)
+            touched[index] = None
+        elif entry.normalized is not None and not entry.normalized.satisfiable:
+            self._folded ^= placed ^ slots
+        else:
+            lows = self._loose_lows
+            if placed:
+                position = bisect_left(lows, _lowest(placed))
+                del lows[position]
+                del self._loose_pairs[position]
+            if slots:
+                low = _lowest(slots)
+                position = bisect_left(lows, low)
+                lows.insert(position, low)
+                self._loose_pairs.insert(position, (predicate, slots))
+        entry.placed_slots = slots
+        entry.placed_predicate = predicate
 
     def _retable(self, table: Dict[int, Predicate]) -> None:
         """Move the live tables to the slot table ``table``."""
@@ -598,10 +681,11 @@ class SharedSelectionOperator(Operator):
         # cross-shard sharing_summary() merge sums them), and a
         # checkpoint-restore must roll them back to checkpoint time so
         # input-log replay re-accumulates exactly once.
+        interned: Dict[Tuple[int, int], Tuple[Predicate, int]] = {}
         return {
             "slot_predicates": dict(self._slot_predicates),
             "views": [
-                (view.start_ms, view.sequence, list(view.predicates))
+                (view.start_ms, view.sequence, view.pairs(interned))
                 for view in self._views
             ],
             "evaluations": self._evaluations,

@@ -6,7 +6,6 @@ from repro.core.planner import (
     Interval,
     NormalizedPredicate,
     SharingGroup,
-    compile_selection_plan,
     covering,
     normalize,
     overlaps,
@@ -26,6 +25,7 @@ from repro.core.query import (
 from repro.core.selection import SharedSelectionOperator
 from repro.core.sql import ConjunctionPredicate, parse_query
 from tests.conftest import field_tuple
+from tests.core.plan_oracle import compile_selection_plan
 
 GE = Comparison.GE
 GT = Comparison.GT

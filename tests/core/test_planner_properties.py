@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.changelog import Changelog, QueryActivation
 from repro.core.planner import (
-    compile_selection_plan,
     covering,
     normalize,
     overlaps,
@@ -37,6 +36,7 @@ from repro.core.selection import EPOCH_TAG, QS_TAG, SharedSelectionOperator
 from repro.core.sql import ConjunctionPredicate
 from repro.minispe.record import ChangelogMarker, Record, RecordBatch
 from tests.conftest import flat_collector, make_tuple
+from tests.core.plan_oracle import compile_selection_plan
 
 # Constants and field values share one small domain so boundary hits
 # (v == constant, equal constants across predicates) are common.

@@ -8,20 +8,28 @@ whole slot table (today's ``_group_predicates``, copied below) and
 live view must match that oracle structurally, in its pairs, and in the
 bitsets it tags — on single records, row-built and columnar batches.
 
-A second test counts the work of one create, with no wall clock: the
+A seed-pinned schedule property drives longer create/delete sequences
+through every way a change can reshape an anchor field's components:
+a create that merges components, a delete that splits one, touching
+intervals, an identical predicate gaining and losing slots (its lowest
+too), residual multi-field members, and a snapshot/restore midway.
+
+Two tests count the work of one create, with no wall clock: the
 1,000th create normalizes at most one predicate and builds sharing
-groups only on the anchor field it lands on, as the 100th does; a
-delete gets the same bound.
+groups only on the anchor field it lands on, as the 100th does; and the
+planner's per-member work (interval key reads, members a group or a
+sweep is built from) of one create or delete at 3,000 standing queries
+is at most twice its value at 100.
 """
 
 import copy
 from typing import Any, Dict, List, Tuple
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.core import planner, selection
 from repro.core.changelog import Changelog, QueryActivation, QueryDeactivation
-from repro.core.planner import compile_selection_plan, normalize, sharing_anchor
+from repro.core.planner import normalize, sharing_anchor
 from repro.core.query import (
     CallablePredicate,
     Comparison,
@@ -35,6 +43,7 @@ from repro.core.sql import ConjunctionPredicate
 from repro.minispe.record import ChangelogMarker, Record, RecordBatch
 from repro.workloads.querygen import QueryGenerator
 from tests.conftest import flat_collector, make_tuple
+from tests.core.plan_oracle import compile_selection_plan
 
 
 class _OpaqueUdf(Predicate):
@@ -367,3 +376,277 @@ def test_create_and_delete_work_is_independent_of_population(monkeypatch):
     operator.on_marker(_marker(1_001, 0, deleted=[(500, queries[500].query_id)]))
     assert counter.normalized == 0
     bound_holds(sharing_anchor(normalize(queries[500].predicate_for("A"))))
+
+
+_X = 0  # the anchor field the forced steps reshape
+
+
+def _field(field: int, op: Comparison, constant: int) -> FieldPredicate:
+    return FieldPredicate(field, op, constant)
+
+
+def _both(*conjuncts: Predicate) -> ConjunctionPredicate:
+    return ConjunctionPredicate(tuple(conjuncts))
+
+
+_FORCED = (
+    # x<=5 and x>5 touch: two components; x<2 joins the first.
+    [
+        ("create", 1, _field(_X, Comparison.LE, 5)),
+        ("create", 2, _field(_X, Comparison.GT, 5)),
+        ("create", 3, _field(_X, Comparison.LT, 2)),
+    ],
+    [("create", 4, _field(_X, Comparison.GT, 7))],
+    # [4, 7) overlaps both hulls: one create merges them ...
+    [
+        (
+            "create",
+            5,
+            _both(_field(_X, Comparison.GE, 4), _field(_X, Comparison.LT, 7)),
+        )
+    ],
+    # ... and its delete splits them again.
+    [("delete", 5, None)],
+    # An identical predicate gains a slot, then a new lowest one ...
+    [("create", 6, _field(_X, Comparison.LE, 5))],
+    [("create", 0, _field(_X, Comparison.LE, 5))],
+    # ... and loses its lowest slot twice.
+    [("delete", 0, None)],
+    [("delete", 1, None)],
+    # A residual member bridges both components; its delete splits them.
+    [
+        (
+            "create",
+            7,
+            _both(_field(_X, Comparison.GT, 3), _field(1, Comparison.LT, 4)),
+        )
+    ],
+    [
+        (
+            "create",
+            8,
+            _both(_field(_X, Comparison.GE, 6), _field(2, Comparison.GE, 2)),
+        )
+    ],
+    [("delete", 7, None)],
+)
+"""Changelogs every schedule starts with; the forced cases above."""
+
+_SLOTS = 16
+
+
+def _schedule_predicates(live: List[Predicate]):
+    single = st.builds(
+        _field,
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from(list(Comparison)),
+        st.integers(min_value=0, max_value=8),
+    )
+    same_field = st.builds(
+        lambda op1, c1, op2, c2: _both(_field(_X, op1, c1), _field(_X, op2, c2)),
+        st.sampled_from(list(Comparison)),
+        st.integers(min_value=0, max_value=8),
+        st.sampled_from(list(Comparison)),
+        st.integers(min_value=0, max_value=8),
+    )
+    residual = st.lists(single, min_size=2, max_size=3).map(
+        lambda conjuncts: ConjunctionPredicate(tuple(conjuncts))
+    )
+    options = [single, single, same_field, residual]
+    if live:
+        options.append(st.sampled_from(live).map(copy.copy))  # equal, not identical
+    return st.one_of(options)
+
+
+@seed(20190630)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_long_schedules_match_a_from_scratch_compile(data):
+    config = {"dedup_predicates": True, "share_overlapping": True}
+    rows = [
+        make_tuple(key=0, fields=fields)
+        for fields in (
+            (5, 3, 2, 0, 0),
+            (6, 5, 1, 0, 0),
+            (1, 0, 9, 0, 0),
+            (8, 3, 2, 0, 0),
+        )
+    ]
+    operator = SharedSelectionOperator("A", **config)
+    out: List = []
+    operator.set_collector(flat_collector(out))
+    table: Dict[int, Predicate] = {}
+    oracle_views = [(0, 0, {})]
+    extra = data.draw(st.integers(min_value=0, max_value=40 - len(_FORCED)))
+    total = len(_FORCED) + extra
+    restore_at = data.draw(st.integers(min_value=2, max_value=total))
+    now_ms = 0
+    shapes = []
+    for sequence in range(1, total + 1):
+        if sequence == restore_at:
+            snapshot = operator.snapshot()
+            operator = SharedSelectionOperator("A", **config)
+            operator.set_collector(flat_collector(out))
+            operator.restore(snapshot)
+            _check_views(operator, out, oracle_views, config, rows)
+        if sequence <= len(_FORCED):
+            steps = _FORCED[sequence - 1]
+        else:
+            live = sorted(table)
+            steps = [
+                ("delete", slot, None)
+                for slot in data.draw(
+                    st.lists(st.sampled_from(live), unique=True, max_size=2)
+                    if live
+                    else st.just([])
+                )
+            ]
+            free = sorted(set(range(_SLOTS)) - set(live) | {s for _, s, _ in steps})
+            for slot in data.draw(
+                st.lists(st.sampled_from(free), unique=True, max_size=3)
+                if free
+                else st.just([])
+            ):
+                predicate = data.draw(_schedule_predicates(list(table.values())))
+                steps.append(("create", slot, predicate))
+        now_ms += data.draw(st.sampled_from((0, 0, 10)))
+        created, deleted = [], []
+        for kind, slot, predicate in steps:
+            if kind == "delete":
+                deleted.append((slot, f"s{slot}"))
+                del table[slot]
+        for kind, slot, predicate in steps:
+            if kind == "create":
+                query = SelectionQuery(
+                    stream="A", predicate=predicate, query_id=f"s{slot}"
+                )
+                created.append((slot, query))
+                table[slot] = predicate
+        operator.on_marker(
+            _marker(sequence, now_ms, created=created, deleted=deleted)
+        )
+        if oracle_views[-1][0] == now_ms:
+            oracle_views.pop()  # superseded: retired at once
+        oracle_views.append((now_ms, sequence, dict(table)))
+        _check_views(operator, out, oracle_views, config, rows)
+        plan = operator._views[-1].plan
+        shapes.append(
+            (
+                [group.member_count for group in plan.groups],
+                [group.residual_count for group in plan.groups],
+            )
+        )
+    # The forced prefix reshaped the components as designed.
+    assert shapes[:len(_FORCED)] == [
+        ([2], [0]),  # touching x<=5 | x>5 stay apart
+        ([2, 2], [0, 0]),
+        ([5], [0]),  # merged by [4, 7)
+        ([2, 2], [0, 0]),  # split by its delete
+        ([2, 2], [0, 0]),  # x<=5 gains slot 6
+        ([2, 2], [0, 0]),  # ... and slot 0
+        ([2, 2], [0, 0]),
+        ([2, 2], [0, 0]),
+        ([5], [1]),  # a residual merges both
+        ([6], [2]),
+        ([2, 3], [0, 1]),  # split by its delete
+    ]
+
+
+class _MemberWork:
+    """Counts the planner's per-member work.
+
+    Interval key reads, members handed to a from-scratch
+    ``SharingGroup`` or stabbing sweep, and members a removal re-sweeps:
+    each is work done once per member it touches.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self.count = 0
+        counter = self
+        for name in ("start_key", "end_key"):
+            key = getattr(planner.Interval, name)
+
+            def counting_key(interval, _key=key):
+                counter.count += 1
+                return _key.fget(interval)
+
+            monkeypatch.setattr(planner.Interval, name, property(counting_key))
+        original_init = planner.SharingGroup.__init__
+
+        def counting_init(group, field_index, singles, residuals):
+            counter.count += len(singles) + len(residuals)
+            original_init(group, field_index, singles, residuals)
+
+        original_segments = planner.stabbing_segments
+
+        def counting_segments(members):
+            counter.count += len(members)
+            return original_segments(members)
+
+        original_sweep = planner._sweep
+
+        def counting_sweep(members):
+            counter.count += len(members)
+            return original_sweep(members)
+
+        monkeypatch.setattr(planner.SharingGroup, "__init__", counting_init)
+        monkeypatch.setattr(planner, "stabbing_segments", counting_segments)
+        monkeypatch.setattr(planner, "_sweep", counting_sweep)
+
+    def of(self, operator, marker) -> int:
+        self.count = 0
+        operator.on_marker(marker)
+        return self.count
+
+
+_PROBES = tuple(
+    _field(field, op, 37.5)  # no generated query uses a fractional constant
+    for field, op in (
+        (0, Comparison.GT),
+        (1, Comparison.LT),
+        (2, Comparison.GE),
+        (3, Comparison.LE),
+        (4, Comparison.EQ),
+    )
+)
+
+
+def _probe_work(counter, population: int, distinct_times: bool) -> List[int]:
+    """Work of each probe create and delete over ``population`` standing
+    aggregation queries, all created at t=0 or at distinct times."""
+    operator = SharedSelectionOperator("A")
+    operator.set_collector(flat_collector([]))
+    generator = QueryGenerator(streams=("A",), seed=20190630)
+    queries = [generator.aggregation_query("A") for _ in range(population)]
+    sequence = 0
+
+    def apply(**changes) -> int:
+        nonlocal sequence
+        sequence += 1
+        at_ms = sequence if distinct_times else 0
+        work = counter.of(operator, _marker(sequence, at_ms, **changes))
+        operator.prune_views_before(at_ms)  # as the watermark would
+        return work
+
+    for slot, query in enumerate(queries):
+        apply(created=[(slot, query)])
+    work = []
+    for offset, probe in enumerate(_PROBES):
+        slot = population + offset
+        query = SelectionQuery(stream="A", predicate=probe, query_id=f"p{slot}")
+        work.append(apply(created=[(slot, query)]))
+    work.append(apply(deleted=[(50, queries[50].query_id)]))
+    for offset in range(len(_PROBES)):
+        slot = population + offset
+        work.append(apply(deleted=[(slot, f"p{slot}")]))
+    return work
+
+
+def test_create_and_delete_member_work_does_not_grow_with_population(monkeypatch):
+    counter = _MemberWork(monkeypatch)
+    for distinct_times in (False, True):
+        small = _probe_work(counter, 100, distinct_times)
+        large = _probe_work(counter, 3_000, distinct_times)
+        assert max(small) > 0  # the probes are counted at all
+        for at_100, at_3000 in zip(small, large):
+            assert at_3000 <= 2 * at_100, (distinct_times, small, large)
