@@ -39,7 +39,7 @@ def main() -> None:
         thresholds=QoSThresholds(max_event_time_latency_ms=30_000),
     )
     engine = AStreamEngine(
-        EngineConfig(streams=("A", "B"), collect_sharing_stats=True),
+        EngineConfig(streams=("A", "B")),
         on_deliver=qos.on_deliver,
     )
     controller = AdmissionController(
@@ -73,11 +73,11 @@ def main() -> None:
     print(f"\nadmission: {controller.admitted_total} admitted, "
           f"{controller.deferred_total} deferred, "
           f"{controller.rejected_total} rejected")
-    report = engine.sharing_report(limit=3, min_jaccard=0.01)
-    if report:
-        print("\nruntime sharing statistics (grouping candidates, §7):")
-        for stream, id_a, id_b, jaccard in report:
-            print(f"  {stream}: {id_a} ~ {id_b}  overlap={jaccard:.0%}")
+    print("\nselection sharing per stream (covering groups, §7):")
+    for stream, summary in engine.sharing_summary().items():
+        print(f"  {stream}: {summary['groups']:.0f} groups over "
+              f"{summary['grouped_slots']:.0f} query slots, "
+              f"{summary['direct_predicates']:.0f} direct predicates")
     engine.shutdown()
 
 

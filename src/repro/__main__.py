@@ -167,18 +167,6 @@ def main(argv: List[str] = None) -> int:
         help="kill + report a worker with no ack progress for this long",
     )
     serve.add_argument(
-        "--autoscale", action="store_true",
-        help="resize the worker pool from backpressure/skew metrics",
-    )
-    serve.add_argument(
-        "--min-workers", type=int, default=1,
-        help="autoscaler floor (default 1)",
-    )
-    serve.add_argument(
-        "--max-workers", type=int, default=8,
-        help="autoscaler ceiling (default 8)",
-    )
-    serve.add_argument(
         "--slo-target-ms", type=float, default=None, metavar="MS",
         help="server-wide wire-latency SLO for queries with no own target",
     )
@@ -224,9 +212,6 @@ def _cmd_serve(args) -> int:
         max_active_queries=args.max_active_queries,
         heartbeat_interval_s=args.heartbeat_interval,
         ack_deadline_s=args.ack_deadline,
-        autoscale=args.autoscale,
-        autoscale_min_workers=args.min_workers,
-        autoscale_max_workers=args.max_workers,
         slo_target_ms=args.slo_target_ms,
         flight_dir=args.flight_dir,
     )

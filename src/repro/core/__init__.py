@@ -60,7 +60,6 @@ from repro.core.serde import (
 )
 from repro.core.session import QueryRequest, SharedSession
 from repro.core.sql import SqlError, parse_query
-from repro.core.statistics import SharingStatistics
 
 __all__ = [
     "AdmissionController",
@@ -83,7 +82,6 @@ __all__ = [
     "SelectionQuery",
     "SerdeError",
     "SharedSession",
-    "SharingStatistics",
     "SlotPolicy",
     "SqlError",
     "TruePredicate",

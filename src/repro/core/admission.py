@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.engine import AStreamEngine
-from repro.core.planner import sharing_affinity_key
 from repro.core.qos import QoSMonitor
 from repro.core.query import Query
 
@@ -58,124 +57,6 @@ class _DeferredRequest:
     requested_at_ms: int
 
 
-@dataclass
-class PlacementPolicy:
-    """Admission-time placement over shard groups (ISSUE 6).
-
-    "Process Faster, Pay Less"-style cost-based isolation: queries whose
-    final plan stage is shared co-locate on the same shard group (their
-    slices, partials, and join pairs are literally the same state, so
-    spreading them would duplicate it), while expensive outliers — long
-    retention windows or multi-stream joins — are steered to the
-    least-loaded group so one heavy tenant cannot degrade a whole
-    sharing cluster.
-    """
-
-    shard_groups: int = 1
-    """Isolation domains available to the placer."""
-    isolate_retention_ms: int = 60_000
-    """Windows retaining at least this much state count as expensive."""
-    isolate_stream_count: int = 2
-    """Queries reading at least this many streams count as expensive."""
-
-
-@dataclass
-class Placement:
-    """Where one admitted query landed and why."""
-
-    query_id: str
-    group: int
-    affinity_key: str
-    expensive: bool
-
-
-class QueryPlacer:
-    """Assigns admitted queries to shard groups by sharing affinity.
-
-    Deterministic and purely bookkeeping-driven: same admission order →
-    same placements.  The group index is advisory (the current process
-    backend shards by key, not by query), but the serve layer surfaces
-    placements so operators can see which tenants share an isolation
-    domain, and future multi-pool backends can bind groups to pools.
-    """
-
-    def __init__(self, policy: Optional[PlacementPolicy] = None) -> None:
-        self.policy = policy or PlacementPolicy()
-        groups = max(1, self.policy.shard_groups)
-        self._loads = [0] * groups
-        self._expensive_counts = [0] * groups
-        self._affinity_home: Dict[str, int] = {}
-        self._placements: Dict[str, Placement] = {}
-
-    def _is_expensive(self, query: Query) -> bool:
-        policy = self.policy
-        if len(query.streams) >= policy.isolate_stream_count:
-            return True
-        window = query.window
-        return (
-            window is not None
-            and window.retention_ms() >= policy.isolate_retention_ms
-        )
-
-    def _least_loaded(self, weights: List[int]) -> int:
-        return min(
-            range(len(self._loads)),
-            key=lambda group: (weights[group], self._loads[group], group),
-        )
-
-    def place(self, query: Query) -> Placement:
-        """Pick the group for one admitted query and record it.
-
-        The affinity key comes from the semantic-overlap planner: the
-        final plan stage plus the anchor fields of the query's
-        normalized predicates, so queries the selection optimizer can
-        merge into one covering group land on the same shard group
-        (their covering scan, stabbing index, and downstream state are
-        literally shared).  Unconstrained and UDF predicates keep the
-        bare stage key.
-        """
-        affinity_key = sharing_affinity_key(query)
-        expensive = self._is_expensive(query)
-        if expensive:
-            group = self._least_loaded(self._expensive_counts)
-            self._expensive_counts[group] += 1
-        elif affinity_key in self._affinity_home:
-            group = self._affinity_home[affinity_key]
-        else:
-            group = self._least_loaded([0] * len(self._loads))
-            self._affinity_home[affinity_key] = group
-        self._loads[group] += 1
-        placement = Placement(
-            query_id=query.query_id,
-            group=group,
-            affinity_key=affinity_key,
-            expensive=expensive,
-        )
-        self._placements[query.query_id] = placement
-        return placement
-
-    def release(self, query_id: str) -> None:
-        """Forget a stopped query's placement (frees its group load)."""
-        placement = self._placements.pop(query_id, None)
-        if placement is None:
-            return
-        self._loads[placement.group] -= 1
-        if placement.expensive:
-            self._expensive_counts[placement.group] -= 1
-
-    def placements(self) -> Dict[str, Tuple[int, str, bool]]:
-        """query_id → (group, affinity_key, expensive), for stats frames."""
-        return {
-            query_id: (p.group, p.affinity_key, p.expensive)
-            for query_id, p in sorted(self._placements.items())
-        }
-
-    @property
-    def group_loads(self) -> List[int]:
-        """Active queries per shard group."""
-        return list(self._loads)
-
-
 class AdmissionController:
     """Gates ad-hoc query creations on live QoS measurements."""
 
@@ -184,13 +65,10 @@ class AdmissionController:
         engine: AStreamEngine,
         qos: QoSMonitor,
         policy: Optional[AdmissionPolicy] = None,
-        placer: Optional[QueryPlacer] = None,
     ) -> None:
         self.engine = engine
         self.qos = qos
         self.policy = policy or AdmissionPolicy()
-        self.placer = placer
-        """Optional admission-time placement over shard groups."""
         self.deferred: List[_DeferredRequest] = []
         self.admitted_total = 0
         self.rejected_total = 0
@@ -219,8 +97,6 @@ class AdmissionController:
         if decision is AdmissionDecision.ADMIT:
             self.engine.submit(query, now_ms)
             self.admitted_total += 1
-            if self.placer is not None:
-                self.placer.place(query)
         elif decision is AdmissionDecision.DEFER:
             self.deferred.append(_DeferredRequest(query, now_ms))
             self.deferred_total += 1
@@ -243,8 +119,6 @@ class AdmissionController:
             ]
             return
         self.engine.stop(query_id, now_ms)
-        if self.placer is not None:
-            self.placer.release(query_id)
 
     def _decide(self) -> AdmissionDecision:
         policy = self.policy
@@ -283,8 +157,6 @@ class AdmissionController:
             if self._decide() is AdmissionDecision.ADMIT:
                 self.engine.submit(request.query, now_ms)
                 self.admitted_total += 1
-                if self.placer is not None:
-                    self.placer.place(request.query)
                 admitted += 1
             else:
                 still_parked.append(request)

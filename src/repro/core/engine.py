@@ -38,7 +38,6 @@ from repro.core.registry import QueryRegistry, SlotPolicy
 from repro.core.router import QueryChannels, QueryOutput, RouterOperator
 from repro.core.selection import SharedSelectionOperator
 from repro.core.session import QueryRequest, SharedSession
-from repro.core.statistics import SharingStatistics
 from repro.core.shared_aggregation import SharedAggregationOperator
 from repro.core.shared_join import SharedJoinOperator
 from repro.minispe.cluster import SimulatedCluster
@@ -71,10 +70,8 @@ class EngineConfig:
     parallelism: Optional[int] = None
     """Operator parallelism; default: one instance per cluster node."""
     slot_policy: SlotPolicy = SlotPolicy.REUSE
-    group_size_threshold: float = 2.0
     storage_query_threshold: int = 10
     retain_results: bool = True
-    profile: bool = False
     enable_slicing: bool = True
     """Ablation switch: False forces per-query windows (no slice sharing)."""
     dedup_predicates: bool = True
@@ -90,9 +87,6 @@ class EngineConfig:
     """Keep an input log so :meth:`AStreamEngine.checkpoint` /
     :meth:`AStreamEngine.recover` provide exactly-once fault tolerance
     (§3.3: deterministic replay of tuples and changelog markers)."""
-    collect_sharing_stats: bool = False
-    """Collect runtime query-overlap statistics (§7 future work); read
-    them via :meth:`AStreamEngine.sharing_report`."""
     observe: bool = False
     """Enable the :mod:`repro.obs` telemetry subsystem: hierarchical
     metrics, sampled span tracing of the tuple lifecycle, and the
@@ -101,8 +95,6 @@ class EngineConfig:
     either way."""
     obs_sample_every: int = 32
     """Trace every Nth source push when ``observe`` is on."""
-    obs_event_capacity: int = 65_536
-    """Event-log ring size when ``observe`` is on."""
 
     def __post_init__(self) -> None:
         if len(self.streams) < 1:
@@ -194,20 +186,12 @@ class AStreamEngine:
             if self.config.parallelism is not None
             else self.cluster.parallelism_for()
         )
-        self._sharing_stats: Dict[str, SharingStatistics] = (
-            {stream: SharingStatistics() for stream in self.config.streams}
-            if self.config.collect_sharing_stats
-            else {}
-        )
         # Operator instances deployed in this process, by graph vertex
         # (empty on a process-backend coordinator: its shards own them).
         self._operators: Dict[str, List[Operator]] = {}
         self._stage_names: set = set()
         self.obs: Optional[Observability] = (
-            Observability(
-                sample_every=self.config.obs_sample_every,
-                event_capacity=self.config.obs_event_capacity,
-            )
+            Observability(sample_every=self.config.obs_sample_every)
             if self.config.observe
             else None
         )
@@ -226,10 +210,10 @@ class AStreamEngine:
         self._next_checkpoint_id = 1
         self._checkpoints: List[EngineCheckpoint] = []
         # Data-path CPU meter for per-query cost attribution.  Metered
-        # only under observe/profile so the plain hot path keeps zero
-        # clock reads; two perf_counter_ns calls per (batched) push is
-        # well inside the >= 0.90x observe-overhead budget.
-        self._meter_cpu = self.obs is not None or self.config.profile
+        # only under observe so the plain hot path keeps zero clock
+        # reads; two perf_counter_ns calls per (batched) push is well
+        # inside the >= 0.90x observe-overhead budget.
+        self._meter_cpu = self.obs is not None
         self._ingest_cpu_ns = 0
 
     # -- topology ------------------------------------------------------------
@@ -248,7 +232,7 @@ class AStreamEngine:
 
     def _make_aggregation(self, operator_key: str) -> SharedAggregationOperator:
         """Construct one shared-aggregation instance."""
-        return SharedAggregationOperator(operator_key, profile=self.config.profile)
+        return SharedAggregationOperator(operator_key)
 
     def _build_graph(self) -> JobGraph:
         config = self.config
@@ -269,7 +253,7 @@ class AStreamEngine:
                 name,
                 lambda sk=stage_key, n=name: register(
                     n,
-                    RouterOperator(sk, self.channels, profile=config.profile),
+                    RouterOperator(sk, self.channels),
                 ),
                 parallelism=parallelism,
             )
@@ -284,10 +268,8 @@ class AStreamEngine:
                     k,
                     SharedSelectionOperator(
                         s,
-                        profile=config.profile,
                         dedup_predicates=config.dedup_predicates,
                         share_overlapping=config.share_overlapping,
-                        sharing_stats=self._sharing_stats.get(s),
                     ),
                 ),
                 parallelism=parallelism,
@@ -320,9 +302,7 @@ class AStreamEngine:
                         k,
                         SharedJoinOperator(
                             k,
-                            group_size_threshold=config.group_size_threshold,
                             storage_query_threshold=config.storage_query_threshold,
-                            profile=config.profile,
                             enable_history=config.enable_slicing,
                         ),
                     ),
@@ -849,9 +829,6 @@ class AStreamEngine:
         "join_pairs_reused": ("pairs_reused", ("join",)),
         "results_emitted": ("results_emitted", ("join", "agg")),
         "late_records_dropped": ("late_records_dropped", ("join", "agg")),
-        "selection_ns": ("profile_ns", ("select",)),
-        "shared_op_ns": ("profile_ns", ("join", "agg")),
-        "router_ns": ("profile_ns", ("router",)),
     }
     """``component_stats`` key → (operator stat, operator kinds summed)."""
 
@@ -897,44 +874,10 @@ class AStreamEngine:
         self._refresh_obs_gauges()
         return self.obs.snapshot()
 
-    def sharing_report(
-        self, limit: int = 10, min_jaccard: float = 0.0
-    ) -> List[Tuple[str, str, str, float]]:
-        """Most-overlapping query pairs: ``(stream, id_a, id_b, jaccard)``.
-
-        Requires ``config.collect_sharing_stats``.  This is the runtime
-        signal the paper's future-work optimizer would group queries by;
-        pairs whose slots no longer resolve to live queries are skipped.
-        """
-        if not self._sharing_stats:
-            raise RuntimeError(
-                "sharing statistics need "
-                "EngineConfig(collect_sharing_stats=True)"
-            )
-        registry = self.session.registry
-        report: List[Tuple[str, str, str, float]] = []
-        for stream, stats in self._sharing_stats.items():
-            for entry in stats.top_pairs(limit=limit, min_jaccard=min_jaccard):
-                query_a = registry.by_slot(entry.slot_a)
-                query_b = registry.by_slot(entry.slot_b)
-                if query_a is None or query_b is None:
-                    continue
-                report.append(
-                    (
-                        stream,
-                        query_a.query.query_id,
-                        query_b.query.query_id,
-                        entry.jaccard,
-                    )
-                )
-        report.sort(key=lambda row: -row[3])
-        return report[:limit]
-
     def sharing_summary(self) -> Dict[str, Dict]:
         """Per-stream shape and counters of the semantic-overlap optimizer.
 
-        Unlike :meth:`sharing_report` (runtime qs-bitset sampling), this
-        reflects the *planner's* rewrite: how many covering groups the
+        It reflects the *planner's* rewrite: how many covering groups the
         current epoch runs, how many query slots they absorb, and how
         much work the cover checks and residual filters did.  Always
         available; with ``share_overlapping=False`` every stream reports
@@ -958,7 +901,7 @@ class AStreamEngine:
         predicate, covering groups carry the group's member mask — so
         shared covering-evaluation cost is split across members, per the
         Shared Arrangements accounting argument.  ``engine_cpu_ns`` is
-        the measured data-path CPU (observe/profile runs only).  Feed
+        the measured data-path CPU (observe runs only).  Feed
         the result to :func:`repro.obs.cost.attribute_costs`.
         """
         return self._resolve_cost_profile(self._raw_cost_profile())

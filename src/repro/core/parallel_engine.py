@@ -23,7 +23,6 @@ value order), making outputs byte-identical to the in-process path.
 from __future__ import annotations
 
 import dataclasses
-import logging
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -37,15 +36,12 @@ from repro.minispe.parallel import (
     Op,
     ProcessShardPool,
     ShardProgram,
-    ShardWorkerError,
     ShardedRuntime,
 )
 from repro.minispe.record import CheckpointBarrier, Record, RecordBatch, Watermark
 from repro.obs.cost import merge_cost_profiles
 from repro.obs.registry import merge_snapshots, relabel_snapshot
 from repro.obs.tracing import merge_trace_snapshots
-
-logger = logging.getLogger("repro.core.parallel_engine")
 
 
 class AStreamShardProgram(ShardProgram):
@@ -63,10 +59,7 @@ class AStreamShardProgram(ShardProgram):
         deliver_sample_every: int = 1,
     ) -> None:
         worker_config = dataclasses.replace(
-            config,
-            parallelism=1,
-            log_inputs=False,
-            collect_sharing_stats=False,
+            config, parallelism=1, log_inputs=False
         )
         self.shard_index = shard_index
         self.shard_count = shard_count
@@ -79,9 +72,7 @@ class AStreamShardProgram(ShardProgram):
         self._wire_spans: List[dict] = []
         self.engine = AStreamEngine(
             worker_config,
-            cluster=SimulatedCluster(
-                ClusterSpec(nodes=1, cores_per_node=256), mode="process"
-            ),
+            cluster=SimulatedCluster(ClusterSpec(nodes=1, cores_per_node=256)),
             on_deliver=(
                 self._record_delivery if self._sample_every else None
             ),
@@ -90,14 +81,6 @@ class AStreamShardProgram(ShardProgram):
         # (negative, decreasing) so they can never collide with the
         # coordinator's positive checkpoint ids.
         self._export_id = 0
-        # Satellite: per-worker profiling.  The coordinator fetches the
-        # formatted report with a ("profile",) sync op before shutdown.
-        self._profiler = None
-        if worker_config.profile:
-            import cProfile
-
-            self._profiler = cProfile.Profile()
-            self._profiler.enable()
 
     def _record_delivery(
         self, query_id: str, timestamp: int, count: int = 1
@@ -166,8 +149,6 @@ class AStreamShardProgram(ShardProgram):
             }
         if kind == "drain":
             return True
-        if kind == "profile":
-            return self._profile_report()
         raise ValueError(f"unknown shard op {kind!r}")
 
     def _export_state(self) -> dict:
@@ -196,22 +177,6 @@ class AStreamShardProgram(ShardProgram):
             "runtime": state,
             "channels": self.engine.channels.snapshot(),
         }
-
-    def _profile_report(self) -> str:
-        """Formatted cProfile stats for this worker ("" if disabled)."""
-        if self._profiler is None:
-            return ""
-        import io
-        import pstats
-
-        self._profiler.disable()
-        try:
-            buffer = io.StringIO()
-            stats = pstats.Stats(self._profiler, stream=buffer)
-            stats.sort_stats("cumulative").print_stats(40)
-            return buffer.getvalue()
-        finally:
-            self._profiler.enable()
 
     def take_obs(self, unlimited: bool) -> Optional[dict]:
         """Telemetry delta for the next ack (observe mode only).
@@ -334,11 +299,10 @@ class ProcessAStreamEngine(AStreamEngine):
         # worker) plus incrementally absorbed events and drained traces.
         self._shard_registry: Dict[int, dict] = {}
         self._shard_trace: Dict[int, dict] = {}
-        self._worker_profiles: Dict[int, str] = {}
         self._wire_spans: List[dict] = []
         super().__init__(
             config,
-            cluster or SimulatedCluster(mode="process"),
+            cluster or SimulatedCluster(),
             on_deliver=on_deliver,
         )
 
@@ -545,27 +509,11 @@ class ProcessAStreamEngine(AStreamEngine):
             },
         }
 
-    def worker_profiles(self) -> Dict[int, str]:
-        """Per-worker cProfile reports (``EngineConfig(profile=True)``).
-
-        Fetched live from the workers, or from the cache captured at
-        :meth:`shutdown`.
-        """
-        if self._shut_down:
-            return dict(self._worker_profiles)
-        reports = {}
-        for shard, report in enumerate(self.runtime.pool.sync(("profile",))):
-            if report:
-                reports[shard] = report
-        self._worker_profiles = dict(reports)
-        return reports
-
     def shutdown(self) -> None:
         """Merge final results, cache stats, and stop the worker pool.
 
-        Results, every stats view, the telemetry snapshot, and the
-        worker profiles stay readable afterwards (from coordinator-side
-        caches), so sweeps can shut each run's pool down eagerly instead
+        Results, every stats view and the telemetry snapshot stay
+        readable afterwards (from coordinator-side caches), so sweeps can shut each run's pool down eagerly instead
         of accumulating live worker processes.
         """
         if self._shut_down:
@@ -574,11 +522,6 @@ class ProcessAStreamEngine(AStreamEngine):
         # In observe mode the same round-trip carries back each shard's
         # final registry and trace for obs_snapshot().
         self._final_stats = self._collect_stats()
-        if self.config.profile:
-            try:
-                self.worker_profiles()
-            except ShardWorkerError:
-                logger.warning("worker profile collection failed", exc_info=True)
         self._shut_down = True
         super().shutdown()
 
@@ -710,8 +653,8 @@ class ProcessAStreamEngine(AStreamEngine):
         """max/mean shard input from the *cached* per-shard telemetry.
 
         Reuses whatever registry snapshots the unlimited-ack stream has
-        already carried back — no pool round-trip — so the autoscaler
-        can consult it every tick.  None without telemetry data.
+        already carried back — no pool round-trip.  None without
+        telemetry data.
         """
         shard_records = self._shard_input_records()
         if not shard_records:

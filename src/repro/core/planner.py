@@ -51,7 +51,6 @@ from repro.core.query import (
     Comparison,
     FieldPredicate,
     Predicate,
-    Query,
     TruePredicate,
 )
 
@@ -849,33 +848,3 @@ class AnchorIndex:
             items.insert(index, item)
             component.published = (component.start, component.size > 1)
         self._changed.clear()
-
-
-# ---------------------------------------------------------------------------
-# Placement affinity
-# ---------------------------------------------------------------------------
-
-
-def sharing_affinity_key(query: Query) -> str:
-    """Admission-time sharing-affinity label for the placer.
-
-    Queries whose selection predicates anchor on the same field of the
-    same output stage are the ones the selection optimizer can merge
-    into one covering group, so the placer co-locates them.  Queries
-    with no value constraints (or UDF predicates) keep the bare stage
-    key — the pre-optimizer behaviour.
-    """
-    stages = query.stages()
-    stage = stages[-1].operator if stages else "sink"
-    anchors = []
-    for stream in query.streams:
-        try:
-            normalized = normalize(query.predicate_for(stream))
-        except KeyError:
-            continue
-        if normalized is None or normalized.anchor_field is None:
-            continue
-        anchors.append(f"f{normalized.anchor_field}")
-    if not anchors:
-        return stage
-    return f"{stage}|{'+'.join(anchors)}"

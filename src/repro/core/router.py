@@ -15,7 +15,6 @@ list, and the serving layer's subscriptions read those channels in place
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
@@ -515,12 +514,10 @@ class RouterOperator(Operator):
         self,
         upstream_key: str,
         channels: QueryChannels,
-        profile: bool = False,
     ) -> None:
         super().__init__(f"router:{upstream_key}")
         self.upstream_key = upstream_key
         self.channels = channels
-        self.profile = profile
         self._slot_to_query: Dict[int, str] = {}
         self._output_slots = 0
         # Routing table: masked query-set bits -> destination channel ids.
@@ -530,7 +527,6 @@ class RouterOperator(Operator):
         # changelogs, so the bit-walk is paid once per (epoch, bitset).
         self._route_table: Dict[int, Tuple[str, ...]] = {}
         self.copies = 0
-        self.profile_ns = 0
 
     # -- changelog handling ----------------------------------------------------
 
@@ -562,7 +558,6 @@ class RouterOperator(Operator):
         masked query-set share one route lookup and one hand-over per
         destination.  A fired aggregation window is one record whose
         value is a :class:`WindowRun`, handed over whole."""
-        started = time.perf_counter_ns() if self.profile else 0
         output_slots = self._output_slots
         deliver_run = self._deliver_run
         copies = 0
@@ -578,8 +573,6 @@ class RouterOperator(Operator):
         if run_bits:
             copies += deliver_run(run_bits, records[run_start:])
         self.copies += copies
-        if self.profile:
-            self.profile_ns += time.perf_counter_ns() - started
 
     def _deliver_run(self, bits: int, run: List[Record]) -> int:
         """Hand one run to each of its destinations; returns the copies.
@@ -640,7 +633,6 @@ class RouterOperator(Operator):
         return {
             "copies": (self.copies, "sum"),
             "fan_out": (len(self._slot_to_query), "max"),
-            "profile_ns": (self.profile_ns, "sum"),
         }
 
     def snapshot(self) -> Any:

@@ -30,7 +30,6 @@ what it changes, not what is standing.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -181,16 +180,11 @@ class SharedSelectionOperator(Operator):
     def __init__(
         self,
         stream: str,
-        profile: bool = False,
         dedup_predicates: bool = True,
         share_overlapping: bool = True,
-        sharing_stats=None,
     ) -> None:
         super().__init__(f"shared_select:{stream}")
         self.stream = stream
-        self.sharing_stats = sharing_stats
-        """Optional :class:`repro.core.statistics.SharingStatistics`
-        collector (shared across this stream's parallel instances)."""
         self.dedup_predicates = dedup_predicates
         """Evaluate a predicate shared by several queries only once.
 
@@ -214,7 +208,6 @@ class SharedSelectionOperator(Operator):
         """Slots of the predicates folded to constant false."""
         self._views: List[_EpochView] = [self._make_view(0, 0)]
         self._view_starts: List[int] = [0]
-        self.profile = profile
         self._evaluations = 0
         self._retired_group_stats = {
             "evaluations": 0,
@@ -223,7 +216,6 @@ class SharedSelectionOperator(Operator):
             "residual_checks": 0,
         }
         self.records_dropped = 0
-        self.profile_ns = 0
 
     # -- changelog handling ----------------------------------------------------
 
@@ -256,8 +248,6 @@ class SharedSelectionOperator(Operator):
         changes: Dict[int, Optional[Predicate]] = {}
         for deactivation in changelog.deleted:
             changes[deactivation.slot] = None
-            if self.sharing_stats is not None:
-                self.sharing_stats.forget_slot(deactivation.slot)
         for activation in changelog.created:
             # A created query that ignores this stream still voids the
             # slot's previous meaning here.
@@ -463,8 +453,6 @@ class SharedSelectionOperator(Operator):
         rows; :meth:`process_batch` wraps a record list into a batch
         first.
         """
-        started = time.perf_counter_ns() if self.profile else 0
-        stats = self.sharing_stats
         row_record = batch.row_record
         evaluations = 0
         dropped = 0
@@ -495,13 +483,9 @@ class SharedSelectionOperator(Operator):
             if bits == 0:
                 dropped += 1
                 continue
-            if stats is not None:
-                stats.observe(bits)
             append(row_record(row, {QS_TAG: bits, EPOCH_TAG: sequence}))
         self._evaluations += evaluations
         self.records_dropped += dropped
-        if self.profile:
-            self.profile_ns += time.perf_counter_ns() - started
         self.output_batch(out)
 
     def _view_for(self, timestamp_ms: int) -> _EpochView:
@@ -618,7 +602,6 @@ class SharedSelectionOperator(Operator):
                 "sum",
             ),
             "records_dropped": (self.records_dropped, "sum"),
-            "profile_ns": (self.profile_ns, "sum"),
             "active_query_count": (self.active_query_count, "max"),
             "sharing_groups": (sharing["groups"], "max"),
             "sharing_grouped_slots": (sharing["grouped_slots"], "max"),

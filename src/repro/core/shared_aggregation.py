@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import copy
 import operator
-import time
 from itertools import accumulate, repeat
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -195,10 +194,9 @@ class _SessionState:
 class SharedAggregationOperator(Operator):
     """Ad-hoc shared windowed aggregation over one tagged stream."""
 
-    def __init__(self, operator_key: str, profile: bool = False) -> None:
+    def __init__(self, operator_key: str) -> None:
         super().__init__(operator_key)
         self.operator_key = operator_key
-        self.profile = profile
 
         self._slicer = SliceManager()
         self._slices = SliceIndex()
@@ -223,7 +221,6 @@ class SharedAggregationOperator(Operator):
         self.partial_updates = 0
         self.results_emitted = 0
         self.late_records_dropped = 0
-        self.profile_ns = 0
         self._last_watermark_ms = -1
 
         # Telemetry hub, attached by the owning engine when observe mode
@@ -417,7 +414,6 @@ class SharedAggregationOperator(Operator):
         if not subscribed:
             self.bitset_ops += len(records)
             return
-        started = time.perf_counter_ns() if self.profile else 0
         time_mask = subscribed & ~self._session_mask
         session_mask = subscribed & self._session_mask
         late_horizon = self._last_watermark_ms - self._slicer.max_retention_ms
@@ -434,8 +430,6 @@ class SharedAggregationOperator(Operator):
             if relevant_sessions:
                 fold_sessions(record, relevant_sessions)
         self.bitset_ops += bitset_ops
-        if self.profile:
-            self.profile_ns += time.perf_counter_ns() - started
 
     def _fold_time_windows(
         self, record: Record, query_set: int, bits: int, late_horizon: int
@@ -577,7 +571,6 @@ class SharedAggregationOperator(Operator):
     # -- firing ------------------------------------------------------------------
 
     def on_watermark(self, watermark: Watermark) -> None:
-        started = time.perf_counter_ns() if self.profile else 0
         self._last_watermark_ms = watermark.timestamp
         for slot, start, end in self._slicer.due_windows(watermark.timestamp):
             self._fire_time_window(slot, start, end)
@@ -593,8 +586,6 @@ class SharedAggregationOperator(Operator):
             self._changelogs.prune_memo_before(oldest_epoch)
         if self.obs is not None:
             self._emit_slice_events(watermark.timestamp)
-        if self.profile:
-            self.profile_ns += time.perf_counter_ns() - started
         self.output(watermark)
 
     def _fire_time_window(self, slot: int, start: int, end: int) -> None:
@@ -703,7 +694,6 @@ class SharedAggregationOperator(Operator):
             "results_emitted": self.results_emitted,
             "late_records_dropped": self.late_records_dropped,
             "bitset_ops": self.bitset_ops,
-            "profile_ns": self.profile_ns,
         }
         return {name: (value, "sum") for name, value in values.items()}
 

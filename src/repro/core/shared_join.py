@@ -18,14 +18,13 @@ tuple tagged for a deleted query whose slot was reused (§2.1.2's
 
 Storage adapts per §3.1.4/§3.2.3: slices start grouped by query-set
 (enabling group-level pruning) and flip to flat lists when the mean
-group size drops below ``group_size_threshold`` or the number of active
+group size drops below :data:`GROUP_SIZE_THRESHOLD` or the number of active
 queries exceeds ``storage_query_threshold``.
 """
 
 from __future__ import annotations
 
 import copy
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -74,6 +73,9 @@ window fire skip whole groups that share no query with the firing slots
 — the same pruning idea as the grouped slice store, applied to cached
 join results."""
 
+GROUP_SIZE_THRESHOLD = 2.0
+"""Mean tuples per query-set group below which slices flip to flat lists."""
+
 
 class SharedJoinOperator(TwoInputOperator):
     """Ad-hoc shared windowed equi-join between two tagged streams.
@@ -86,16 +88,12 @@ class SharedJoinOperator(TwoInputOperator):
     def __init__(
         self,
         operator_key: str,
-        group_size_threshold: float = 2.0,
         storage_query_threshold: int = 10,
-        profile: bool = False,
         enable_history: bool = True,
     ) -> None:
         super().__init__(operator_key)
         self.operator_key = operator_key
-        self.group_size_threshold = group_size_threshold
         self.storage_query_threshold = storage_query_threshold
-        self.profile = profile
         self.enable_history = enable_history
         """Ablation switch: False recomputes every slice pair per window
         instead of reusing the computation history (§3.2.1 off)."""
@@ -118,7 +116,6 @@ class SharedJoinOperator(TwoInputOperator):
         self.tuples_stored = 0
         self.results_emitted = 0
         self.late_records_dropped = 0
-        self.profile_ns = 0
         self._last_watermark_ms = -1
         self._forwarded_watermark_ms = -1
 
@@ -251,7 +248,7 @@ class SharedJoinOperator(TwoInputOperator):
                     sizes.append(slice_.store.mean_group_size())
         if not sizes:
             return False
-        return sum(sizes) / len(sizes) < self.group_size_threshold
+        return sum(sizes) / len(sizes) < GROUP_SIZE_THRESHOLD
 
     def _switch_storage(self, kind: StoreKind) -> None:
         self._store_kind = kind
@@ -268,7 +265,6 @@ class SharedJoinOperator(TwoInputOperator):
     # -- firing ----------------------------------------------------------------
 
     def on_watermark(self, watermark: Watermark) -> None:
-        started = time.perf_counter_ns() if self.profile else 0
         self._last_watermark_ms = watermark.timestamp
         due = self._slicer.due_windows(watermark.timestamp)
         if due:
@@ -282,8 +278,6 @@ class SharedJoinOperator(TwoInputOperator):
         self._expire(watermark.timestamp)
         if self.obs is not None:
             self._emit_slice_events(watermark.timestamp)
-        if self.profile:
-            self.profile_ns += time.perf_counter_ns() - started
         # Watermark holdback: join results carry the newest *component*
         # timestamp, which can be up to one window length older than the
         # input watermark that released them.  Forwarding the input
@@ -475,7 +469,6 @@ class SharedJoinOperator(TwoInputOperator):
             "results_emitted": self.results_emitted,
             "late_records_dropped": self.late_records_dropped,
             "bitset_ops": self.bitset_ops,
-            "profile_ns": self.profile_ns,
         }
         return {name: (value, "sum") for name, value in values.items()}
 

@@ -72,7 +72,6 @@ class RunnerConfig:
     latency_sample_every: int = 64
     seed: int = 1
     window_max_seconds: int = 3
-    profile: bool = False
     retain_results: bool = False
     """Figures only need counts; retaining payloads wastes memory."""
     batch_size: int = 1
@@ -118,21 +117,17 @@ def build_sut(config: RunnerConfig, qos: QoSMonitor):
             max_join_arity=config.max_join_arity,
             parallelism=1,
             retain_results=config.retain_results,
-            profile=config.profile,
             observe=config.observe,
             obs_sample_every=config.obs_sample_every,
             **config.engine_overrides,
         )
         if config.backend == "process":
             # Real worker processes: slot accounting stays on the
-            # simulated cluster, but mode="process" pins speedup() to
-            # 1.0 so the modelled scale-out never multiplies measured
-            # throughput.
+            # simulated cluster; run_scenario skips the modelled
+            # scale-out for this backend.
             engine = ProcessAStreamEngine(
                 engine_config,
-                cluster=SimulatedCluster(
-                    ClusterSpec(nodes=config.nodes), mode="process"
-                ),
+                cluster=cluster,
                 on_deliver=(
                     qos.on_deliver if config.deliver_sample_every else None
                 ),
@@ -216,7 +211,7 @@ def run_scenario(
     report = driver.run()
     # The modelled cluster speed-up only applies to the inline backend:
     # process runs measure real parallel wall time, so scaling them by
-    # the model would double-count (see SimulatedCluster.speedup).
+    # the model would double-count.
     speedup = 1.0 if config.backend == "process" else (config.nodes / 4) ** 0.5
     metrics = ScenarioMetrics(report=report, speedup=speedup)
     metrics.engine = engine  # expose for component-level figures
@@ -313,9 +308,9 @@ def main(argv: Optional[list] = None) -> int:
 
     Runs one SC1/SC2 scenario against a chosen SUT and backend and
     prints the §4.3 metrics; ``--profile`` additionally captures a
-    cProfile of the whole run plus the engine's per-operator cumulative
-    counters and writes both next to the benchmark results
-    (``benchmarks/results/profile_*.txt``).
+    cProfile of this process (on the process backend: the coordinator
+    only) plus the engine's per-component counters and writes both next
+    to the benchmark results (``benchmarks/results/profile_*.txt``).
 
     Example::
 
@@ -345,10 +340,9 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--batch-size", type=int, default=1,
                         help="data-path micro-batch size")
     parser.add_argument("--profile", action="store_true",
-                        help="cProfile the run and dump per-operator "
-                             "cumulative stats next to benchmark results "
-                             "(process backend also ships per-worker "
-                             "profiles back)")
+                        help="cProfile this process (the coordinator on "
+                             "the process backend) and dump it with the "
+                             "component counters next to benchmark results")
     parser.add_argument("--observe", action="store_true",
                         help="enable the runtime telemetry layer and "
                              "print the pipeline-inspector dashboard")
@@ -376,7 +370,6 @@ def main(argv: Optional[list] = None) -> int:
         duration_s=args.duration,
         seed=args.seed,
         batch_size=args.batch_size,
-        profile=args.profile,
         observe=args.observe,
         obs_sample_every=args.obs_sample_every,
     )
@@ -441,23 +434,13 @@ def main(argv: Optional[list] = None) -> int:
         buffer = io.StringIO()
         stats = pstats.Stats(profiler, stream=buffer)
         stats.sort_stats("cumulative").print_stats(40)
-        lines = [buffer.getvalue(), "", "# per-operator cumulative stats"]
+        lines = [buffer.getvalue(), "", "# component counters"]
         engine = metrics.engine
         if hasattr(engine, "component_stats"):
             for name, value in sorted(engine.component_stats().items()):
                 lines.append(f"{name}: {value:,.0f}")
         out.write_text("\n".join(lines) + "\n")
         print(f"profile written to {out}")
-        # Process backend: per-worker cProfile reports shipped back
-        # through the shutdown sync (cached coordinator-side).
-        worker_profiles = getattr(engine, "worker_profiles", None)
-        if worker_profiles is not None:
-            for shard, report in sorted(worker_profiles().items()):
-                worker_out = _results_dir() / (
-                    f"profile_worker{shard}_{run_tag}.txt"
-                )
-                worker_out.write_text(report)
-                print(f"worker {shard} profile written to {worker_out}")
     return 0
 
 

@@ -15,10 +15,10 @@ two axes the experiments depend on:
   cost that scales with the number of instances.  These costs are charged
   in *virtual* time by the driver, which is what produces the unbounded
   queueing delay of the baseline in Figure 10a.
-* **Speed-up** — measured single-process throughput is scaled by
-  ``speedup()`` when reporting multi-node numbers.  The exponent 0.5 is
-  calibrated from the paper's own 4→8-node ratios (e.g. single-query
-  aggregation 1.4M → 1.95M tuples/s, a factor ≈ √2).
+
+Multi-node *throughput* is not modelled here: the harness runner scales
+measured single-process rates by √(nodes/4) itself (see
+:func:`repro.harness.runner.run_scenario`).
 """
 
 from __future__ import annotations
@@ -117,16 +117,6 @@ class DeploymentCostModel:
         return self.per_instance_ms * per_node
 
 
-CLUSTER_MODES = ("modeled", "process")
-"""Valid :class:`SimulatedCluster` modes.
-
-``modeled`` scales measured single-process throughput by the calibrated
-``speedup()`` exponent (paper-figure reproduction); ``process`` means
-parallelism is *executed* by the process-sharded backend, so reported
-numbers are already real and ``speedup()`` is identity.
-"""
-
-
 class SimulatedCluster:
     """Slot accounting plus the deployment-cost model for one cluster."""
 
@@ -134,15 +124,9 @@ class SimulatedCluster:
         self,
         spec: ClusterSpec = ClusterSpec(),
         cost_model: Optional[DeploymentCostModel] = None,
-        mode: str = "modeled",
     ) -> None:
-        if mode not in CLUSTER_MODES:
-            raise ValueError(
-                f"unknown cluster mode {mode!r}; expected one of {CLUSTER_MODES}"
-            )
         self.spec = spec
         self.cost_model = cost_model or DeploymentCostModel()
-        self.mode = mode
         self._allocations: Dict[str, int] = {}
         self._failed_nodes: set = set()
 
@@ -235,21 +219,7 @@ class SimulatedCluster:
         """Job name → slot count for everything currently deployed."""
         return dict(self._allocations)
 
-    # -- performance model -------------------------------------------------
-
-    def speedup(self, reference_nodes: int = 4) -> float:
-        """Throughput multiplier relative to a ``reference_nodes`` cluster.
-
-        Calibrated to the paper's 4→8-node ratios (≈ √2 for doubling).
-        In ``process`` mode the multiplier is 1.0: scaling is executed by
-        the sharded backend and already present in measured throughput,
-        so applying the model on top would double-count it.
-        """
-        if reference_nodes <= 0:
-            raise ValueError("reference_nodes must be positive")
-        if self.mode == "process":
-            return 1.0
-        return (self.spec.nodes / reference_nodes) ** 0.5
+    # -- scheduling --------------------------------------------------------
 
     def parallelism_for(self, max_parallelism: Optional[int] = None) -> int:
         """Operator parallelism the scheduler would pick on this cluster.

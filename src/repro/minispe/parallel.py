@@ -268,8 +268,6 @@ class ProcessShardPool:
         disables the deadline (heartbeats still detect process exits)."""
         self.op_count = 0
         """Ops submitted since the pool started (collect-staleness check)."""
-        self.stall_counts: List[int] = [0] * workers
-        """Sends that found the credit window full, per shard."""
         self._closed = False
         self._program_factory = program_factory
         self._context = multiprocessing.get_context("fork")
@@ -465,7 +463,6 @@ class ProcessShardPool:
         if not handle.alive:
             raise ShardWorkerError(shard, "worker is down")
         if handle.outstanding >= self.max_in_flight:
-            self.stall_counts[shard] += 1
             if self.on_stall is not None:
                 started = time.perf_counter_ns()
                 while handle.outstanding >= self.max_in_flight:
@@ -524,7 +521,6 @@ class ProcessShardPool:
             for shard, handle in enumerate(old_handles):
                 self._close_handle(shard, handle)
             self.workers = new_workers
-            self.stall_counts = [0] * new_workers
             self._handles = [
                 self._spawn_handle(shard, new_workers)
                 for shard in range(new_workers)

@@ -69,17 +69,10 @@ __all__ = [
 class Observability:
     """One engine's telemetry hub: registry + tracer + event log."""
 
-    def __init__(
-        self,
-        sample_every: int = 32,
-        event_capacity: int = 65_536,
-        max_traces: int = 512,
-    ) -> None:
+    def __init__(self, sample_every: int = 32) -> None:
         self.registry = MetricsRegistry()
-        self.events = EventLog(capacity=event_capacity)
-        self.tracer = TraceCollector(
-            sample_every=sample_every, max_traces=max_traces
-        )
+        self.events = EventLog()
+        self.tracer = TraceCollector(sample_every=sample_every)
 
     @contextmanager
     def span(self, kind: str, t_ms: Optional[int] = None, **fields):

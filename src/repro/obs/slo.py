@@ -11,9 +11,8 @@ error budget being consumed over a sliding sample window:
     burn = (violating fraction in window) / (1 - objective)
 
 ``burn == 1.0`` means the query is exactly spending its budget;
-sustained ``burn > 1`` means the SLO will be missed.  The autoscaler and
-QoS shedding consume :meth:`SLOTracker.max_burn_rate` as a first-class
-scale/shed signal alongside backpressure stalls and shard skew.
+sustained ``burn > 1`` means the SLO will be missed.  QoS shedding
+consumes :meth:`SLOTracker.max_burn_rate` as a first-class shed signal.
 
 Snapshots follow the ``sharing_summary()`` merge conventions: counters
 sum, targets max, reservoirs concatenate — so cross-shard / cross-server
@@ -157,7 +156,7 @@ class SLOTracker:
         return violating / (1.0 - self.objective)
 
     def max_burn_rate(self) -> float:
-        """The hottest query's burn rate — the autoscaler/shedding signal."""
+        """The hottest query's burn rate — the shedding signal."""
         if not self._recent:
             return 0.0
         return max(self.burn_rate(qid) for qid in self._recent)

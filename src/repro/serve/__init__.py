@@ -15,11 +15,6 @@ and talk to it with :class:`ServeClient` (blocking) or
 :class:`AsyncServeClient` (asyncio).
 """
 
-from repro.serve.autoscale import (
-    AutoscaleDecision,
-    AutoscalePolicy,
-    Autoscaler,
-)
 from repro.serve.client import (
     AsyncServeClient,
     ConnectionLost,
@@ -50,9 +45,6 @@ from repro.serve.subscriptions import (
 __all__ = [
     "AStreamServer",
     "AsyncServeClient",
-    "AutoscaleDecision",
-    "AutoscalePolicy",
-    "Autoscaler",
     "ConnectionLost",
     "ControlResult",
     "CursorSubscription",

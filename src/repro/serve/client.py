@@ -424,8 +424,8 @@ class _ClientAPI:
         """Create one ad-hoc query (a :class:`Query` or SQL text).
 
         ``slo_ms`` declares a wire-to-delivery latency SLO target for
-        the query; the server tracks its burn rate and feeds it to the
-        autoscaler and QoS shedding.
+        the query; the server tracks its burn rate and feeds it to QoS
+        shedding.
         """
         if (query is None) == (sql is None):
             raise ValueError("pass exactly one of query= or sql=")

@@ -41,7 +41,7 @@ import os
 import time
 import uuid
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -59,8 +59,6 @@ from repro.core.admission import (
     AdmissionController,
     AdmissionDecision,
     AdmissionPolicy,
-    PlacementPolicy,
-    QueryPlacer,
 )
 from repro.core.changelog import Changelog
 from repro.core.engine import AStreamEngine, EngineConfig
@@ -75,7 +73,6 @@ from repro.obs import MetricsRegistry, render_prometheus, write_flight_record
 from repro.obs.cost import cost_summary
 from repro.obs.slo import SLOTracker
 from repro.obs.tracing import WireTraceBook, breakdown_from_snapshot
-from repro.serve.autoscale import Autoscaler, AutoscalePolicy
 from repro.serve.gate import EngineGate
 from repro.serve.protocol import (
     CODEC_BINARY,
@@ -146,7 +143,6 @@ class ServeConfig:
     observe: bool = False
     """Enable the engine's telemetry subsystem (obs_snapshot carries the
     full registry/trace/events picture when on)."""
-    obs_sample_every: int = 32
     metrics_port: Optional[int] = None
     """HTTP ``/metrics`` sidecar port (None disables, 0 = ephemeral)."""
     max_active_queries: Optional[int] = None
@@ -167,14 +163,6 @@ class ServeConfig:
     ack_deadline_s: Optional[float] = None
     """Process-backend wedge detector: a worker with outstanding frames
     and no ack progress for this long is killed and reported."""
-    autoscale: bool = False
-    """Let the ticker resize the worker pool from backpressure-stall
-    rates and straggler skew (process backend only)."""
-    autoscale_min_workers: int = 1
-    autoscale_max_workers: int = 8
-    placement_groups: int = 1
-    """Shard groups for admission-time placement (affinity co-location
-    + expensive-query isolation); 1 keeps everything co-located."""
     codecs: Tuple[str, ...] = SUPPORTED_CODECS
     """Wire codecs this server negotiates, in preference-filter order;
     ``("json",)`` pins every session to JSON (the old-server shape the
@@ -187,7 +175,6 @@ class ServeConfig:
     """Directory for flight-recorder dumps written when the gate
     performs a recovery (``ASTREAM_FLIGHT_DIR`` is the env fallback;
     both unset disables the recorder)."""
-    engine_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.backend not in ("inline", "process"):
@@ -199,10 +186,6 @@ class ServeConfig:
             raise ValueError("the json codec cannot be disabled")
         if self.clock not in ("wall", "manual"):
             raise ValueError(f"unknown clock mode {self.clock!r}")
-        if self.autoscale and self.backend != "process":
-            raise ValueError("autoscale needs the process backend")
-        if self.placement_groups < 1:
-            raise ValueError("placement_groups must be >= 1")
         if self.flight_dir is None:
             self.flight_dir = os.environ.get("ASTREAM_FLIGHT_DIR") or None
 
@@ -220,8 +203,6 @@ def build_engine(
         retain_results=True,
         log_inputs=config.log_inputs,
         observe=config.observe,
-        obs_sample_every=config.obs_sample_every,
-        **config.engine_overrides,
     )
     if config.backend == "process":
         # Delivery sampling stays off: QoS latency over IPC would tax
@@ -229,7 +210,7 @@ def build_engine(
         # flusher reads merged channels instead.
         return ProcessAStreamEngine(
             engine_config,
-            cluster=SimulatedCluster(ClusterSpec(nodes=1), mode="process"),
+            cluster=SimulatedCluster(ClusterSpec(nodes=1)),
             workers=config.workers,
             deliver_sample_every=0,
             heartbeat_interval_s=config.heartbeat_interval_s,
@@ -277,9 +258,6 @@ class ServerCore:
         """The engine again when it is the process-sharded backend (the
         one place the core tells the backends apart), else None."""
         self.gate = EngineGate(self.engine, on_recovery=self._on_recovery)
-        self.placer = QueryPlacer(
-            PlacementPolicy(shard_groups=self.config.placement_groups)
-        )
         self.admission = AdmissionController(
             self.engine,
             self.qos,
@@ -289,20 +267,11 @@ class ServerCore:
                     self.config.max_deployment_latency_ms is not None
                 ),
             ),
-            placer=self.placer,
         )
         self.dead_letters: Deque[Tuple[str, list]] = deque(
             maxlen=DEAD_LETTER_LIMIT
         )
         self._dead_lettered_total = 0
-        self._autoscaler: Optional[Autoscaler] = None
-        if self.config.autoscale and self.pool is not None:
-            self._autoscaler = Autoscaler(
-                AutoscalePolicy(
-                    min_workers=self.config.autoscale_min_workers,
-                    max_workers=self.config.autoscale_max_workers,
-                )
-            )
         self.sessions = SessionRegistry()
         self.hub = SubscriptionHub(
             self.engine,
@@ -451,7 +420,7 @@ class ServerCore:
                 with self.gate.locked():
                     if self.admission.retry_deferred(now):
                         self._applied(self.engine.flush_session(now))
-            self._elasticity_tick(now)
+            self._elasticity_tick()
             with self.gate.locked():
                 self.hub.poll()
             self._flush(force=False, congested=congested)
@@ -560,11 +529,10 @@ class ServerCore:
         )
         logger.info("flight record written: %s", sorted(paths.values()))
 
-    def _elasticity_tick(self, now: int) -> None:
+    def _elasticity_tick(self) -> None:
         """Per-tick elasticity duties (process backend only): drive one
         in-flight migration step, drain liveness-detected worker deaths
-        into a gate-bookkept recovery, retry dead-lettered pushes, and
-        consult the autoscaler."""
+        into a gate-bookkept recovery, and retry dead-lettered pushes."""
         pool = self.pool
         if pool is None:
             return
@@ -598,23 +566,6 @@ class ServerCore:
                         )
             if self.dead_letters:
                 self._retry_dead_letters()
-            if self._autoscaler is not None and not pool.migration_active:
-                target = self._autoscaler.evaluate(
-                    now_ms=now,
-                    workers=pool.workers,
-                    stall_total=sum(pool.runtime.pool.stall_counts),
-                    skew=pool.straggler_skew_estimate(),
-                    burn_rate=self.slo.max_burn_rate(),
-                )
-                if target is not None:
-                    logger.info(
-                        "autoscaling %d -> %d workers (%s)",
-                        pool.workers,
-                        target,
-                        self._autoscaler.decisions[-1].reason,
-                    )
-                    self.gate.call(pool.begin_resize, target)
-                    self.registry.counter("serve_autoscale_resizes").inc()
 
     def _retry_dead_letters(self) -> None:
         """Re-ingest parked pushes FIFO; stop at the first failure."""
@@ -1103,16 +1054,6 @@ class ServerCore:
             "now_ms": self.now_ms(),
             "dead_letter_depth": len(self.dead_letters),
             "dead_lettered_total": self._dead_lettered_total,
-            "placements": {
-                query_id: {
-                    "group": group,
-                    "affinity": affinity,
-                    "expensive": expensive,
-                }
-                for query_id, (group, affinity, expensive)
-                in self.placer.placements().items()
-            },
-            "placement_group_loads": self.placer.group_loads,
             "slo": self.slo.summary(),
             "slo_pressure": sorted(self._pressured),
             "wire_latency": {
@@ -1134,16 +1075,6 @@ class ServerCore:
             stats["workers"] = pool.workers
             stats["alive_workers"] = pool.alive_workers
             stats.update(pool.migration_counters())
-            if self._autoscaler is not None:
-                stats["autoscale_decisions"] = [
-                    {
-                        "at_ms": decision.at_ms,
-                        "workers": decision.workers,
-                        "target": decision.target,
-                        "reason": decision.reason,
-                    }
-                    for decision in self._autoscaler.decisions
-                ]
         return {
             "t": "ack", "seq": frame["seq"], "status": "ok", "stats": stats
         }

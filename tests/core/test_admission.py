@@ -6,17 +6,9 @@ from repro.core.admission import (
     AdmissionController,
     AdmissionDecision,
     AdmissionPolicy,
-    PlacementPolicy,
-    QueryPlacer,
 )
 from repro.core.qos import QoSMonitor, QoSThresholds
-from repro.core.query import (
-    AggregationQuery,
-    JoinQuery,
-    SelectionQuery,
-    TruePredicate,
-    WindowSpec,
-)
+from repro.core.query import SelectionQuery, TruePredicate
 from tests.conftest import field_tuple, make_engine
 
 
@@ -134,69 +126,3 @@ class TestDefer:
         qos.now_ms = 100_000
         qos.on_deliver("someone", 0)
         assert controller.submit(_query("q1"), 0) is AdmissionDecision.ADMIT
-
-
-def _agg(name: str, stream: str = "A", retention_ms: int = 2_000):
-    return AggregationQuery(
-        stream=stream,
-        predicate=TruePredicate(),
-        window_spec=WindowSpec.tumbling(retention_ms),
-        query_id=name,
-    )
-
-
-class TestPlacement:
-    def test_shared_final_stage_colocates(self):
-        placer = QueryPlacer(PlacementPolicy(shard_groups=4))
-        first = placer.place(_agg("q1", stream="A"))
-        second = placer.place(_agg("q2", stream="A"))
-        assert first.affinity_key == "agg:A" == second.affinity_key
-        assert first.group == second.group
-        other = placer.place(_agg("q3", stream="B"))
-        assert other.group != first.group, "different plan, different group"
-
-    def test_expensive_queries_spread_over_groups(self):
-        placer = QueryPlacer(PlacementPolicy(shard_groups=2))
-        join = JoinQuery(
-            left_stream="A",
-            right_stream="B",
-            left_predicate=TruePredicate(),
-            right_predicate=TruePredicate(),
-            window_spec=WindowSpec.tumbling(1_000),
-            query_id="j1",
-        )
-        heavy = _agg("big", retention_ms=120_000)
-        first = placer.place(join)
-        second = placer.place(heavy)
-        assert first.expensive and second.expensive
-        assert {first.group, second.group} == {0, 1}
-
-    def test_selection_affinity_uses_output_stage(self):
-        placer = QueryPlacer(PlacementPolicy(shard_groups=2))
-        placed = placer.place(
-            SelectionQuery(
-                stream="A", predicate=TruePredicate(), query_id="s1"
-            )
-        )
-        assert placed.affinity_key == "select:A"
-        assert not placed.expensive
-
-    def test_release_frees_group_load(self):
-        placer = QueryPlacer(PlacementPolicy(shard_groups=2))
-        placer.place(_agg("q1"))
-        assert placer.group_loads == [1, 0]
-        placer.release("q1")
-        assert placer.group_loads == [0, 0]
-        placer.release("q1")  # double release is a no-op
-        assert placer.group_loads == [0, 0]
-
-    def test_controller_places_on_admit_and_releases_on_stop(self):
-        qos = QoSMonitor(sample_every=1, thresholds=QoSThresholds())
-        engine = make_engine()
-        placer = QueryPlacer(PlacementPolicy(shard_groups=2))
-        controller = AdmissionController(engine, qos, placer=placer)
-        assert controller.submit(_agg("q1"), 0) is AdmissionDecision.ADMIT
-        engine.flush_session(0)
-        assert "q1" in placer.placements()
-        controller.stop("q1", now_ms=10)
-        assert "q1" not in placer.placements()

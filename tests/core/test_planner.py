@@ -9,21 +9,17 @@ from repro.core.planner import (
     covering,
     normalize,
     overlaps,
-    sharing_affinity_key,
     stabbing_segments,
     subsumes,
 )
 from repro.core.query import (
-    AggregationQuery,
     CallablePredicate,
     Comparison,
     FieldPredicate,
-    SelectionQuery,
     TruePredicate,
-    WindowSpec,
 )
 from repro.core.selection import SharedSelectionOperator
-from repro.core.sql import ConjunctionPredicate, parse_query
+from repro.core.sql import ConjunctionPredicate
 from tests.conftest import field_tuple
 from tests.core.plan_oracle import compile_selection_plan
 
@@ -361,44 +357,6 @@ class TestCompiledPlan:
         for row in range(len(values)):
             record = field_tuple(1, f0=values[row], f2=others[row])
             assert probe(row) == group.evaluate(record), row
-
-
-class TestSharingAffinity:
-    def test_unconstrained_queries_keep_stage_key(self):
-        query = AggregationQuery(
-            stream="A",
-            predicate=TruePredicate(),
-            window_spec=WindowSpec.tumbling(1_000),
-            query_id="q",
-        )
-        assert sharing_affinity_key(query) == "agg:A"
-
-    def test_constrained_queries_add_anchor_field(self):
-        query = SelectionQuery(
-            stream="A", predicate=FieldPredicate(2, GE, 10), query_id="q"
-        )
-        assert sharing_affinity_key(query) == "select:A|f2"
-
-    def test_udf_keeps_stage_key(self):
-        query = SelectionQuery(
-            stream="A",
-            predicate=CallablePredicate(lambda v: True),
-            query_id="q",
-        )
-        assert sharing_affinity_key(query) == "select:A"
-
-    def test_sql_and_dict_queries_share_affinity(self):
-        sql = parse_query(
-            "SELECT * FROM A WHERE A.F0 >= 25 AND A.F0 <= 40"
-        )
-        direct = SelectionQuery(
-            stream="A",
-            predicate=ConjunctionPredicate(
-                (FieldPredicate(0, GE, 25), FieldPredicate(0, LE, 40))
-            ),
-            query_id="q",
-        )
-        assert sharing_affinity_key(sql) == sharing_affinity_key(direct)
 
 
 class TestOperatorSharingStats:

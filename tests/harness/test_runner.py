@@ -69,10 +69,17 @@ class TestRunScenario:
         assert four.speedup == pytest.approx(1.0)
         eight = run_scenario(_quick_config(nodes=8), scenario="single", kind="agg")
         assert eight.speedup == pytest.approx(2 ** 0.5)
+        # Worker processes are measured, not modelled: no factor on top.
+        measured = run_scenario(
+            _quick_config(nodes=8, backend="process", workers=1),
+            scenario="single",
+            kind="agg",
+        )
+        assert measured.speedup == pytest.approx(1.0)
 
     def test_engine_exposed_for_component_stats(self):
         metrics = run_scenario(
-            _quick_config(profile=True), scenario="single", kind="join"
+            _quick_config(), scenario="single", kind="join"
         )
         stats = metrics.engine.component_stats()
         assert stats["predicate_evaluations"] > 0

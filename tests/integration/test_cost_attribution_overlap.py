@@ -71,7 +71,7 @@ def drive(engine, pushes: int = PUSHES):
 def assert_conserved(cost):
     total = cost["total_ns"]
     attributed = sum(cost["queries"].values()) + cost["unattributed_ns"]
-    assert total > 0, "profile=True must meter data-path CPU"
+    assert total > 0, "observe=True must meter data-path CPU"
     # The hard identity: proportional split + remainder handoff.
     assert attributed == total
     # The stated acceptance bar (held with zero slack, not 1 %).
@@ -81,7 +81,7 @@ def assert_conserved(cost):
 
 class TestOverlapWorkloadAttribution:
     def test_inline_shares_sum_to_metered_total(self):
-        engine = make_engine(streams=("A",), profile=True)
+        engine = make_engine(streams=("A",), observe=True)
         drive(engine)
         cost = engine.cost_attribution()
         assert_conserved(cost)
@@ -93,7 +93,7 @@ class TestOverlapWorkloadAttribution:
         assert all(share > 0 for share in cost["queries"].values())
 
     def test_overlapping_pair_splits_shared_work_fairly(self):
-        engine = make_engine(streams=("A",), profile=True)
+        engine = make_engine(streams=("A",), observe=True)
         drive(engine)
         profile = engine.cost_profile()
         group_entries = [
@@ -108,7 +108,7 @@ class TestOverlapWorkloadAttribution:
 
     def test_process_backend_merged_profile_conserves(self):
         engine = ProcessAStreamEngine(
-            EngineConfig(streams=("A",), parallelism=1, profile=True),
+            EngineConfig(streams=("A",), parallelism=1, observe=True),
             workers=2,
         )
         try:

@@ -232,9 +232,9 @@ class TestFlightRecorder:
 
 class TestCostAttribution:
     def test_stats_cost_block_conserves_engine_cpu(self, make_server):
-        # ``profile`` turns on the per-push CPU meter the attribution
+        # ``observe`` turns on the per-push CPU meter the attribution
         # splits; the plain hot path keeps it off.
-        handle = make_server(engine_overrides={"profile": True})
+        handle = make_server(observe=True)
         client = _client(handle, trace_sample_every=1)
         ids = [
             client.create_query(
@@ -264,7 +264,7 @@ class TestCostAttribution:
         handle = make_server(
             backend="process",
             workers=2,
-            engine_overrides={"profile": True},
+            observe=True,
         )
         client = _client(handle)
         ids = [

@@ -18,7 +18,7 @@ _EXPECTED_MARKERS = {
     "online_gaming.py": ["Q1 (marketing)", "pro-player sessions", "deployment latencies"],
     "adhoc_dashboard.py": ["platform dashboard", "slowest data throughput", "QoS violations"],
     "complex_pipeline.py": ["cx-2way", "cx-4way (added ad-hoc", "slice-pair joins"],
-    "sql_console.py": ["[admit ]", "queries live on one shared topology", "admission:"],
+    "sql_console.py": ["[admit ]", "queries live on one shared topology", "admission:", "selection sharing per stream"],
     "auction_analytics.py": ["hottest auctions", "meeting the reserve", "active queries at shutdown: 2"],
     "serve_quickstart.py": ["admitted over the wire", "streamed results:", "drained with checkpoint", "clean shutdown"],
 }
