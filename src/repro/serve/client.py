@@ -569,6 +569,9 @@ class ServeClient(_ClientAPI):
         sock = socket.create_connection(
             self._address, timeout=self._connect_timeout_s
         )
+        # Each frame leaves at once: Nagle would hold a push written
+        # behind an unanswered watermark for the peer's delayed ACK.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
             sock.settimeout(self._core.ack_timeout_s)
             sock.sendall(self._core.hello())

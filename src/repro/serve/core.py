@@ -26,7 +26,9 @@ supervises worker recovery.  Plane by plane:
   paced by per-session ingest credits;
 * **results** — the :class:`~repro.serve.subscriptions.SubscriptionHub`
   buffers per subscription (shedding visibly when full); results leave
-  on the tick, on a traced push, on ``drain`` and on ``stop``;
+  as soon as the push or watermark that made them is applied, and on
+  the tick (held leftovers, congested connections, poll mode), on
+  ``drain`` and on ``stop``;
 * **ops** — ``stats`` / ``obs_snapshot`` frames, Prometheus exposition,
   chaos/resize hooks, the tick's elasticity duties, and a drain that
   checkpoints the engine before exit.
@@ -288,6 +290,9 @@ class ServerCore:
         request effective (a deferred create, say)."""
         self._out: List[Effect] = []
         """Effects built by the input being handled, in order."""
+        self._congested: Collection[Conn] = ()
+        """Connections the last tick found congested: skipped by every
+        flush that is not forced, until a tick finds them clear."""
         self._handlers: Dict[str, Callable[[Conn, Frame], Any]] = {
             "hello": self._hello,
             "ping": self._ping,
@@ -410,8 +415,10 @@ class ServerCore:
         """The timer: session timeout flushes, deferred admissions and
         their ``query_event`` announcements, elasticity duties, then one
         ``result`` frame per subscription — skipping the ``congested``
-        connections, whose results keep buffering (and eventually
+        connections (and so does every push's and watermark's flush until
+        the next tick), whose results keep buffering (and eventually
         shedding) in the hub instead of in kernel memory."""
+        self._congested = congested
         try:
             changelog = self.gate.call(self.engine.tick, now)
             if changelog is not None:
@@ -423,7 +430,7 @@ class ServerCore:
             self._elasticity_tick()
             with self.gate.locked():
                 self.hub.poll()
-            self._flush(force=False, congested=congested)
+            self._flush(force=False)
         except ShardWorkerError:
             logger.warning("tick hit a dead worker; next op recovers",
                            exc_info=True)
@@ -841,6 +848,7 @@ class ServerCore:
         if dead_lettered:
             ack["dead_lettered"] = dead_lettered
         if trace is None:
+            self._flush_applied()
             return ack
         # Close the wire span at delivery: poll the merged channels
         # (poll backend) and force-flush subscriptions.  gate.call, not
@@ -930,6 +938,7 @@ class ServerCore:
             self.gate.call(self.engine.watermark, timestamp, stream)
         except KeyError as error:
             raise ProtocolError("unknown_stream", str(error)) from None
+        self._flush_applied()
 
     # -- results -----------------------------------------------------------
 
@@ -973,12 +982,16 @@ class ServerCore:
             "base": base,
         }
 
-    def _flush(
-        self, force: bool, congested: Collection[Conn] = ()
-    ) -> Dict[str, int]:
+    def _flush_applied(self) -> None:
+        """An applied push or watermark sends the results it made at
+        once, so the tick is only their upper bound, not their pace."""
+        self._flush(force=False)
+
+    def _flush(self, force: bool) -> Dict[str, int]:
         """Queue pending subscription results as ``result`` frames for
-        connected subscribers: one frame per subscription, or (``force``)
-        everything pending, congested connections included.
+        connected subscribers: one frame per subscription, leftovers held
+        and the connections the last tick found congested skipped; or
+        (``force``) everything pending, congested connections included.
 
         Only the hub's due subscriptions are visited: those whose channel
         received results since the last flush, and those held back by
@@ -1000,7 +1013,7 @@ class ServerCore:
             if session.subscriptions.get(query_id) is not subscription:
                 continue  # unsubscribed since it became due
             conn = self._conn_of.get(session.client_id)
-            if conn is None or (not force and conn in congested):
+            if conn is None or (not force and conn in self._congested):
                 hub.hold(subscription)
                 continue
             while subscription.pending:
@@ -1013,7 +1026,7 @@ class ServerCore:
                 if batch:
                     delivered[query_id] += len(batch)
                 if not force:
-                    # One frame per subscription per tick keeps ticks short.
+                    # One frame per subscription per flush keeps it short.
                     if subscription.pending:
                         hub.hold(subscription)
                     break

@@ -14,7 +14,9 @@ tour).  The transport only moves bytes and time:
   once everything before it is on the wire;
 * the ticker's sleep (every :data:`TICK_INTERVAL_MS`), telling the core
   which connections' write buffers are over :data:`WRITE_BUFFER_LIMIT`
-  so the tick's result flush skips them;
+  so its result flushes skip them until the next tick (results leave
+  with the push or watermark that made them; the tick is their upper
+  bound);
 * the ``GET /metrics`` sidecar, ``start``/``stop``/``serve_forever``.
 """
 
@@ -34,12 +36,14 @@ logger = logging.getLogger("repro.serve.server")
 
 TICK_INTERVAL_MS = 20
 """Ticker cadence: session timeout flushes, deferred admission retries,
-elasticity duties, subscription flushing."""
+elasticity duties, and the upper bound on a result's wait — for held
+leftovers, congested connections and poll mode (a push or watermark
+flushes what it made at once)."""
 
 WRITE_BUFFER_LIMIT = 4 * 1024 * 1024
-"""Per-connection transport backlog above which the tick's subscription
-flush skips the connection (results keep buffering — and eventually
-shedding — in the hub instead of in kernel memory)."""
+"""Per-connection transport backlog above which the subscription
+flushes skip the connection until the next tick (results keep buffering
+— and eventually shedding — in the hub instead of in kernel memory)."""
 
 
 class AStreamServer:

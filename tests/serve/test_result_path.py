@@ -715,14 +715,14 @@ def test_frames_keep_subscribe_order_and_congestion_only_defers(make_pipe):
     ]
     for query_id in query_ids:
         client.subscribe(query_id)
+    inbox = pipe.inboxes[client._conn]
+    server = pipe.server
+    pipe.carry(server.tick(server.now_ms(), congested={client._conn}))
     client.push("A", [(ts, _tuple(ts)) for ts in range(5)])
     client.watermark(50)
-    inbox = pipe.inboxes[client._conn]
-    inbox.clear()
-    server = pipe.server
     for _ in range(2):
         pipe.carry(server.tick(server.now_ms(), congested={client._conn}))
-        assert not inbox
+        assert not inbox and not client._results
     frames = []
     for _ in range(4):
         pipe.tick()

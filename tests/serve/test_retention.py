@@ -71,7 +71,7 @@ def _run(make_pipe, steps, subscribe, per_step=10):
 def test_retained_results_stay_flat_with_uptime(make_pipe):
     short, _ = _run(make_pipe, steps=12, subscribe=True)
     long, streamed = _run(make_pipe, steps=120, subscribe=True)
-    assert long == short == 4 * 10  # one step's results, until the flush
+    assert long == short == 0  # each push's flush takes and trims its results
     for outputs in streamed.values():
         assert [o.timestamp for o in outputs] == [
             step * STEP_MS + i for step in range(120) for i in range(10)
@@ -192,7 +192,9 @@ def test_fetch_reports_the_base_and_an_unsubscribed_query_keeps_all(make_pipe):
     client.push("A", _events(0, 7))
     client.watermark(STEP_MS - 1)
     streamed = client.collect(subscribed, 7)
-    client.push("A", _events(STEP_MS, 2))  # not flushed yet: retained
+    server = pipe.server
+    pipe.carry(server.tick(server.now_ms(), congested={client._conn}))
+    client.push("A", _events(STEP_MS, 2))  # congested, not flushed: retained
     client.watermark(2 * STEP_MS - 1)
     fetched = client.fetch_results(subscribed)
     assert fetched.base == 7

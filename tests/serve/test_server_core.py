@@ -284,10 +284,10 @@ class TestEffects:
         [(_, reply)] = server.receive(3, {"t": "ack", "seq": 1, "status": "x"})
         assert reply["code"] == "unexpected_frame"
 
-    def test_results_leave_only_on_tick_traced_push_drain_and_stop(
+    def test_results_leave_with_push_or_watermark_drain_and_stop(
         self, make_pipe
     ):
-        pipe = make_pipe()
+        pipe = make_pipe(result_frame_outputs=2)
         client = PipeClient(pipe)
         query_id = client.create_query(sql=SQL_SELECT, at_ms=0).query_id
         client.subscribe(query_id, from_start=False)
@@ -296,16 +296,20 @@ class TestEffects:
             return [o.timestamp for o in client._results.pop(query_id, [])]
 
         assert client.push("A", _events(3)) == 3
+        assert streamed() == [0, 1]  # one frame, ahead of the ack
         client.watermark(10)
-        assert client.ping() and streamed() == []  # nothing before the tick
-        assert len(client.collect(query_id, 3, ticks=1)) == 3
+        assert client.ping() and streamed() == [2]  # the leftover
         traced = client._core.encode_push(
-            "A", _events(2, start=10), trace=(7, 0)
+            "A", _events(3, start=10), trace=(7, 0)
         )
         ack = client._request({"t": "push"}, traced)
-        assert streamed() == [10, 11]  # on the wire before the ack
+        assert streamed() == [10, 11, 12]  # all of it, before the ack
         assert ack["trace"]["queries"] == [query_id]
+        server = pipe.server
+        pipe.carry(server.tick(server.now_ms(), congested={client._conn}))
         client.push("A", _events(1, start=20))
+        client.watermark(30)
+        assert client.ping() and streamed() == []  # congested: held
         client.drain()
         assert streamed() == [20]
         client.push("A", _events(1, start=30))
