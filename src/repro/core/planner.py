@@ -15,11 +15,12 @@ every member — the qs-bitsets the shared selection emits are
 byte-identical to evaluating every predicate independently.  Sharing
 changes only the work needed to compute them:
 
-* **cover check** — one hull comparison rejects tuples outside the whole
-  group (the "covering scan");
 * **interval stabbing index** — member intervals on the group's anchor
   field are cut into segments with precomputed slot bitsets, so one
   ``bisect`` resolves *all* single-field members at once;
+* **cover check** — the hull's edges bound the index, so the same
+  ``bisect`` rejects tuples outside the whole group (the "covering
+  scan");
 * **residual filters** — members with constraints on further fields
   (flattened conjunctions) are refined per query with cheap bound
   checks.
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from operator import and_, xor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -356,13 +357,14 @@ def _residual_checks(normalized: NormalizedPredicate) -> _Checks:
 
 
 class SharingGroup:
-    """One overlap component compiled for per-tuple evaluation.
+    """One overlap component compiled for evaluation a column at a time.
 
-    Evaluation order per tuple: hull cover check (reject the whole group
-    with two comparisons), then one stabbing-index probe resolving every
-    single-field member, then the residual filters of multi-field
-    members.  Counters feed the sharing statistics exported via
-    ``repro.obs``.
+    Per batch of rows: one stabbing-index probe per row over the anchor
+    column, whose cuts are bounded by the hull's two edges, so the same
+    probe resolves every single-field member and tells a row outside
+    the whole group (the cover check); then the residual filters of
+    multi-field members, for the rows inside the hull only.  Counters
+    feed the sharing statistics exported via ``repro.obs``.
     """
 
     __slots__ = (
@@ -371,10 +373,9 @@ class SharingGroup:
         "member_count",
         "residual_count",
         "cover",
-        "_hull_start",
-        "_hull_end",
         "_cuts",
-        "_segment_masks",
+        "_edges",
+        "_edge_masks",
         "_residuals",
         "evaluations",
         "cover_skips",
@@ -419,7 +420,13 @@ class SharingGroup:
         slots_mask: int,
         member_count: int,
     ) -> None:
-        """Install one compiled index, with zeroed counters."""
+        """Install one compiled index, with zeroed counters.
+
+        ``_edges`` are the cuts with the hull's edges added, and
+        ``_edge_masks[bisect_right(_edges, key)]`` is the slots of the
+        single members containing ``key``: positions ``0`` and
+        ``len(_edges)`` lie outside the hull.
+        """
         self.field_index = field_index
         self.slots_mask = slots_mask
         self.member_count = member_count
@@ -427,11 +434,27 @@ class SharingGroup:
         self.cover = Interval(
             hull_start[0], not hull_start[1], hull_end[0], bool(hull_end[1])
         )
-        self._hull_start = hull_start
-        self._hull_end = hull_end
         self._cuts = cuts
-        self._segment_masks = segment_masks
-        self._residuals = residuals
+        edges = list(cuts)
+        edge_masks = [0] + segment_masks
+        if not edges or hull_start < edges[0]:
+            edges.insert(0, hull_start)
+            edge_masks.insert(0, 0)
+        if hull_end > edges[-1]:
+            edges.append(hull_end)
+            edge_masks.append(0)
+        self._edges = edges
+        self._edge_masks = edge_masks
+        self._residuals = [
+            (
+                tuple(
+                    (f, (low, 0 if low_inc else 1), (high, 1 if high_inc else 0))
+                    for f, low, low_inc, high, high_inc in checks
+                ),
+                slots,
+            )
+            for checks, slots in residuals
+        ]
         self.evaluations = 0
         self.cover_skips = 0
         self.index_probes = 0
@@ -441,8 +464,8 @@ class SharingGroup:
         """This group's compiled index under new, zeroed counters.
 
         Epoch views whose component did not change share one compiled
-        index (cover, cuts, segment masks, residuals — never mutated once
-        laid out); each view still counts its own work.
+        index (cover, cuts, edges and their masks, residuals — never
+        mutated once laid out); each view still counts its own work.
         """
         copy = SharingGroup.__new__(SharingGroup)
         for name in self.__slots__:
@@ -453,62 +476,46 @@ class SharingGroup:
         copy.residual_checks = 0
         return copy
 
-    def evaluate(self, value: Any) -> int:
-        """Slot bits of every member the tuple satisfies."""
-        self.evaluations += 1
-        fields = value.fields
-        probe = (fields[self.field_index], 0)
-        if not (self._hull_start <= probe < self._hull_end):
-            self.cover_skips += 1
-            return 0
-        index = bisect_right(self._cuts, probe) - 1
-        bits = self._segment_masks[index] if index >= 0 else 0
-        self.index_probes += 1
-        for checks, slots in self._residuals:
-            self.residual_checks += 1
-            self.evaluations += 1
-            for f, low, low_inc, high, high_inc in checks:
-                v = fields[f]
-                if not ((low, 0 if low_inc else 1) <= (v, 0) < (high, 1 if high_inc else 0)):
-                    break
-            else:
-                bits |= slots
+    def tag(self, columns: Sequence[Sequence[Any]]) -> List[int]:
+        """Slot bits of every member each row satisfies, over parallel
+        field columns (``columns[f][row]``): one ``bisect`` map over the
+        anchor column, and residual checks for the rows inside the hull.
+        Counts the work a per-row probe would: one evaluation, and a
+        cover skip or an index probe, per row; one evaluation and
+        residual check per residual member per row inside the hull."""
+        edges = self._edges
+        anchor = columns[self.field_index]
+        positions = list(map(bisect_right, repeat(edges), zip(anchor, repeat(0))))
+        rows = len(positions)
+        outside = positions.count(0) + positions.count(len(edges))
+        inside = rows - outside
+        residual_work = inside * self.residual_count
+        self.evaluations += rows + residual_work
+        self.cover_skips += outside
+        self.index_probes += inside
+        self.residual_checks += residual_work
+        bits = list(map(self._edge_masks.__getitem__, positions))
+        if residual_work:
+            last = len(edges)
+            hull_rows = [
+                row for row, position in enumerate(positions) if 0 < position < last
+            ]
+            for checks, slots in self._residuals:
+                matched = hull_rows
+                for f, start_key, end_key in checks:
+                    column = columns[f]
+                    matched = [
+                        row
+                        for row in matched
+                        if start_key <= (column[row], 0) < end_key
+                    ]
+                for row in matched:
+                    bits[row] |= slots
         return bits
 
-    def bind_columns(self, columns: Sequence[Sequence[Any]]):
-        """Row-index evaluator over parallel field columns (columnar path)."""
-        anchor_column = columns[self.field_index]
-        hull_start = self._hull_start
-        hull_end = self._hull_end
-        cuts = self._cuts
-        segment_masks = self._segment_masks
-        residuals = self._residuals
-
-        def probe_row(row: int) -> int:
-            self.evaluations += 1
-            probe = (anchor_column[row], 0)
-            if not (hull_start <= probe < hull_end):
-                self.cover_skips += 1
-                return 0
-            index = bisect_right(cuts, probe) - 1
-            bits = segment_masks[index] if index >= 0 else 0
-            self.index_probes += 1
-            for checks, slots in residuals:
-                self.residual_checks += 1
-                self.evaluations += 1
-                for f, low, low_inc, high, high_inc in checks:
-                    v = columns[f][row]
-                    if not (
-                        (low, 0 if low_inc else 1)
-                        <= (v, 0)
-                        < (high, 1 if high_inc else 0)
-                    ):
-                        break
-                else:
-                    bits |= slots
-            return bits
-
-        return probe_row
+    def evaluate(self, value: Any) -> int:
+        """Slot bits of every member one tuple satisfies."""
+        return self.tag([(field,) for field in value.fields])[0]
 
     def describe(self) -> Dict[str, Any]:
         """Reportable shape + counters for stats frames and gauges."""

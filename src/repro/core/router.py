@@ -557,8 +557,11 @@ class RouterOperator(Operator):
         """Deliver a batch run by run: consecutive records with the same
         masked query-set share one route lookup and one hand-over per
         destination.  A fired aggregation window is one record whose
-        value is a :class:`WindowRun`, handed over whole."""
+        value is a :class:`WindowRun`, handed over whole.  A router with
+        no query to deliver to does not read the batch."""
         output_slots = self._output_slots
+        if not output_slots:
+            return
         deliver_run = self._deliver_run
         copies = 0
         run_bits = 0

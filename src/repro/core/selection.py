@@ -32,9 +32,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
-
-import operator as _compare
+from itertools import repeat
+from operator import and_, eq, ge, gt, le, lt, mul, or_, truth
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.bitset import QuerySet
 from repro.core.changelog import Changelog
@@ -51,11 +51,11 @@ from repro.minispe.operators import Operator
 from repro.minispe.record import ChangelogMarker, Record, RecordBatch
 
 _COMPARE_FNS = {
-    Comparison.LT: _compare.lt,
-    Comparison.GT: _compare.gt,
-    Comparison.EQ: _compare.eq,
-    Comparison.LE: _compare.le,
-    Comparison.GE: _compare.ge,
+    Comparison.LT: lt,
+    Comparison.GT: gt,
+    Comparison.EQ: eq,
+    Comparison.LE: le,
+    Comparison.GE: ge,
 }
 """Comparison → C-level compare function, for column-bound predicates."""
 
@@ -366,127 +366,108 @@ class SharedSelectionOperator(Operator):
 
     # -- tagging ---------------------------------------------------------------
 
-    def _bind(self, plan: SelectionPlan, batch: RecordBatch):
-        """Compile one plan against one batch.
-
-        Returns ``(subjects, compiled, tests, group_probes)``.
-        ``subjects[row]`` is what a row's probes are called with;
-        ``compiled`` holds ``(column, compare, constant, slots)`` entries
-        the tagging loop evaluates on a field column directly (column
-        ``None``: always true); ``tests`` holds ``(probe, slots)`` pairs,
-        ``probe(subject)`` telling whether the slots match;
-        ``group_probes`` are the sharing groups' ``probe(subject) ->
-        bits``.
-
-        This is the only place that knows how a batch stores its rows.
-        A columnar batch binds predicates to its field columns and
-        probes by row index — no row object is built to decide a row's
-        fate.  A row-built batch, and any plan holding a black-box (UDF)
-        predicate, which needs the row value, probe the materialised
-        values instead.
-        """
-        fields = batch.field_columns()
-        if fields is not None:
-            compiled: List[Tuple[Any, Any, Any, int]] = []
-            tests = []
-            for predicate, slots_mask in plan.direct:
-                kind = type(predicate)
-                if kind is FieldPredicate:
-                    compiled.append(
-                        (
-                            fields[predicate.field_index],
-                            _COMPARE_FNS[predicate.op],
-                            predicate.constant,
-                            slots_mask,
-                        )
-                    )
-                elif kind is TruePredicate:
-                    compiled.append((None, None, None, slots_mask))
-                else:
-                    normalized = normalize(predicate)
-                    if normalized is None or not normalized.satisfiable:
-                        # A black box needs the row value; a contradiction
-                        # (direct only with sharing off) has no intervals
-                        # to check, so it takes the same fallback.
-                        break
-                    checks = tuple(
-                        (fields[f], iv.start_key, iv.end_key)
-                        for f, iv in normalized.constraints
-                    )
-
-                    def in_intervals(row: int, _checks=checks) -> bool:
-                        for column, start_key, end_key in _checks:
-                            if not (start_key <= (column[row], 0) < end_key):
-                                return False
-                        return True
-
-                    tests.append((in_intervals, slots_mask))
-            else:  # every direct predicate bound to columns
-                return (
-                    range(len(batch)),
-                    compiled,
-                    tests,
-                    [group.bind_columns(fields) for group in plan.groups],
-                )
-        return (
-            [record.value for record in batch.records],
-            (),
-            [(predicate.evaluate, mask) for predicate, mask in plan.direct],
-            [group.evaluate for group in plan.groups],
-        )
-
     def process_batch(self, records: List[Record]) -> None:
         self.process_columnar(RecordBatch(records))
 
     def process_columnar(self, batch: RecordBatch) -> None:
         """Tag one batch — the operator's one data body.
 
-        One epoch lookup per run of timestamps in the same view, one
-        plan binding (:meth:`_bind`) per view the batch touches,
-        counters accumulated locally, and all surviving rows emitted as
-        a single downstream batch.  On a
-        columnar batch — the wire-ingest path: the binary codec decodes
-        frames into columnar batches — a row's value object is built
-        only when some query wants the row, so for selective queries
-        most rows die here having never existed as Python objects.  The
-        runtime hands a batch over under this name without touching its
-        rows; :meth:`process_batch` wraps a record list into a batch
-        first.
+        A batch is tagged a column at a time, once per run of rows whose
+        timestamps one epoch view covers (:meth:`_runs`: a batch that
+        spans a view edge is split there, keeping row order), and its
+        survivors leave as a single downstream batch.  On a columnar
+        batch — the wire-ingest path: the binary codec decodes frames
+        into columnar batches — a row's value object is built only when
+        some query wants the row, so for selective queries most rows die
+        here having never existed as Python objects.  A row-built batch
+        takes the same path through its column views; the runtime hands
+        a batch over under this name without touching its rows, and
+        :meth:`process_batch` wraps a record list into a batch first.
         """
-        row_record = batch.row_record
-        evaluations = 0
-        dropped = 0
         out: List[Record] = []
-        append = out.append
-        bindings: Dict[int, tuple] = {}  # view sequence -> _bind() result
-        view_low = view_high = 0  # empty span: the first row binds a view
-        for row, timestamp in enumerate(batch.timestamps()):
-            if not (view_low <= timestamp < view_high):
+        for low, high, view in self._runs(batch.timestamps()):
+            part = batch if high - low == len(batch) else batch.part(low, high)
+            bits, values = self._tag(view.plan, part)
+            sequence = view.sequence
+            tags = [
+                {QS_TAG: row_bits, EPOCH_TAG: sequence} for row_bits in bits if row_bits
+            ]
+            self.records_dropped += len(bits) - len(tags)
+            out += part.select(bits, tags, values)
+        self.output_batch(out)
+
+    def _tag(
+        self, plan: SelectionPlan, batch: RecordBatch
+    ) -> Tuple[List[int], Optional[list]]:
+        """Every row's query-set bits under ``plan``, one column op per
+        direct predicate and per sharing group, and the rows' values when
+        a black-box predicate had them built (else None).
+
+        A field predicate is one compare map over its column, ``TRUE``
+        sets its slots on every row, another normalizable predicate
+        checks its intervals column by column, and a black-box (UDF)
+        predicate — or a contradiction, which has no intervals to check
+        — maps its ``evaluate`` over the row values.  Each sharing group
+        tags the whole batch (:meth:`SharingGroup.tag`).  Every direct
+        predicate counts one evaluation per row.
+        """
+        size = len(batch)
+        fields = batch.field_columns()
+        values = None
+        bits = [0] * size
+        for predicate, slots in plan.direct:
+            kind = type(predicate)
+            if kind is FieldPredicate:
+                passed = map(
+                    _COMPARE_FNS[predicate.op],
+                    fields[predicate.field_index],
+                    repeat(predicate.constant),
+                )
+            elif kind is TruePredicate:
+                passed = repeat(True, size)
+            else:
+                normalized = normalize(predicate)
+                if normalized is None or not normalized.satisfiable:
+                    if values is None:
+                        values = batch.values()
+                    passed = map(truth, map(predicate.evaluate, values))
+                else:
+                    passed = repeat(True, size)
+                    for field_index, interval in normalized.constraints:
+                        bounds = (interval.start_key, interval.end_key)
+                        inside = map(
+                            bisect_right,
+                            repeat(bounds),
+                            zip(fields[field_index], repeat(0)),
+                        )
+                        passed = map(and_, passed, map((1).__eq__, inside))
+            bits = list(map(or_, bits, map(mul, passed, repeat(slots))))
+        for group in plan.groups:
+            bits = list(map(or_, bits, group.tag(fields)))
+        self._evaluations += len(plan.direct) * size
+        return bits, values
+
+    def _runs(self, timestamps) -> Iterator[Tuple[int, int, _EpochView]]:
+        """``(low, high, view)`` for each run of rows ``[low, high)``
+        whose timestamps one epoch view covers, in row order.  A batch
+        inside one view — nearly every batch — is one run, found with
+        one view lookup and a C-level min and max."""
+        size = len(timestamps)
+        if not size:
+            return
+        view = self._view_for(timestamps[0])
+        view_low, view_high = self._view_span(view)
+        if view_low <= min(timestamps) and max(timestamps) < view_high:
+            yield 0, size, view
+            return
+        start = 0
+        for row, timestamp in enumerate(timestamps):
+            if not view_low <= timestamp < view_high:
+                yield start, row, view
                 view = self._view_for(timestamp)
                 view_low, view_high = self._view_span(view)
-                sequence = view.sequence
-                if sequence not in bindings:
-                    bindings[sequence] = self._bind(view.plan, batch)
-                subjects, compiled, tests, group_probes = bindings[sequence]
-                direct_count = len(compiled) + len(tests)
-            subject = subjects[row]
-            bits = 0
-            for column, compare, constant, slots_mask in compiled:
-                if column is None or compare(column[row], constant):
-                    bits |= slots_mask
-            for probe, slots_mask in tests:
-                if probe(subject):
-                    bits |= slots_mask
-            for probe in group_probes:
-                bits |= probe(subject)
-            evaluations += direct_count
-            if bits == 0:
-                dropped += 1
-                continue
-            append(row_record(row, {QS_TAG: bits, EPOCH_TAG: sequence}))
-        self._evaluations += evaluations
-        self.records_dropped += dropped
-        self.output_batch(out)
+                start = row
+        yield start, size, view
 
     def _view_for(self, timestamp_ms: int) -> _EpochView:
         """The epoch view covering ``timestamp_ms`` (event-time lookup)."""

@@ -130,12 +130,41 @@ class _Layout:
             for slot in group.members
         }
         self.slots = sum(1 << slot for slot in self.slot_group)
-        # spec -> (its groups' slots, [(pseudo-slot, group)]): one lift per spec
-        self.by_spec: Dict[AggregationSpec, Tuple[int, list]] = {}
+        # One fold entry per spec, so a record is lifted once per spec:
+        # [spec, its initial accumulator (immutable, so shared), its
+        # groups' slots, is AVG, [(pseudo-slot, group)]].
+        folds: Dict[AggregationSpec, list] = {}
         for index, group in enumerate(groups):
-            slots, entries = self.by_spec.get(group.spec, (0, []))
-            entries = entries + [(-1 - index, group)]
-            self.by_spec[group.spec] = (slots | group.slots, entries)
+            spec = group.spec
+            fold = folds.setdefault(
+                spec, [spec, spec.initial(), 0, spec.kind is AggregationKind.AVG, []]
+            )
+            fold[2] |= group.slots
+            fold[4].append((-1 - index, group))
+        self.folds = list(folds.values())
+
+    def bind(self, store: Dict[int, Dict[Any, Any]]) -> list:
+        """The fold entries over one slice's ``store``: each group as
+        (slots, segment map, merge, group, its row map in the store)."""
+        return [
+            (
+                spec,
+                initial,
+                spec_slots,
+                is_avg,
+                [
+                    (
+                        group.slots,
+                        group.segment_of,
+                        group.merge,
+                        group,
+                        store.setdefault(pseudo_slot, {}),
+                    )
+                    for pseudo_slot, group in groups
+                ],
+            )
+            for spec, initial, spec_slots, is_avg, groups in self.folds
+        ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -408,137 +437,128 @@ class SharedAggregationOperator(Operator):
     # -- data path -----------------------------------------------------------
 
     def process_batch(self, records: List[Record]) -> None:
-        """Fold one batch: the subscription and session bitsets and the
-        late horizon are resolved once per batch, not once per record."""
-        subscribed = self._subscribed
-        if not subscribed:
-            self.bitset_ops += len(records)
-            return
-        time_mask = subscribed & ~self._session_mask
-        session_mask = subscribed & self._session_mask
-        late_horizon = self._last_watermark_ms - self._slicer.max_retention_ms
-        fold_time = self._fold_time_windows
-        fold_sessions = self._fold_sessions
-        bitset_ops = 0
-        for record in records:
-            query_set = record.tags.get(QS_TAG, 0)
-            bitset_ops += 1
-            time_window_bits = query_set & time_mask
-            if time_window_bits:
-                fold_time(record, query_set, time_window_bits, late_horizon)
-            relevant_sessions = query_set & session_mask
-            if relevant_sessions:
-                fold_sessions(record, relevant_sessions)
-        self.bitset_ops += bitset_ops
+        """Fold one batch — the operator's one data body.
 
-    def _fold_time_windows(
-        self, record: Record, query_set: int, bits: int, late_horizon: int
-    ) -> None:
-        """Fold one record (matched time-window slots ``bits``) into its slice.
+        The subscription and session bitsets and the late horizon are
+        resolved once per batch; the slice bounds, the slice's store, its
+        epoch's layout and each group's row map once per run of records
+        in one slice (batches are near-sorted, so runs are long).
 
-        Segment-group members take one row update per group hit.  The
+        Per record, segment-group members take one row update per group
+        hit, lifted once per aggregate.  A row folds only int deltas
+        whose masked query-set is a layout mask; otherwise it is demoted:
+        its members take their covered ranges as per-slot accumulators,
+        and fold per slot from then on.  A row already in prefix form (a
+        late record after a fire) is patched from its segment on.  The
         other slots are lifted once per distinct aggregate they match,
         ``delta = add(initial(), value)``, and each merges the delta into
         its accumulator (stored as is for a new key), which is exactly a
         per-slot fold (DESIGN.md, "Shared aggregation: one update per
-        stabbing segment").
+        stabbing segment").  Session slots merge into their sessions.
         """
-        if record.timestamp <= late_horizon:
-            # Beyond any window that could still fire: observable drop.
-            self.late_records_dropped += 1
+        self.bitset_ops += len(records)
+        subscribed = self._subscribed
+        if not subscribed:
             return
-        start, end, epoch = self._slicer.slice_bounds(record.timestamp)
-        slice_ = self._slices.get_or_create(start, end, epoch)
-        if slice_.store is None:
-            # slot -> key -> accumulator, pseudo-slot -> key -> row.
-            slice_.store = {}
-        store: Dict[int, Dict[Any, Any]] = slice_.store
-        key = record.key
-        value = record.value
-        # By the slice's epoch: a changelog at the same event time as the
-        # last one starts a new epoch but reuses the slices at that time.
-        layout = self._layouts.get(slice_.epoch) or self._layout_for(slice_.epoch)
-        if query_set & layout.slots:
-            demoted = self._fold_segments(store, key, value, query_set, layout)
-            bits = bits & ~layout.slots | bits & demoted
-        merges = self._spec_merges
-        updates = 0
-        for spec, mask in self._spec_masks.items():
-            matched = bits & mask
-            if not matched:
-                continue
-            updates += matched.bit_count()
-            delta = spec.add(spec.initial(), value)
-            merge = merges[spec]
-            while matched:
-                low = matched & -matched
-                slot = low.bit_length() - 1
-                matched ^= low
-                per_key = store.get(slot)
-                if per_key is None:
-                    per_key = store.setdefault(slot, {})
-                acc = per_key.get(key)
-                per_key[key] = delta if acc is None else merge(acc, delta)
-        self.partial_updates += updates
-
-    def _fold_segments(
-        self, store: Dict[int, Any], key: Any, value: Any, query_set: int, layout
-    ) -> int:
-        """One row update per group hit, lifted once per aggregate.  A row
-        folds only int deltas whose masked query-set is a layout mask;
-        otherwise it is demoted: its members take their covered ranges as
-        per-slot accumulators.  Returns the slots to fold per slot."""
-        per_slot = 0
-        updates = 0
-        for spec, (spec_slots, groups) in layout.by_spec.items():
-            if not query_set & spec_slots:
-                continue
-            delta = spec.add(spec.initial(), value)
-            exact = type(delta[0] if spec.kind is AggregationKind.AVG else delta) is int
-            for pseudo_slot, group in groups:
-                hit = query_set & group.slots
-                if not hit:
-                    continue
-                per_key = store.get(pseudo_slot)
-                if per_key is None:
-                    per_key = store.setdefault(pseudo_slot, {})
-                row = per_key.get(key)
-                segment = group.segment_of.get(hit) if exact else None
-                if row is None:
-                    row = per_key[key] = (
-                        _DEMOTED if segment is None else group.empty.copy()
+        time_mask = subscribed & ~self._session_mask
+        session_mask = subscribed & self._session_mask
+        late_horizon = self._last_watermark_ms - self._slicer.max_retention_ms
+        slice_bounds = self._slicer.slice_bounds
+        per_spec = [
+            (spec, spec.initial(), mask, self._spec_merges[spec])
+            for spec, mask in self._spec_masks.items()
+        ]
+        slice_low = slice_high = 0  # empty run: the first record resolves one
+        updates = late = 0
+        for record in records:
+            query_set = record.tags.get(QS_TAG, 0)
+            bits = query_set & time_mask
+            timestamp = record.timestamp
+            if bits and timestamp <= late_horizon:
+                # Beyond any window that could still fire: observable drop.
+                late += 1
+            elif bits:
+                if not slice_low <= timestamp < slice_high:
+                    slice_low, slice_high, epoch = slice_bounds(timestamp)
+                    slice_ = self._slices.get_or_create(slice_low, slice_high, epoch)
+                    if slice_.store is None:
+                        # slot -> key -> accumulator, pseudo-slot -> key -> row.
+                        slice_.store = {}
+                    store: Dict[int, Dict[Any, Any]] = slice_.store
+                    # By the slice's epoch: a changelog at the same event
+                    # time as the last one starts a new epoch but reuses
+                    # the slices at that time.
+                    layout = self._layouts.get(slice_.epoch) or self._layout_for(
+                        slice_.epoch
                     )
-                elif row and segment is None:
-                    for slot, (a, b) in group.ranges.items():
-                        acc = group.read(row, a, b)
-                        if acc is not None:
-                            store.setdefault(slot, {})[key] = acc
-                    row = per_key[key] = _DEMOTED
-                if not row:
-                    per_slot |= hit
-                else:
-                    merge = group.merge
-                    if row[-1]:  # prefix form (a late record): patch from here on
-                        for index in range(segment + 1, group.size + 1):
-                            row[index] = merge(row[index], delta)
-                    else:
-                        row[segment + 1] = merge(row[segment + 1], delta)
-                    row[-2] |= 1 << segment
-                    updates += 1
+                    layout_slots = layout.slots
+                    folds = layout.bind(store)
+                key = record.key
+                value = record.value
+                if query_set & layout_slots:
+                    per_slot = 0
+                    for spec, initial, spec_slots, is_avg, groups in folds:
+                        if not query_set & spec_slots:
+                            continue
+                        delta = spec.add(initial, value)
+                        exact = type(delta[0] if is_avg else delta) is int
+                        for group_slots, segment_of, merge, group, per_key in groups:
+                            hit = query_set & group_slots
+                            if not hit:
+                                continue
+                            row = per_key.get(key)
+                            segment = segment_of.get(hit) if exact else None
+                            if segment is None or not row:
+                                if row is None:
+                                    row = per_key[key] = (
+                                        _DEMOTED if segment is None else group.empty.copy()
+                                    )
+                                elif row:  # no segment: demote the row
+                                    for slot, (a, b) in group.ranges.items():
+                                        acc = group.read(row, a, b)
+                                        if acc is not None:
+                                            store.setdefault(slot, {})[key] = acc
+                                    row = per_key[key] = _DEMOTED
+                                if not row:
+                                    per_slot |= hit
+                                    continue
+                            if row[-1]:  # prefix form: patch from here on
+                                for index in range(segment + 1, group.size + 1):
+                                    row[index] = merge(row[index], delta)
+                            else:
+                                row[segment + 1] = merge(row[segment + 1], delta)
+                            row[-2] |= 1 << segment
+                            updates += 1
+                    bits = bits & ~layout_slots | bits & per_slot
+                for spec, initial, mask, merge in per_spec:
+                    matched = bits & mask
+                    if not matched:
+                        continue
+                    updates += matched.bit_count()
+                    delta = spec.add(initial, value)
+                    while matched:
+                        low = matched & -matched
+                        slot = low.bit_length() - 1
+                        matched ^= low
+                        per_key = store.get(slot)
+                        if per_key is None:
+                            per_key = store.setdefault(slot, {})
+                        acc = per_key.get(key)
+                        per_key[key] = delta if acc is None else merge(acc, delta)
+            sessions = query_set & session_mask
+            if sessions:
+                updates += sessions.bit_count()
+                while sessions:
+                    low = sessions & -sessions
+                    slot = low.bit_length() - 1
+                    sessions ^= low
+                    window_spec, agg_spec = self._session_specs[slot]
+                    self._merge_session(
+                        slot, record.key, timestamp, record.value,
+                        window_spec, agg_spec,
+                    )
         self.partial_updates += updates
-        return per_slot
-
-    def _fold_sessions(self, record: Record, bits: int) -> None:
-        self.partial_updates += bits.bit_count()
-        while bits:
-            low = bits & -bits
-            slot = low.bit_length() - 1
-            bits ^= low
-            window_spec, agg_spec = self._session_specs[slot]
-            self._merge_session(
-                slot, record.key, record.timestamp, record.value,
-                window_spec, agg_spec,
-            )
+        self.late_records_dropped += late
 
     def _merge_session(
         self,

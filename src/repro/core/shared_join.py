@@ -108,6 +108,7 @@ class SharedJoinOperator(TwoInputOperator):
             Tuple[Tuple[int, int], Tuple[int, int]], PairResults
         ] = {}
         self._output_slots = 0  # bitset of slots whose final stage is here
+        self._slots = 0  # bitset of every slot with a stage here (derived)
 
         # Introspection / Figure 18 accounting.
         self.bitset_ops = 0
@@ -160,8 +161,17 @@ class SharedJoinOperator(TwoInputOperator):
         """Store one batch: the slice (and its store) is resolved once
         per run of timestamps with the same slice bounds — batches are
         near-sorted, so this collapses most per-record index lookups.
-        Records older than any window that could still fire are dropped,
-        observably (a real deployment would alert on the counter)."""
+        A record is stored only for this join's own queries: its query-set
+        is masked with their slots, so a record only other operators'
+        queries want is never stored, and a batch reaching a join with no
+        query is not read at all.  (No other bit could survive a fire:
+        a slot registered after a record's slice epoch is voided by the
+        changelog-sets.)  Records older than any window that could still
+        fire are dropped, observably (a real deployment would alert on
+        the counter)."""
+        slots = self._slots
+        if not slots:
+            return
         late_horizon = self._last_watermark_ms - self._slicer.max_retention_ms
         slice_bounds = self._slicer.slice_bounds
         get_or_create = side.get_or_create
@@ -170,7 +180,7 @@ class SharedJoinOperator(TwoInputOperator):
         last_bounds: Optional[Tuple[int, int, int]] = None
         store = None
         for record in records:
-            query_set = record.tags.get(QS_TAG, 0)
+            query_set = record.tags.get(QS_TAG, 0) & slots
             if not query_set:
                 continue
             timestamp = record.timestamp
@@ -197,12 +207,14 @@ class SharedJoinOperator(TwoInputOperator):
         for deactivation in changelog.deleted:
             self._slicer.unregister_query(deactivation.slot)
             self._output_slots &= ~(1 << deactivation.slot)
+            self._slots &= ~(1 << deactivation.slot)
         for activation in changelog.created:
             spec = self._window_for(activation)
             if spec is not None:
                 self._slicer.register_query(
                     activation.slot, spec, activation.created_at_ms
                 )
+                self._slots |= 1 << activation.slot
                 if self._is_output_stage(activation):
                     self._output_slots |= 1 << activation.slot
         self._slicer.on_epoch(changelog.sequence, marker.timestamp)
@@ -500,3 +512,4 @@ class SharedJoinOperator(TwoInputOperator):
         self._store_kind = state["store_kind"]
         self._pair_cache = dict(snapshot["pair_cache"])
         self._output_slots = state["output_slots"]
+        self._slots = sum(1 << query.slot for query in self._slicer.queries())

@@ -25,6 +25,7 @@ This module provides:
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -263,12 +264,12 @@ class SliceManager:
         self._cached_bounds: Optional[Tuple[int, int, int]] = None
         self._count_lengths()
 
-    # The window-length multiset is derived from ``_current`` and left out
-    # of the pickled state, so checkpoints keep their format and a
-    # restore (or deepcopy) rebuilds it.
+    # The window-length multiset and the firing heap are derived from
+    # ``_current`` and left out of the pickled state, so checkpoints keep
+    # their format and a restore (or deepcopy) rebuilds them.
     def __getstate__(self) -> Dict[str, Any]:
         state = self.__dict__.copy()
-        del state["_lengths"], state["_max_length_ms"]
+        del state["_lengths"], state["_max_length_ms"], state["_due"]
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
@@ -278,8 +279,14 @@ class SliceManager:
     def _count_lengths(self) -> None:
         self._lengths: Dict[int, int] = {}  # window length -> live queries
         self._max_length_ms = 0
+        self._due: List[Tuple[int, int]] = []
+        """Firing heap: ``(next window end, slot)`` per registration; an
+        entry whose slot no longer holds a query with that next end (it
+        was deleted, re-registered or already advanced) is stale and is
+        dropped when it surfaces."""
         for query in self._current.values():
             self._add_length(query.spec.length_ms)
+            self._schedule(query)
 
     def _add_length(self, length_ms: int) -> None:
         self._lengths[length_ms] = self._lengths.get(length_ms, 0) + 1
@@ -304,8 +311,9 @@ class SliceManager:
         if spec.is_session:
             raise ValueError("session windows are not sliced (data-driven)")
         self.unregister_query(slot)
-        self._current[slot] = WindowedQuery(slot, spec, created_at_ms)
+        query = self._current[slot] = WindowedQuery(slot, spec, created_at_ms)
         self._add_length(spec.length_ms)
+        self._schedule(query)
 
     def unregister_query(self, slot: int) -> None:
         """Stop slicing for a deleted query (at a changelog)."""
@@ -379,22 +387,39 @@ class SliceManager:
 
     # -- firing schedule ----------------------------------------------------------
 
-    def due_windows(self, watermark_ms: int) -> List[Tuple[int, int, int]]:
-        """Windows whose end has passed: ``(slot, start, end)`` tuples.
+    def _schedule(self, query: WindowedQuery) -> None:
+        """Queue ``query`` at the end of its next window to fire."""
+        _, end = query.spec.windows_for(query.created_at_ms, query.next_fire_index)
+        heapq.heappush(self._due, (end, query.slot))
 
-        Advances each query's fire index; a window is due when
-        ``end - 1 <= watermark``.  Queries deleted before their window
-        completes simply stop appearing here (their slot is gone).
+    def due_windows(self, watermark_ms: int) -> List[Tuple[int, int, int]]:
+        """Windows whose end has passed: ``(slot, start, end)`` tuples,
+        by slot, then by fire index.
+
+        Advances each due query's fire index; a window is due when
+        ``end - 1 <= watermark``.  Only the queries with a window due are
+        visited, off a heap keyed by their next window end.  Queries
+        deleted before their window completes simply stop appearing here
+        (their slot is gone).
         """
         due = []
-        for slot in sorted(self._current):
-            query = self._current[slot]
-            while True:
+        heap = self._due
+        while heap and heap[0][0] - 1 <= watermark_ms:
+            queued_end, slot = heapq.heappop(heap)
+            query = self._current.get(slot)
+            if query is None:
+                continue
+            start, end = query.spec.windows_for(
+                query.created_at_ms, query.next_fire_index
+            )
+            if end != queued_end:
+                continue  # stale: the slot was re-registered since
+            while end - 1 <= watermark_ms:
+                due.append((slot, start, end))
+                query.next_fire_index += 1
                 start, end = query.spec.windows_for(
                     query.created_at_ms, query.next_fire_index
                 )
-                if end - 1 > watermark_ms:
-                    break
-                due.append((slot, start, end))
-                query.next_fire_index += 1
+            heapq.heappush(heap, (end, slot))
+        due.sort()
         return due

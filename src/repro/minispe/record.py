@@ -29,6 +29,7 @@ dataclass; treat instances as immutable by convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Optional
 
 
@@ -113,7 +114,8 @@ class RecordBatch(StreamElement):
     consumer works unchanged, while columnar-aware operators read the
     parallel arrays directly via :meth:`timestamps` / :meth:`keys` /
     :meth:`field_columns` and never pay per-row materialisation for rows
-    they drop.
+    they drop (:meth:`select`).  A row-built batch offers the same
+    accessors as views over its records.
 
     Treat ``records`` as immutable once the batch has been emitted; the
     runtime may deliver the same list object to several broadcast targets.
@@ -176,28 +178,62 @@ class RecordBatch(StreamElement):
         return [record.key for record in self._records]
 
     def field_columns(self):
-        """Per-field value columns, or ``None`` for row-built batches
-        (whose values need not expose a uniform ``fields`` sequence)."""
+        """Per-field value columns.  A row-built batch answers with a view
+        that builds one field's column from its rows' ``fields`` the first
+        time that field is read, so values that expose no ``fields`` are
+        never asked for them unless a consumer reads a field."""
         if self._columns is not None:
             return self._columns[2]
-        return None
+        return _FieldColumns(self._records)
 
-    def row_record(self, row: int, tags: dict) -> Record:
-        """Row ``row`` as a new :class:`Record` carrying ``tags`` (on top
-        of the row's own tags, when it already is a built record).
+    def values(self) -> list:
+        """Every row's value object, in row order (built, for a columnar
+        batch)."""
+        if self._records is not None:
+            return [record.value for record in self._records]
+        _, keys, fields, builder = self._columns
+        return list(map(builder, keys, zip(*fields)))
+
+    def part(self, low: int, high: int) -> "RecordBatch":
+        """Rows ``[low, high)`` as a batch of their own."""
+        if self._records is not None:
+            return RecordBatch(self._records[low:high])
+        timestamps, keys, fields, builder = self._columns
+        return RecordBatch.from_columns(
+            timestamps[low:high],
+            keys[low:high],
+            [column[low:high] for column in fields],
+            builder,
+        )
+
+    def select(self, keep, tags, values=None) -> list:
+        """The rows whose ``keep`` entry is true, as new records in row
+        order, the i-th carrying the i-th of ``tags`` (on top of the row's
+        own tags, when it already is a built record).
 
         Consumers that drop most rows of a columnar batch use this to pay
-        value construction only for survivors.
+        value construction only for survivors: the builder runs for the
+        kept rows alone, unless ``values`` (:meth:`values`) already holds
+        every row's value.
         """
         if self._records is not None:
-            record = self._records[row]
-            if record.tags:
-                tags = {**record.tags, **tags}
-            return Record(record.timestamp, record.value, record.key, tags)
+            return [
+                Record(
+                    record.timestamp,
+                    record.value,
+                    record.key,
+                    {**record.tags, **row_tags} if record.tags else row_tags,
+                )
+                for record, row_tags in zip(compress(self._records, keep), tags)
+            ]
         timestamps, keys, fields, builder = self._columns
-        key = keys[row]
-        value = builder(key, tuple(column[row] for column in fields))
-        return Record(timestamps[row], value, key, tags)
+        if values is None:
+            kept = map(builder, compress(keys, keep), compress(zip(*fields), keep))
+        else:
+            kept = compress(values, keep)
+        return list(
+            map(Record, compress(timestamps, keep), kept, compress(keys, keep), tags)
+        )
 
     def _materialize(self) -> list:
         timestamps, keys, fields, builder = self._columns
@@ -239,6 +275,24 @@ class RecordBatch(StreamElement):
     def __repr__(self) -> str:
         kind = "columnar, " if self._columns is not None else ""
         return f"RecordBatch({kind}{len(self)} records)"
+
+
+class _FieldColumns:
+    """The field columns of row-built records, each built on first read."""
+
+    __slots__ = ("_records", "_built")
+
+    def __init__(self, records: list) -> None:
+        self._records = records
+        self._built: dict = {}
+
+    def __getitem__(self, index: int) -> list:
+        column = self._built.get(index)
+        if column is None:
+            column = self._built[index] = [
+                record.value.fields[index] for record in self._records
+            ]
+        return column
 
 
 @dataclass(frozen=True)

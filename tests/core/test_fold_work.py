@@ -26,6 +26,8 @@ These tests count the work directly:
 """
 
 import random
+
+import pytest
 from typing import Dict, List
 
 from repro.core.changelog import Changelog, QueryActivation, QueryDeactivation
@@ -454,6 +456,132 @@ def test_member_partials_restored_per_slot_keep_the_per_slot_fold():
     rows = slice_.store.get(-1)
     assert rows.get(0) == () and rows.get(1) == () and rows.get(2)
     _assert_fires_as_a_per_slot_fold(operator, queries, before + after)
+
+
+def _sample(rng: random.Random, key: int):
+    """Keys 0 and 1 fold ints only; the others mix in floats."""
+    if key < 2 or rng.random() < 0.7:
+        return rng.randrange(-5, 50)
+    return rng.choice((0.5, -0.0, 2**53 + 1, 1.25, 2**60))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_slice_run_fold_matches_a_per_slot_fold_across_slices_and_epochs(seed):
+    """Batches whose runs cover several slices of two epochs, folded as
+    one batch each: rows in segment form, rows demoted by a float sample,
+    prefix-form rows patched by late records, per-slot members, sessions
+    and a late drop.  Every live slice's partials equal the per-slot fold
+    of the records that landed in it, and the stores, counters and fired
+    windows equal those of the same records as one-record batches."""
+    rng = random.Random(seed)
+    kinds = (
+        AggregationKind.SUM, AggregationKind.AVG, AggregationKind.MIN,
+        AggregationKind.MAX, AggregationKind.COUNT,
+    )
+    windows = (
+        WindowSpec.tumbling(1_000),
+        WindowSpec.sliding(2_000, 500),
+        WindowSpec.tumbling(1_000),
+        WindowSpec.session(300),
+    )
+    first = {
+        slot: _query(
+            windows[slot % 4],
+            AggregationSpec(kinds[slot % 5], 0),
+            _churn_predicate(slot),
+        )
+        for slot in range(24)
+    }
+    deleted = {3, 6, 13}
+    later = {slot: query for slot, query in first.items() if slot not in deleted}
+    for slot in range(24, 28):
+        later[slot] = _query(
+            WindowSpec.tumbling(1_000),
+            AggregationSpec(kinds[slot % 5], 0),
+            FieldPredicate(slot % 2, Comparison.GE, 10 * (slot - 24)),
+        )
+
+    def tagged(queries, timestamps) -> List[Record]:
+        records = []
+        for ts in timestamps:
+            key = rng.randrange(6)
+            value = make_tuple(key, [_sample(rng, key)] + [rng.randrange(100) for _ in range(4)])
+            records.append(Record(ts, value, key, {QS_TAG: _tag(queries, value)}))
+        return records
+
+    early = tagged(first, sorted(rng.randrange(0, 2_400) for _ in range(120)))
+    late = tagged(first, sorted(rng.randrange(100, 2_400) for _ in range(30)))
+    fresh = tagged(later, sorted(rng.randrange(2_500, 4_000) for _ in range(90)))
+    mixed = sorted(late + fresh, key=lambda record: rng.random())
+    marker_two = _marker(
+        2, 2_500,
+        created=[(slot, later[slot]) for slot in range(24, 28)],
+        deleted=[(slot, first[slot]) for slot in sorted(deleted)],
+        width=28,
+    )
+    steps = [
+        _marker(1, 0, created=list(first.items()), width=24),
+        early,
+        Watermark(2_200),  # fires [0, 1000), [1000, 2000) and [0, 2000)
+        marker_two,
+        mixed,
+    ]
+
+    def run(one_at_a_time: bool):
+        operator = _operator()
+        fired: List = []
+        operator.set_collector(flat_collector(fired))
+        for step in steps:
+            if isinstance(step, ChangelogMarker):
+                operator.on_marker(step)
+            elif isinstance(step, Watermark):
+                operator.on_watermark(step)
+            elif one_at_a_time:
+                for record in step:
+                    operator.process_batch([record])
+            else:
+                operator.process_batch(step)
+        return operator, fired
+
+    operator, fired = run(one_at_a_time=False)
+    twin, twin_fired = run(one_at_a_time=True)
+    counters = ("partial_updates", "bitset_ops", "late_records_dropped", "results_emitted")
+    assert [getattr(operator, name) for name in counters] == [
+        getattr(twin, name) for name in counters
+    ]
+    assert [(s.start, s.end, s.epoch, repr(s.store)) for s in operator._slices] == [
+        (s.start, s.end, s.epoch, repr(s.store)) for s in twin._slices
+    ]
+    assert repr(operator._session_state) == repr(twin._session_state)
+    assert repr(fired) == repr(twin_fired)
+
+    # Per slice, the live time-window members hold a per-slot fold of
+    # the records that landed there (none at or before the horizon).
+    horizon = 2_200 - 2_000
+    time_slots = operator._subscribed & ~operator._session_mask
+    dropped = [
+        record for record in mixed
+        if record.timestamp <= horizon and record.tags[QS_TAG] & time_slots
+    ]
+    assert operator.late_records_dropped == len(dropped)
+    landed = early + [record for record in mixed if all(record is not d for d in dropped)]
+    live = {
+        slot: query for slot, query in later.items()
+        if slot not in operator._session_specs
+    }
+    rows = prefix = demoted = 0
+    for slice_ in operator._slices:
+        inside = [r for r in landed if slice_.start <= r.timestamp < slice_.end]
+        partials = _partials(operator, slice_)
+        assert {
+            slot: per_key for slot, per_key in partials.items() if slot in live
+        } == _per_slot_oracle(live, inside)
+        for slot, per_key in (slice_.store or {}).items():
+            if slot < 0:
+                rows += sum(1 for row in per_key.values() if row)
+                prefix += sum(1 for row in per_key.values() if row and row[-1])
+                demoted += sum(1 for row in per_key.values() if not row)
+    assert rows and prefix and demoted
 
 
 def test_a_late_record_replays_no_changelog_behind_the_horizon():

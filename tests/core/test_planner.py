@@ -335,7 +335,7 @@ class TestCompiledPlan:
             )
             assert (masks[index] if index >= 0 else 0) == expected, value
         group = SharingGroup(0, members, [])
-        assert (group._cuts, group._segment_masks) == (cuts, masks)
+        assert (group._cuts, group._edges, group._edge_masks) == (cuts, cuts, [0] + masks)
 
     def test_columnar_binding_matches_row_evaluation(self):
         predicates = [
@@ -353,10 +353,18 @@ class TestCompiledPlan:
         values = [0, 20, 25, 30, 45, 61, 99]
         others = [10, 50, 41, 40, 99, 50, 0]
         columns = [values, [0] * len(values), others, [0] * len(values), [0] * len(values)]
-        probe = group.bind_columns(columns)
+        expected = []
         for row in range(len(values)):
             record = field_tuple(1, f0=values[row], f2=others[row])
-            assert probe(row) == group.evaluate(record), row
+            expected.append(
+                sum(
+                    1 << slot
+                    for slot, predicate in enumerate(predicates)
+                    if predicate.evaluate(record)
+                )
+            )
+            assert group.evaluate(record) == expected[-1], row
+        assert group.tag(columns) == expected
 
 
 class TestOperatorSharingStats:

@@ -104,32 +104,32 @@ def test_covering_subsumes_and_admits_every_member(members, record):
 @settings(max_examples=300, deadline=None)
 @given(
     predicates=st.lists(_predicates, min_size=1, max_size=8),
-    record=_tuples,
+    records=st.lists(_tuples, min_size=1, max_size=6),
 )
-def test_compiled_plan_is_exact_rewrite(predicates, record):
-    """cover ∨ residuals ∨ direct ≡ the original per-query predicates."""
+def test_compiled_plan_is_exact_rewrite(predicates, records):
+    """cover ∨ residuals ∨ direct ≡ the original per-query predicates,
+    each group tagging all the rows' columns at once."""
     pairs = [
         (predicate, 1 << slot) for slot, predicate in enumerate(predicates)
     ]
     plan = compile_selection_plan(pairs)
-    expected = 0
-    for predicate, mask in pairs:
-        if predicate.evaluate(record):
-            expected |= mask
-    actual = 0
-    for predicate, mask in plan.direct:
-        if predicate.evaluate(record):
-            actual |= mask
-    for group in plan.groups:
-        actual |= group.evaluate(record)
-    assert actual == expected
-    # Folded slots are exactly the unsatisfiable ones: never matched.
-    assert plan.folded_slots & expected == 0
-
-    # The columnar binding of every group agrees with row evaluation.
-    columns = [[record.fields[f]] for f in range(5)]
-    for group in plan.groups:
-        assert group.bind_columns(columns)(0) == group.evaluate(record)
+    columns = [[record.fields[f] for record in records] for f in range(5)]
+    tagged = [group.tag(columns) for group in plan.groups]
+    for row, record in enumerate(records):
+        expected = 0
+        for predicate, mask in pairs:
+            if predicate.evaluate(record):
+                expected |= mask
+        actual = 0
+        for predicate, mask in plan.direct:
+            if predicate.evaluate(record):
+                actual |= mask
+        for group, bits in zip(plan.groups, tagged):
+            assert group.evaluate(record) == bits[row]
+            actual |= bits[row]
+        assert actual == expected
+        # Folded slots are exactly the unsatisfiable ones: never matched.
+        assert plan.folded_slots & expected == 0
 
 
 def _tag_run(predicates, rows, timestamps, udf_at_ms, udf_floor, shape):

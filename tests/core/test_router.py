@@ -95,6 +95,35 @@ class TestRouting:
         assert channels.count("q") == 1
         assert channels.results("q")[0].value == "v"
 
+    def test_a_router_with_no_query_reads_no_record(self):
+        """The select router of an aggregation-only population has no
+        output slot: a batch costs it no tag read at all."""
+
+        class CountingTags(dict):
+            reads = 0
+
+            def get(self, *args):
+                CountingTags.reads += 1
+                return super().get(*args)
+
+        router, channels = _router("select:A")
+        aggregation = AggregationQuery(
+            stream="A", predicate=TruePredicate(),
+            window_spec=WindowSpec.tumbling(1_000),
+        )
+        router.on_marker(_marker(1, created=[(aggregation, 0)], width=1))
+        records = [
+            Record(timestamp=ts, value="v", key=1, tags=CountingTags({QS_TAG: 1}))
+            for ts in range(100)
+        ]
+        router.process_batch(records)
+        assert CountingTags.reads == 0
+        assert channels.total_delivered() == 0 and router.copies == 0
+        # With an output slot, every record's tag is read once.
+        router.on_marker(_marker(2, created=[(_selection("s"), 1)], width=2))
+        router.process_batch(records)
+        assert CountingTags.reads == len(records)
+
     def test_watermarks_terminate_here(self):
         router, _ = _router()
         captured: List = []

@@ -134,7 +134,8 @@ def _shape(plan) -> tuple:
                 group.residual_count,
                 group.cover,
                 group._cuts,
-                group._segment_masks,
+                group._edges,
+                group._edge_masks,
                 group._residuals,
             )
             for group in plan.groups

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.core.query import (
+    AggregationKind,
+    AggregationQuery,
+    AggregationSpec,
     Comparison,
     FieldPredicate,
     JoinQuery,
@@ -288,6 +291,58 @@ class TestAdHocChanges:
         parts = outputs[0].value.parts
         assert parts[0].fields[0] == 99
         assert parts[1].fields[0] == 98
+
+
+class TestStoresOnlyItsOwnQueries:
+    def test_an_aggregation_only_population_stores_nothing(self):
+        engine = make_engine()
+        queries = [
+            AggregationQuery(
+                stream=stream,
+                predicate=FieldPredicate(0, Comparison.GE, 10 * index),
+                window_spec=WindowSpec.tumbling(1_000),
+                aggregation=AggregationSpec(AggregationKind.SUM, 0),
+            )
+            for index in range(3)
+            for stream in ("A", "B")
+        ]
+        go_live(engine, queries, now_ms=0)
+        left = [(ts, field_tuple(key=ts % 3, f0=ts // 50)) for ts in range(0, 3_000, 50)]
+        _push_streams(engine, left, left)
+        engine.watermark(5_000)
+        assert all(engine.results(query.query_id) for query in queries)
+        join_op = engine.join_operators("join:A~B")[0]
+        assert join_op.tuples_stored == 0
+        assert join_op.live_slices == (0, 0)
+
+    def test_query_sets_are_masked_with_the_join_slots(self):
+        """A record tagged for a join query and for aggregations is stored
+        once, under the join query's bit alone."""
+        engine = make_engine()
+        join = _join(WindowSpec.tumbling(1_000), name="j")
+        aggregations = [
+            AggregationQuery(
+                stream="A",
+                predicate=TruePredicate(),
+                window_spec=WindowSpec.tumbling(1_000),
+                aggregation=AggregationSpec(AggregationKind.COUNT),
+            )
+            for _ in range(3)
+        ]
+        go_live(engine, aggregations + [join], now_ms=0)
+        left = [(ts, field_tuple(key=1, f0=ts)) for ts in range(0, 900, 100)]
+        right = [(450, field_tuple(key=1, f1=1))]
+        _push_streams(engine, left, right)
+        join_op = engine.join_operators("join:A~B")[0]
+        assert join_op.tuples_stored == len(left) + len(right)
+        (left_slice,) = list(join_op._left)
+        assert [query_set for query_set, _ in left_slice.store.groups()] == [
+            1 << engine.session.registry.by_id("j").slot
+        ]
+        engine.watermark(5_000)
+        assert join_outputs_multiset(engine.results("j")) == expected_join_multiset(
+            join, 0, left, right, 5_000
+        )
 
 
 class TestAdaptiveStorage:

@@ -1,5 +1,7 @@
 """Tests and property tests for dynamic window slicing."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -194,6 +196,84 @@ class TestDueWindows:
         manager.on_epoch(1, 0)
         manager.unregister_query(0)
         assert manager.due_windows(10_000) == []
+
+
+    def test_a_watermark_visits_only_the_queries_with_a_window_due(self, monkeypatch):
+        manager = SliceManager()
+        for slot in range(1_000):
+            manager.register_query(slot, WindowSpec.tumbling(60_000), 0)
+        manager.register_query(1_000, WindowSpec.tumbling(1_000), 0)
+        manager.on_epoch(1, 0)
+        calls = []
+        original = WindowSpec.windows_for
+
+        def counting(spec, created_at_ms, fire_index):
+            calls.append(fire_index)
+            return original(spec, created_at_ms, fire_index)
+
+        monkeypatch.setattr(WindowSpec, "windows_for", counting)
+        for second in range(1, 11):
+            due = manager.due_windows(second * 1_000 - 1)
+            assert due == [(1_000, (second - 1) * 1_000, second * 1_000)]
+        # A walk over the population reads a window of every query on
+        # every watermark (10,010 calls); the heap reads the due query's.
+        assert len(calls) == 10 * 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("create"),
+                    st.integers(0, 7),  # slot
+                    st.integers(1, 4),  # length, seconds
+                    st.integers(1, 4),  # slide, seconds (capped at length)
+                    st.integers(0, 20),  # created at, in 250 ms
+                ),
+                st.tuples(st.just("delete"), st.integers(0, 7)),
+                st.tuples(st.just("watermark"), st.integers(0, 12)),  # in 250 ms
+                st.tuples(st.just("restore")),
+            ),
+            max_size=40,
+        )
+    )
+    def test_heap_matches_a_walk_over_every_query(self, steps):
+        """After any create/delete/watermark schedule, with checkpoint
+        round trips in between, the firing heap returns exactly what a
+        walk over every query returns: by slot, then by fire index."""
+        manager = SliceManager()
+        walked = {}  # slot -> [spec, created, next fire index]
+        watermark = 0
+
+        def walk(watermark_ms):
+            due = []
+            for slot in sorted(walked):
+                spec, created, index = walked[slot]
+                while True:
+                    start, end = spec.windows_for(created, index)
+                    if end - 1 > watermark_ms:
+                        break
+                    due.append((slot, start, end))
+                    index += 1
+                walked[slot][2] = index
+            return due
+
+        for step in steps:
+            if step[0] == "create":
+                _, slot, length, slide, created = step
+                spec = WindowSpec.sliding(length * 1_000, min(slide, length) * 1_000)
+                manager.register_query(slot, spec, created * 250)
+                walked[slot] = [spec, created * 250, 0]
+            elif step[0] == "delete":
+                manager.unregister_query(step[1])
+                walked.pop(step[1], None)
+            elif step[0] == "watermark":
+                watermark += step[1] * 250
+                assert manager.due_windows(watermark) == walk(watermark)
+            else:
+                manager = pickle.loads(pickle.dumps(manager))
+        watermark += 20_000
+        assert manager.due_windows(watermark) == walk(watermark)
 
 
 @st.composite
