@@ -161,10 +161,6 @@ class ChangelogTable:
         """The newest epoch index."""
         return len(self._changelogs)
 
-    def width_at(self, epoch: int) -> int:
-        """Query-set width during ``epoch``."""
-        return self._widths[epoch]
-
     def changelog_starting(self, epoch: int) -> Changelog:
         """The changelog that started ``epoch`` (epoch >= 1)."""
         if epoch < 1 or epoch > len(self._changelogs):

@@ -20,10 +20,15 @@ react (elastic scaling is out of scope — §3.4); the monitor exposes
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.obs.registry import Histogram
+
+RECENT_SAMPLES = 1 << 16
+"""Latency samples kept, the newest: a served process's must not grow
+with uptime; a harness run (Figure 16's timeline too) takes far fewer."""
 
 
 @dataclass
@@ -61,11 +66,11 @@ class QoSMonitor:
         self._now_fn = now_fn or (lambda: self.now_ms)
         self._sample_every = sample_every
         self.thresholds = thresholds or QoSThresholds()
-        self.latency = Histogram("event_time_latency_ms")
-        self.latency_series: List[tuple] = []
-        """Timestamped samples ``(now_ms, lag_ms)`` for timeline figures."""
-        self.per_query_latency: Dict[str, Histogram] = {}
+        self.latency = Histogram("event_time_latency_ms", max_samples=RECENT_SAMPLES)
+        self.latency_series: Deque[tuple] = deque(maxlen=RECENT_SAMPLES)
+        """The newest samples ``(now_ms, lag_ms)``, for timeline figures."""
         self.per_query_delivered: Dict[str, int] = {}
+        """Results delivered per query, until :meth:`forget` drops it."""
         self.per_query_burn: Dict[str, float] = {}
         """Latest SLO burn rate reported per query (serving layer)."""
         self._since_sample = 0
@@ -86,15 +91,15 @@ class QoSMonitor:
             lag = now - timestamp
             self.latency.record(lag)
             self.latency_series.append((now, lag))
-            per_query = self.per_query_latency.get(query_id)
-            if per_query is None:
-                per_query = Histogram(f"latency:{query_id}")
-                self.per_query_latency[query_id] = per_query
-            per_query.record(lag)
 
     def observe_burn(self, query_id: str, burn_rate: float) -> None:
         """Record the latest SLO error-budget burn rate for a query."""
         self.per_query_burn[query_id] = burn_rate
+
+    def forget(self, query_id: str) -> None:
+        """Drop a deleted query's per-query entries."""
+        self.per_query_delivered.pop(query_id, None)
+        self.per_query_burn.pop(query_id, None)
 
     # -- reporting ----------------------------------------------------------------
 

@@ -7,10 +7,11 @@ only place AStream copies data (§3.2.2) — intermediate results flowing to
 downstream shared joins are forwarded by reference on a separate edge —
 and with many concurrent queries this copy becomes the dominant overhead
 component (Figure 18a).  Here the copy is a reference: a fired
-aggregation window arrives as one :class:`WindowRun` and is handed to its
-channel in one call, other results are appended to a channel's open
-list, and the serving layer's subscriptions read those channels in place
-(DESIGN.md, "Result path: one run per fired window").
+aggregation window arrives as one :class:`WindowRun`, one watermark's
+runs are handed to their channels in one call, other results are
+appended to a channel's open list, and the serving layer's
+subscriptions read those channels in place (DESIGN.md, "Result path:
+one run per fired window").
 """
 
 from __future__ import annotations
@@ -250,14 +251,15 @@ class QueryChannels:
 
     A channel is a list of runs — :class:`WindowRun` s and open lists
     (:class:`ResultList`) — with their start offsets.  Four hand-overs
-    fill it: :meth:`deliver_run` (a fired window), :meth:`deliver_many`
+    fill it: :meth:`deliver_runs` (fired windows), :meth:`deliver_many`
     (several results for one query), :meth:`fan_out` (results for
     several queries, result by result) and :meth:`deliver` (one result).
 
     ``on_deliver(query_id, timestamp, count)`` is called once per
-    hand-over, after its ``count`` results are retained; ``timestamp``
-    is the last one's.  The channel's last ``count`` results are the
-    ones it covers, so expanding the calls gives the per-result sequence.
+    hand-over (per run, for fired windows), after its ``count`` results
+    are retained; ``timestamp`` is the last one's.  The channel's last
+    ``count`` results are the ones it covers, so expanding the calls
+    gives the per-result sequence.
     The harness wires it to timestamp deliveries for event-time latency
     (§3.4 extends Flink's latency markers the same way: sample tuples at
     the sink and report to the job manager).
@@ -323,26 +325,32 @@ class QueryChannels:
         if self.on_deliver is not None:
             self.on_deliver(query_id, items[-1].timestamp, len(items))
 
-    def deliver_run(self, query_id: str, run: WindowRun) -> None:
-        """Hand a fired window to a query's channel: one appended run.
+    def deliver_runs(self, runs: Sequence[Tuple[str, WindowRun]]) -> int:
+        """Hand fired windows to their queries' channels in one call:
+        each ``(query_id, run)`` is one appended run and one
+        ``on_deliver``, in the given order.  Returns the results handed.
 
         Taps see one ``AggregationResult`` per key, built here only
         because a tap is registered."""
-        count = len(run)
-        if not count:
-            return
-        self._counts[query_id] = self._counts.get(query_id, 0) + count
-        self._fresh.add(query_id)
-        if self.retain_results:
-            self._channel(query_id).append_run(run)
-        taps = self._taps.get(query_id) if self._taps else None
-        if taps:
-            timestamp = run.timestamp
-            for result in run.results():
-                for tap in taps:
-                    tap(query_id, timestamp, result)
-        if self.on_deliver is not None:
-            self.on_deliver(query_id, run.timestamp, count)
+        counts, fresh, taps, on_deliver = self._counts, self._fresh, self._taps, self.on_deliver
+        handed = 0
+        for query_id, run in runs:
+            count = len(run)
+            if not count:
+                continue
+            counts[query_id] = counts.get(query_id, 0) + count
+            fresh.add(query_id)
+            if self.retain_results:
+                self._channel(query_id).append_run(run)
+            if taps and query_id in taps:
+                timestamp = run.timestamp
+                for result in run.results():
+                    for tap in taps[query_id]:
+                        tap(query_id, timestamp, result)
+            if on_deliver is not None:
+                on_deliver(query_id, run.timestamp, count)
+            handed += count
+        return handed
 
     def fan_out(self, query_ids: Sequence[str], items: Sequence[Any]) -> None:
         """Hand results to several queries, result by result.
@@ -383,20 +391,6 @@ class QueryChannels:
         truthiness check while no taps exist.
         """
         self._taps.setdefault(query_id, []).append(tap)
-
-    def remove_tap(
-        self, query_id: str, tap: Callable[[str, int, Any], None]
-    ) -> None:
-        """Unregister a previously added tap (no-op when absent)."""
-        taps = self._taps.get(query_id)
-        if not taps:
-            return
-        try:
-            taps.remove(tap)
-        except ValueError:
-            return
-        if not taps:
-            del self._taps[query_id]
 
     def results(self, query_id: str) -> List[QueryOutput]:
         """The results ``query_id``'s channel retains (built per call):
@@ -556,11 +550,15 @@ class RouterOperator(Operator):
     def process_batch(self, records: List[Record]) -> None:
         """Deliver a batch run by run: consecutive records with the same
         masked query-set share one route lookup and one hand-over per
-        destination.  A fired aggregation window is one record whose
-        value is a :class:`WindowRun`, handed over whole.  A router with
-        no query to deliver to does not read the batch."""
+        destination.  A batch from the shared aggregation is one
+        watermark's fired windows, each record's value a
+        :class:`WindowRun`: they go to the channels whole, in one call.
+        A router with no query to deliver to does not read the batch."""
         output_slots = self._output_slots
         if not output_slots:
+            return
+        if type(records[0].value) is WindowRun:
+            self.copies += self._deliver_windows(records, output_slots)
             return
         deliver_run = self._deliver_run
         copies = 0
@@ -577,26 +575,30 @@ class RouterOperator(Operator):
             copies += deliver_run(run_bits, records[run_start:])
         self.copies += copies
 
+    def _deliver_windows(self, records: List[Record], output_slots: int) -> int:
+        """Hand every run to each of its destinations, by reference, in
+        one :meth:`QueryChannels.deliver_runs` call; returns the copies."""
+        routes = self._route_table
+        handed = []
+        for record in records:
+            bits = record.tags.get(QS_TAG, 0) & output_slots
+            if bits:
+                queries = routes.get(bits) or self._build_route(bits)
+                run = record.value
+                handed += [(query_id, run) for query_id in queries]
+        return self.channels.deliver_runs(handed)
+
     def _deliver_run(self, bits: int, run: List[Record]) -> int:
         """Hand one run to each of its destinations; returns the copies.
 
-        Window runs go over whole, by reference.  Other results go to a
-        single destination in one call, or to several result by result
-        (:meth:`QueryChannels.fan_out`), so hooks see the order
-        one-at-a-time routing produces.
+        A single destination takes it in one call; several take it
+        result by result (:meth:`QueryChannels.fan_out`), so hooks see
+        the order one-at-a-time routing produces.
         """
         queries = self._route_table.get(bits)
         if queries is None:
             queries = self._build_route(bits)
         channels = self.channels
-        if type(run[0].value) is WindowRun:
-            results = 0
-            for record in run:
-                window_run = record.value
-                results += len(window_run)
-                for query_id in queries:
-                    channels.deliver_run(query_id, window_run)
-            return len(queries) * results
         if len(queries) == 1:
             channels.deliver_many(queries[0], run)
         else:
@@ -624,11 +626,6 @@ class RouterOperator(Operator):
         pass
 
     # -- introspection ---------------------------------------------------------
-
-    @property
-    def routed_query_count(self) -> int:
-        """Queries currently routed by this instance."""
-        return len(self._slot_to_query)
 
     def stats(self) -> Dict[str, Tuple[float, str]]:
         """Result copies made (additive) and the routed-query fan-out

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import copy
 import operator
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
+from operator import itemgetter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.changelog import Changelog, ChangelogTable
 from repro.core.planner import Interval, normalize, stabbing_segments
@@ -60,6 +61,14 @@ _MINUS: Dict[AggregationKind, Callable[[Any, Any], Any]] = {
     AggregationKind.AVG: lambda high, low: (high[0] - low[0], high[1] - low[1]),
 }
 _DEMOTED = ()  # a demoted row: its members fold per slot from then on
+
+
+def _slots(bits: int) -> Iterator[int]:
+    """The slots set in ``bits``, lowest first."""
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        yield low.bit_length() - 1
 
 # A group shares rows only while a row has at most this many cells per
 # member that a record matches (the mean depth of its segments).  A row
@@ -124,12 +133,13 @@ class _Layout:
 
     def __init__(self, groups: List[_SegmentGroup]) -> None:
         self.groups = groups
+        self.pseudo = {group: -1 - index for index, group in enumerate(groups)}
         self.slot_group = {
-            slot: (-1 - index, group)
-            for index, group in enumerate(groups)
-            for slot in group.members
+            slot: (self.pseudo[group], group) for group in groups for slot in group.members
         }
         self.slots = sum(1 << slot for slot in self.slot_group)
+        # The members whose rows take prefix form (all but MIN and MAX).
+        self.prefix_slots = sum(group.slots for group in groups if group.minus)
         # One fold entry per spec, so a record is lifted once per spec:
         # [spec, its initial accumulator (immutable, so shared), its
         # groups' slots, is AVG, [(pseudo-slot, group)]].
@@ -181,7 +191,7 @@ class WindowRun:
 
     ``keys`` is in key-``repr`` order and ``values[i]`` is the finished
     aggregate of ``keys[i]``; every result has the window's
-    ``timestamp``.  A run is built once by ``_emit_window``, handed to
+    ``timestamp``.  A run is built once by the fire, handed to
     its query's channel by reference and never mutated after that, so
     checkpoints share it (DESIGN.md, "Result path: one run per fired
     window").  :meth:`results` builds the per-result objects, only at the
@@ -592,9 +602,9 @@ class SharedAggregationOperator(Operator):
 
     def on_watermark(self, watermark: Watermark) -> None:
         self._last_watermark_ms = watermark.timestamp
-        for slot, start, end in self._slicer.due_windows(watermark.timestamp):
-            self._fire_time_window(slot, start, end)
-        self._fire_sessions(watermark.timestamp)
+        fired = self._fire_windows(self._slicer.due_windows(watermark.timestamp))
+        self._fire_sessions(watermark.timestamp, fired)
+        self.output_batch(fired)
         horizon = watermark.timestamp - self._slicer.max_retention_ms
         expired = self._slices.expire_before(horizon)
         if expired:
@@ -608,40 +618,130 @@ class SharedAggregationOperator(Operator):
             self._emit_slice_events(watermark.timestamp)
         self.output(watermark)
 
-    def _fire_time_window(self, slot: int, start: int, end: int) -> None:
-        spec = self._specs.get(slot)
-        if spec is None:
-            return
-        current_epoch = self._changelogs.current_epoch
-        merge = self._spec_merges[spec]
+    def _fire_windows(self, due: List[Tuple[int, int, int]]) -> List[Record]:
+        """Fire every due window of one watermark: one run record per
+        non-empty ``(slot, start, end)`` of ``due``, in that order.
+
+        Per distinct window, the overlapping slices, their changelog-sets
+        and their layouts are resolved once.  The members of a SUM, COUNT
+        or AVG group valid in every slice, with no per-slot map in any and
+        one group object in all, read one table (:meth:`_fire_group`);
+        every other member (MIN and MAX groups, demoted rows, per-slot
+        members) merges its partials slice by slice (:meth:`_merge_slot`).
+        """
+        specs = self._specs
+        windows: Dict[Tuple[int, int], int] = {}
+        for slot, start, end in due:
+            if slot in specs:
+                windows[start, end] = windows.get((start, end), 0) | 1 << slot
+        cl_set, current = self._changelogs.cl_set, self._changelogs.current_epoch
+        runs: Dict[Tuple[int, int], Record] = {}  # by (slot, start)
+        for (start, end), firing in windows.items():
+            window = Window(start, end)
+            slices = self._slices.overlapping(start, end)
+            self.bitset_ops += firing.bit_count() * len(slices)
+            parts = []  # (valid slots, store, layout) per slice with data
+            shared = firing
+            for slice_ in slices:
+                if slice_.store is not None:
+                    store, layout = slice_.store, self._layouts[slice_.epoch]
+                    valid = cl_set(current, slice_.epoch) & firing
+                    per_slot = sum(1 << slot for slot, held in store.items() if slot >= 0 and held)
+                    shared &= valid & layout.prefix_slots & ~per_slot
+                    parts.append((valid, store, layout))
+            for group in parts[0][2].groups if parts else ():
+                members = shared & group.slots
+                if members and not all(group in layout.pseudo for _, _, layout in parts):
+                    shared &= ~members
+                elif members:
+                    self._fire_group(group, members, parts, window, runs)
+            for slot in _slots(firing & ~shared):
+                merged = self._merge_slot(slot, self._spec_merges[specs[slot]], parts)
+                if merged:
+                    runs[slot, start] = self._run(slot, window, specs[slot], merged)
+        return [runs[slot, start] for slot, start, _ in due if (slot, start) in runs]
+
+    def _fire_group(
+        self, group: _SegmentGroup, members: int, parts: list, window: Window, runs: dict
+    ) -> None:
+        """The runs of ``group``'s shared ``members`` for ``window``.
+
+        One table holds the rows some member reads, in key-``repr``
+        order, each merged across the slices at the members' boundary
+        cells only.  A member's run is the table filtered by presence &
+        covered, valued ``row[b] - row[a]``.  A row no member reads stays
+        as it is (rows take prefix form when first read)."""
+        ranges = [(slot, *group.ranges[slot]) for slot in _slots(members)]
+        reach = 0  # the segments some member reads
+        for _, a, b in ranges:
+            reach |= (1 << b) - (1 << a)
+        bounds = sorted({cell for _, a, b in ranges for cell in (a, b)})
+        cells, merge, minus = itemgetter(*bounds), group.merge, group.minus
+        table: Dict[Any, Sequence[Any]] = {}
+        present: Dict[Any, int] = {}
+        for _, store, layout in parts:
+            for key, row in (store.get(layout.pseudo[group]) or {}).items():
+                if not row or not row[-2] & reach:
+                    continue  # demoted (its members hold per-slot maps), or unread
+                if not row[-1]:
+                    group.to_prefix(row)
+                held = table.get(key)
+                if held is None:
+                    table[key], present[key] = cells(row), row[-2]
+                else:
+                    # A list: a tuple built from an iterator is resized,
+                    # and freed resized tuples would fill the free list.
+                    table[key] = list(map(merge, held, cells(row)))
+                    present[key] |= row[-2]
+        keys = sorted(table, key=repr)
+        column = dict(zip(bounds, zip(*map(table.__getitem__, keys))))
+        bits = list(map(present.__getitem__, keys))
+        finish = group.spec.finish if group.spec.kind is AggregationKind.AVG else None
+        start, timestamp, emitted = window.start, window.max_timestamp(), 0
+        for slot, a, b in ranges if keys else ():
+            values = list(map(minus, column[b], column[a]))
+            run_keys = keys
+            # A nonzero sum or count has a record in range; a zero one,
+            # and any AVG, asks the presence bits.
+            if finish is not None or not all(values):
+                covered = (1 << b) - (1 << a)
+                hits = [
+                    finish is None and value or bit & covered for value, bit in zip(values, bits)
+                ]
+                if not all(hits):
+                    run_keys = list(compress(keys, hits))
+                    if not run_keys:
+                        continue
+                    values = list(compress(values, hits))
+            if finish is not None:
+                values = list(map(finish, values))
+            emitted += len(run_keys)
+            run = WindowRun(window, timestamp, run_keys, values)
+            runs[slot, start] = Record(timestamp, run, None, {QS_TAG: 1 << slot})
+        self.results_emitted += emitted
+
+    @staticmethod
+    def _merge_slot(slot: int, merge: Callable[[Any, Any], Any], parts: list) -> Dict[Any, Any]:
+        """``slot``'s window partials, merged slice by slice: its
+        per-slot map, then its covered range of its group's rows.  A key
+        of a slice lives in a row or in the per-slot map, never both."""
         merged: Dict[Any, Any] = {}
-        read_epoch = member = None
-        for slice_ in self._slices.overlapping(start, end):
-            validity = self._changelogs.cl_set(current_epoch, slice_.epoch)
-            self.bitset_ops += 1
-            if not (validity >> slot) & 1:
-                continue
-            store = slice_.store
-            if store is None:
+        for valid, store, layout in parts:
+            if not valid >> slot & 1:
                 continue
             partials = store.get(slot)
             if partials:
                 for key, acc in partials.items():
                     existing = merged.get(key)
                     merged[key] = acc if existing is None else merge(existing, acc)
-            # A key of a slice lives in a row or in the per-slot map of a
-            # slot, never both, so the two reads do not overlap.
-            if slice_.epoch != read_epoch:
-                read_epoch = slice_.epoch
-                member = self._layouts[read_epoch].slot_group.get(slot)
-                if member is not None:
-                    pseudo_slot, group = member
-                    a, b = group.ranges[slot]
-                    covered = (1 << b) - (1 << a)
-                    minus = group.minus
-            rows = store.get(pseudo_slot) if member is not None else None
+            member = layout.slot_group.get(slot)
+            rows = store.get(member[0]) if member is not None else None
             if not rows:
                 continue
+            group = member[1]
+            a, b = group.ranges[slot]
+            covered = (1 << b) - (1 << a)
+            minus = group.minus
             for key, row in rows.items():
                 if not row or not row[-2] & covered:
                     continue  # demoted (read above), or no record in range
@@ -650,13 +750,12 @@ class SharedAggregationOperator(Operator):
                 else:
                     if not row[-1]:
                         group.to_prefix(row)
-                        rows[key] = row
                     acc = minus(row[b], row[a])
                 existing = merged.get(key)
                 merged[key] = acc if existing is None else merge(existing, acc)
-        self._emit_window(slot, Window(start, end), spec, merged)
+        return merged
 
-    def _fire_sessions(self, watermark_ms: int) -> None:
+    def _fire_sessions(self, watermark_ms: int, fired: List[Record]) -> None:
         for (slot, key), state in list(self._session_state.items()):
             window_spec, agg_spec = self._session_specs.get(slot, (None, None))
             if window_spec is None:
@@ -664,9 +763,7 @@ class SharedAggregationOperator(Operator):
             remaining = []
             for start, end, acc in state.sessions:
                 if end - 1 <= watermark_ms:
-                    self._emit_window(
-                        slot, Window(start, end), agg_spec, {key: acc}
-                    )
+                    fired.append(self._run(slot, Window(start, end), agg_spec, {key: acc}))
                 else:
                     remaining.append((start, end, acc))
             if remaining:
@@ -674,21 +771,19 @@ class SharedAggregationOperator(Operator):
             else:
                 del self._session_state[(slot, key)]
 
-    def _emit_window(
+    def _run(
         self, slot: int, window: Window, spec: AggregationSpec, merged: Dict[Any, Any]
-    ) -> None:
-        """Emit one fired window of one query — ``merged`` (key ->
+    ) -> Record:
+        """One fired window of one query — ``merged`` (key ->
         accumulator) — as one :class:`WindowRun` record: keys in
         key-``repr`` order, finished values beside them."""
-        if not merged:
-            return
         keys = sorted(merged, key=repr)
         self.results_emitted += len(keys)
         values = list(map(merged.__getitem__, keys))
         if spec.kind is AggregationKind.AVG:  # the one kind finish changes
             values = list(map(spec.finish, values))
         run = WindowRun(window, window.max_timestamp(), keys, values)
-        self.output(Record(run.timestamp, run, None, {QS_TAG: 1 << slot}))
+        return Record(run.timestamp, run, None, {QS_TAG: 1 << slot})
 
     # -- introspection ---------------------------------------------------------------
 
@@ -696,11 +791,6 @@ class SharedAggregationOperator(Operator):
     def active_query_count(self) -> int:
         """Queries currently subscribed to this aggregation."""
         return len(self._specs) + len(self._session_specs)
-
-    @property
-    def live_slices(self) -> int:
-        """Slices currently retained."""
-        return len(self._slices)
 
     def stats(self) -> Dict[str, Tuple[float, str]]:
         """Slice/session sizes and work counters.  All additive."""

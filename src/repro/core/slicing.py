@@ -397,29 +397,25 @@ class SliceManager:
         by slot, then by fire index.
 
         Advances each due query's fire index; a window is due when
-        ``end - 1 <= watermark``.  Only the queries with a window due are
-        visited, off a heap keyed by their next window end.  Queries
-        deleted before their window completes simply stop appearing here
-        (their slot is gone).
+        ``end - 1 <= watermark``.  Only the due windows are visited, off
+        a heap keyed by each query's next window end, with one
+        ``windows_for`` call each.  Queries deleted before their window
+        completes simply stop appearing here (their slot is gone).
         """
         due = []
         heap = self._due
+        current = self._current
         while heap and heap[0][0] - 1 <= watermark_ms:
-            queued_end, slot = heapq.heappop(heap)
-            query = self._current.get(slot)
-            if query is None:
-                continue
-            start, end = query.spec.windows_for(
-                query.created_at_ms, query.next_fire_index
-            )
-            if end != queued_end:
-                continue  # stale: the slot was re-registered since
-            while end - 1 <= watermark_ms:
-                due.append((slot, start, end))
-                query.next_fire_index += 1
-                start, end = query.spec.windows_for(
-                    query.created_at_ms, query.next_fire_index
-                )
-            heapq.heappush(heap, (end, slot))
+            queued_end, slot = heap[0]
+            query = current.get(slot)
+            if query is not None:
+                spec = query.spec
+                start, end = spec.windows_for(query.created_at_ms, query.next_fire_index)
+                if end == queued_end:
+                    due.append((slot, start, end))
+                    query.next_fire_index += 1
+                    heapq.heapreplace(heap, (end + spec.slide_ms, slot))
+                    continue
+            heapq.heappop(heap)  # stale: deleted, re-registered or advanced
         due.sort()
         return due

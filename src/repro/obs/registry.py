@@ -31,7 +31,8 @@ shape.  The ``sum``/``max`` merge convention lives here and nowhere else.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 MetricKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 """(metric name, sorted ``(label, value)`` pairs)."""
@@ -88,13 +89,14 @@ class Gauge:
 class Histogram:
     """Record samples; report count/mean/min/max/percentiles.
 
-    Keeps all samples (experiments here are bounded); ``max_samples``
-    enables simple reservoir-free truncation for long benchmark runs.
+    Keeps all samples (experiments here are bounded) up to
+    ``max_samples``; past it, each sample pushes the oldest out, so a
+    long-running process keeps the recent ones.
     """
 
     def __init__(self, name: str = "histogram", max_samples: int = 1_000_000) -> None:
         self.name = name
-        self._samples: List[float] = []
+        self._samples: Deque[float] = deque(maxlen=max_samples)
         self._max_samples = max_samples
         self._dropped = 0
         self._sorted: Optional[List[float]] = None
@@ -103,7 +105,6 @@ class Histogram:
         """Add one sample."""
         if len(self._samples) >= self._max_samples:
             self._dropped += 1
-            return
         self._samples.append(value)
         self._sorted = None
 
@@ -121,7 +122,7 @@ class Histogram:
 
     @property
     def dropped(self) -> int:
-        """Samples dropped after hitting ``max_samples``."""
+        """Samples pushed out after hitting ``max_samples``."""
         return self._dropped
 
     def mean(self) -> float:

@@ -762,7 +762,7 @@ class ServerCore:
         self._applied(flushed)
         self.registry.counter("serve_queries_deleted").inc()
         self.slo.forget(query_id)
-        self.qos.per_query_burn.pop(query_id, None)
+        self.qos.forget(query_id)
         if query_id in self._pressured:
             self._pressured.discard(query_id)
             self.hub.set_pressure(query_id, False)
@@ -1006,6 +1006,8 @@ class ServerCore:
         limit = self.config.result_frame_outputs
         delivered: Dict[str, int] = Counter()
         hub = self.hub
+        out = self._out
+        frames = streamed = shed = 0
         due = hub.due()
         for subscription in due:
             session = subscription.session
@@ -1016,20 +1018,26 @@ class ServerCore:
             if conn is None or (not force and conn in self._congested):
                 hub.hold(subscription)
                 continue
-            while subscription.pending:
+            pending = subscription.pending
+            while pending:
                 batch, dropped = subscription.take(limit)
-                if dropped:
-                    self.registry.counter("serve_results_shed").inc(dropped)
-                self.registry.counter("serve_results_streamed").inc(len(batch))
-                frame = _result_frame(session, query_id, batch, dropped)
-                self._push_to(session, frame)
+                out.append((conn, _result_frame(session, query_id, batch, dropped)))
+                frames += 1
+                shed += dropped
                 if batch:
+                    streamed += len(batch)
                     delivered[query_id] += len(batch)
+                    pending -= len(batch)
                 if not force:
                     # One frame per subscription per flush keeps it short.
-                    if subscription.pending:
+                    if pending:
                         hub.hold(subscription)
                     break
+        if frames:
+            self.registry.counter("serve_frames_out").inc(frames)
+            self.registry.counter("serve_results_streamed").inc(streamed)
+        if shed:
+            self.registry.counter("serve_results_shed").inc(shed)
         for query_id in {subscription.query_id for subscription in due}:
             hub.release(query_id)
         return delivered

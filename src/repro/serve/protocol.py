@@ -346,6 +346,14 @@ _RESULT_COUNTS = struct.Struct(">IBBI")
 """A result frame's header around the query id: kind and id length;
 then dropped, value kind, arity and result count."""
 _LITTLE_ENDIAN_HOST = sys.byteorder == "little"
+_INT64_PACKERS = [struct.Struct(f"<{n}q").pack for n in range(65)]
+"""Packers of ``n`` little-endian int64s for the small frames most results
+travel in, compiled once at import: created later and cached, long-lived
+packers scattered over the heap and raised ``join-100q``'s RSS."""
+
+
+def _int64_column(n: int) -> Any:
+    return _INT64_PACKERS[n] if n < 65 else struct.Struct(f"<{n}q").pack
 
 
 def negotiate_codec(offered: Any, supported: Tuple[str, ...] = SUPPORTED_CODECS) -> str:
@@ -400,7 +408,7 @@ def encode_push_binary(
         cols = (ts, keys, f0, f1, f2, f3, f4)
     else:
         cols = ((),) * 7
-    column = struct.Struct(f"<{n}q").pack
+    column = _int64_column(n)
     if trace is None:
         header = (struct.pack(">BH", _BIN_PUSH, len(name)),)
     else:
@@ -515,7 +523,7 @@ def _pack_result(
     """One binary ``result`` frame: header, then one ``struct`` call per
     little-endian int64 column (``struct.error`` on overflow)."""
     qid = query_id.encode("utf-8")
-    column = struct.Struct(f"<{n}q").pack
+    column = _int64_column(n)
     payload = b"".join(
         [
             _RESULT_HEAD.pack(_BIN_RESULT, len(qid)),

@@ -305,11 +305,6 @@ class SubscriptionHub:
             self._by_query.pop(query_id, None)
         return True
 
-    def drop_session(self, session: SessionState) -> None:
-        """Tear down every subscription a session holds."""
-        for query_id in list(session.subscriptions):
-            self.unsubscribe(session, query_id)
-
     # -- delivery ----------------------------------------------------------
 
     def due(self) -> List[AnySubscription]:

@@ -82,7 +82,7 @@ class _Model:
                 QueryOutput(run.timestamp, AggregationResult(key, window, value))
                 for key, value in zip(run.keys, run.values)
             ]
-            channels.deliver_run(query_id, run)
+            channels.deliver_runs([(query_id, run)])
             self._delivered([(query_id, output) for output in outputs])
         elif kind == "list":
             _, query_id, size = op
@@ -221,7 +221,7 @@ def test_recovering_twice_from_one_snapshot_gives_the_same_channels(ops):
 def test_a_window_run_is_kept_by_reference():
     channels = QueryChannels()
     run = WindowRun(Window(0, 10), 9, [1, 2], [5, 6])
-    channels.deliver_run("q", run)
+    channels.deliver_runs([("q", run)])
     (part,) = channels.read("q", 0, 2).parts
     assert part == (run, 0, 2)
     assert channels.snapshot()["results"]["q"] == (run,)

@@ -5,9 +5,9 @@ its channel once and read in place by subscribers.  These tests pin that
 directly:
 
 * (a) firing one window of K keys for one query builds one record and
-  no ``QueryOutput`` or ``AggregationResult``, makes one ``deliver_run``
-  call and resolves its route at most once per distinct query-set per
-  changelog;
+  no ``QueryOutput`` or ``AggregationResult``, hands one run over in the
+  watermark's one ``deliver_runs`` call and resolves its route at most
+  once per distinct query-set per changelog;
 * (b) on the inline engine the hub registers no tap, subscribes with a
   ``CursorSubscription`` and never calls the poll-mode
   ``Subscription.offer``;
@@ -118,6 +118,13 @@ def test_a_fired_window_is_one_run_one_call_one_route(monkeypatch):
 
         return hand_over
 
+    def counting_runs(call):
+        def hand_over(runs):
+            calls.append(("runs", [(query_id, len(run)) for query_id, run in runs]))
+            return call(runs)
+
+        return hand_over
+
     build_route = RouterOperator._build_route
 
     def counting_build_route(router, bits):
@@ -131,9 +138,7 @@ def test_a_fired_window_is_one_run_one_call_one_route(monkeypatch):
     )
     monkeypatch.setattr(aggregation_module, "Record", counting("record", Record))
     channels = engine.channels
-    monkeypatch.setattr(
-        channels, "deliver_run", counting_call("run", channels.deliver_run)
-    )
+    monkeypatch.setattr(channels, "deliver_runs", counting_runs(channels.deliver_runs))
     monkeypatch.setattr(
         channels, "deliver_many", counting_call("list", channels.deliver_many)
     )
@@ -141,11 +146,11 @@ def test_a_fired_window_is_one_run_one_call_one_route(monkeypatch):
 
     engine.watermark(1_500)  # fires [0, 1000): one record, no object per key
     assert (dict(built), calls, len(routes)) == (
-        {"record": 1}, [("run", "rp-agg-a", keys)], 1
+        {"record": 1}, [("runs", [("rp-agg-a", keys)])], 1
     )
     engine.watermark(2_500)  # fires [1000, 2000): same query-set, same changelog
     assert dict(built) == {"record": 2}
-    assert calls == [("run", "rp-agg-a", keys)] * 2
+    assert calls == [("runs", [("rp-agg-a", keys)])] * 2
     assert len(routes) == 1
 
     # A new changelog invalidates the route table: one more resolution.
@@ -154,7 +159,7 @@ def test_a_fired_window_is_one_run_one_call_one_route(monkeypatch):
     engine.flush_session(now_ms=2_500)
     engine.push_many("A", [(2_600 + key, _tuple(key)) for key in range(keys)])
     engine.watermark(3_500)
-    assert calls[2:] == [("list", "rp-sel-a", keys), ("run", "rp-agg-a", keys)]
+    assert calls[2:] == [("list", "rp-sel-a", keys), ("runs", [("rp-agg-a", keys)])]
     assert len(routes) == 3  # the selection's query-set, then the window's
     assert dict(built) == {"record": 3}
     monkeypatch.undo()
@@ -599,10 +604,10 @@ def _run_channels(sizes, value=lambda start, key: start + 3 * key):
     channels = QueryChannels()
     for index, size in enumerate(sizes):
         window = Window(index * 1_000, index * 1_000 + 1_000)
-        channels.deliver_run(
+        channels.deliver_runs([(
             "q", WindowRun(window, window.max_timestamp(), list(range(size)),
                            [value(window.start, key) for key in range(size)]),
-        )
+        )])
     return channels
 
 
