@@ -42,11 +42,11 @@ outputs differ from sharing-off (the rewrite must be exact).
 ``--latency`` gates the wire-to-delivery latency plane (ISSUE 9): the
 inline-backend p95 of traced push frames (client→server→engine→
 subscriber, closed by the span telescoping at delivery) per codec,
-from ``bench_serve_throughput.measure_latency_metrics``.  Like
-``--resize`` this is an inverted (ceiling) gate with a wide tolerance
-(100 %): absolute loopback milliseconds vary across hosts, and the gate
-exists to catch a latency path that grew an order of magnitude — a lost
-force-flush, an accidental sleep — not scheduler jitter.  The metrics
+from ``bench_serve_throughput.measure_latency_metrics``.  It is an
+inverted (ceiling) gate with a wide tolerance (100 %): absolute
+loopback milliseconds vary across hosts, and the gate exists to catch a
+latency path that grew an order of magnitude — a lost force-flush, an
+accidental sleep — not scheduler jitter.  The metrics
 live in ``serve_baseline.csv`` next to the throughput ratios;
 ``--latency --update`` merges them into that file without touching the
 ``--serve`` metrics.
@@ -57,16 +57,6 @@ and on, and the median on/off service-throughput ratio must stay at or
 above ``OBSERVE_FLOOR`` (telemetry may cost at most 10 % service_tps).
 The observe-off path is already covered by the default gate — telemetry
 off leaves the data path with one ``is None`` check per delivery.
-
-``--resize`` gates elasticity (ISSUE 6): the p95 ingest pause of a live
-worker-pool migration (``benchmarks/bench_resize_latency.py``) must not
-*exceed* its committed baseline by more than ``RESIZE_TOLERANCE`` — the
-direction is inverted relative to the throughput gates, because here
-the regression is a pause getting longer (e.g. a change that silently
-turns the incremental migration back into a stop-the-world drain).
-Absolute milliseconds vary across runner hardware, so the tolerance is
-wide (100 %): the gate exists to catch order-of-magnitude regressions,
-not scheduler jitter.
 """
 
 from __future__ import annotations
@@ -80,12 +70,8 @@ from repro.harness.runner import RunnerConfig, run_scenario
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / "perf_baseline.csv"
 SERVE_BASELINE_PATH = Path(__file__).parent / "baselines" / "serve_baseline.csv"
-RESIZE_BASELINE_PATH = Path(__file__).parent / "baselines" / "resize_baseline.csv"
 SHARING_BASELINE_PATH = Path(__file__).parent / "baselines" / "sharing_baseline.csv"
 TOLERANCE = 0.20
-RESIZE_TOLERANCE = 1.00
-"""Migration pauses may grow at most this fraction over baseline."""
-RESIZE_GATED_METRICS = ("resize_pause_p95_ms",)
 REPEATS = 4
 GATED_METRICS = ("batched_speedup_sc1_agg",)
 SERVE_GATED_METRICS = (
@@ -94,7 +80,7 @@ SERVE_GATED_METRICS = (
 )
 LATENCY_TOLERANCE = 1.00
 """Traced-push p95 latency may grow at most this fraction over
-baseline (absolute loopback ms: wide on purpose, like --resize)."""
+baseline (absolute loopback ms: wide on purpose)."""
 LATENCY_GATED_METRICS = (
     "serve_e2e_p95_ms_json_inline",
     "serve_e2e_p95_ms_binary_inline",
@@ -202,15 +188,6 @@ def measure_latency() -> dict:
     return measure_latency_metrics()
 
 
-def measure_resize() -> dict:
-    """The elasticity gate metrics (ISSUE 6 satellite 6)."""
-    try:
-        from bench_resize_latency import measure_gate_metrics
-    except ImportError:  # imported as a package (pytest, tooling)
-        from benchmarks.bench_resize_latency import measure_gate_metrics
-    return measure_gate_metrics()
-
-
 def measure_sharing() -> dict:
     """The semantic-overlap optimizer gate metrics (ISSUE 8)."""
     try:
@@ -289,8 +266,8 @@ def check(measured: dict, baseline: dict, gated=GATED_METRICS) -> list:
 def check_ceiling(
     measured: dict,
     baseline: dict,
-    gated=RESIZE_GATED_METRICS,
-    tolerance: float = RESIZE_TOLERANCE,
+    gated,
+    tolerance: float,
 ) -> list:
     """Inverted gate: fail when a latency metric *exceeds* baseline."""
     failures = []
@@ -327,10 +304,6 @@ def main(argv=None) -> int:
                              "service throughput must stay within 10%% "
                              "of observe-off) instead of the baseline "
                              "metrics")
-    parser.add_argument("--resize", action="store_true",
-                        help="gate the live-migration ingest pause (p95 "
-                             "must not exceed its committed baseline) "
-                             "instead of the baseline metrics")
     parser.add_argument("--latency", action="store_true",
                         help="gate the wire-to-delivery p95 of traced "
                              "pushes (ceiling gate vs the committed "
@@ -402,30 +375,6 @@ def main(argv=None) -> int:
                     f"{metric} {measured[metric]:.3f}ms vs baseline "
                     f"{baseline[metric]:.3f}ms"
                     for metric in LATENCY_GATED_METRICS
-                )
-                + ")"
-            )
-        return 1 if failures else 0
-
-    if args.resize:
-        measured = measure_resize()
-        for metric, value in measured.items():
-            print(f"{metric} = {value:,.3f}")
-        if args.update:
-            write_baseline(measured, RESIZE_BASELINE_PATH)
-            print(f"resize baseline updated: {RESIZE_BASELINE_PATH}")
-            return 0
-        baseline = load_baseline(RESIZE_BASELINE_PATH)
-        failures = check_ceiling(measured, baseline)
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        if not failures:
-            print(
-                "resize latency gate OK ("
-                + ", ".join(
-                    f"{metric} {measured[metric]:.3f}ms vs baseline "
-                    f"{baseline[metric]:.3f}ms"
-                    for metric in RESIZE_GATED_METRICS
                 )
                 + ")"
             )

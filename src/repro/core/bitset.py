@@ -88,13 +88,7 @@ class QuerySet:
         return list(self)
 
     def __iter__(self) -> Iterator[int]:
-        bits = self._bits
-        slot = 0
-        while bits:
-            if bits & 1:
-                yield slot
-            bits >>= 1
-            slot += 1
+        return iter_slots(self._bits)
 
     # -- algebra -------------------------------------------------------------
 
@@ -151,6 +145,15 @@ class QuerySet:
 
     def __repr__(self) -> str:
         return f"QuerySet({{{', '.join(map(str, self))}}})"
+
+
+def iter_slots(bits: int) -> Iterator[int]:
+    """The slots set in ``bits``, lowest first: one step per set bit,
+    not per bit position."""
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        yield low.bit_length() - 1
 
 
 def extend_mask(mask: int, width: int, target_width: int) -> int:

@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.core.bitset import iter_slots
 from repro.core.changelog import Changelog
 from repro.core.query import Query
 from repro.core.registry import QueryRegistry, SlotPolicy
@@ -52,7 +53,7 @@ from repro.minispe.record import (
 )
 from repro.minispe.runtime import JobRuntime
 from repro.obs import Observability
-from repro.obs.cost import attribute_costs, slots_of
+from repro.obs.cost import attribute_costs
 from repro.obs.registry import gauge_snapshot, merge_snapshots
 
 logger = logging.getLogger("repro.core.engine")
@@ -950,7 +951,7 @@ class AStreamEngine:
 
         def queries_for(mask: int) -> List[str]:
             out = []
-            for slot in slots_of(mask):
+            for slot in iter_slots(mask):
                 entry = registry.by_slot(slot)
                 if entry is not None:
                     out.append(entry.query.query_id)

@@ -38,7 +38,7 @@ from repro.minispe.parallel import (
     ShardProgram,
     ShardedRuntime,
 )
-from repro.minispe.record import CheckpointBarrier, Record, RecordBatch, Watermark
+from repro.minispe.record import Record, RecordBatch
 from repro.obs.cost import merge_cost_profiles
 from repro.obs.registry import merge_snapshots, relabel_snapshot
 from repro.obs.tracing import merge_trace_snapshots
@@ -77,10 +77,6 @@ class AStreamShardProgram(ShardProgram):
                 self._record_delivery if self._sample_every else None
             ),
         )
-        # Live-migration exports use their own barrier id space
-        # (negative, decreasing) so they can never collide with the
-        # coordinator's positive checkpoint ids.
-        self._export_id = 0
 
     def _record_delivery(
         self, query_id: str, timestamp: int, count: int = 1
@@ -134,8 +130,6 @@ class AStreamShardProgram(ShardProgram):
             self.engine.runtime.restore_checkpoint(payload["runtime"])
             self.engine.channels.restore(payload["channels"])
             return True
-        if kind == "export":
-            return self._export_state()
         if kind == "collect":
             return self.engine.channels.snapshot()
         if kind == "stats":
@@ -150,33 +144,6 @@ class AStreamShardProgram(ShardProgram):
         if kind == "drain":
             return True
         raise ValueError(f"unknown shard op {kind!r}")
-
-    def _export_state(self) -> dict:
-        """Aligned snapshot of this shard's live state, for migration.
-
-        Pushes a barrier through every source of the shard's own engine
-        (back-to-back within this synchronous op, satisfying the
-        alignment rule), collects the aligned runtime snapshot, and
-        returns it alongside the channel state — the same payload shape
-        the checkpoint seam carries.
-        """
-        self._export_id -= 1
-        export_id = self._export_id
-        runtime = self.engine.runtime
-        for stream in self.engine.config.streams:
-            runtime.push(
-                f"source:{stream}",
-                CheckpointBarrier(timestamp=0, checkpoint_id=export_id),
-            )
-        state = runtime.completed_checkpoint(export_id)
-        if state is None:
-            raise RuntimeError("export barrier failed to align")
-        # Exports are one-shot; drop the runtime's retained copy.
-        runtime._completed_snapshots.pop(export_id, None)
-        return {
-            "runtime": state,
-            "channels": self.engine.channels.snapshot(),
-        }
 
     def take_obs(self, unlimited: bool) -> Optional[dict]:
         """Telemetry delta for the next ack (observe mode only).
@@ -283,12 +250,7 @@ class ProcessAStreamEngine(AStreamEngine):
         self._pool_on_deliver = on_deliver
         self.heartbeat_interval_s = heartbeat_interval_s
         self.ack_deadline_s = ack_deadline_s
-        self._migrations_total = 0
-        self._migration_steps_total = 0
         self._worker_failures_by_reason: Dict[str, int] = {}
-        self.migration_pauses_ms: List[float] = []
-        """Recent ingest-pause durations (export + per-shard restore
-        steps), newest last, capped — the resize-latency gate's input."""
         self._merged_at_op_count = -1
         self._shut_down = False
         # (merged stats snapshot, merged raw cost profile) captured at
@@ -332,15 +294,7 @@ class ProcessAStreamEngine(AStreamEngine):
             ack_deadline_s=self.ack_deadline_s,
         )
         self._merged_at_op_count = -1
-        return ShardedRuntime(pool, repartitioner=self._repartition)
-
-    def _repartition(self, states: List[Any], new_count: int) -> List[Any]:
-        """Key-aware re-split hook injected into the sharded runtime."""
-        from repro.core.migration import repartition_shard_states
-
-        return repartition_shard_states(
-            states, new_count, retain_results=self.config.retain_results
-        )
+        return ShardedRuntime(pool)
 
     # -- cross-worker telemetry --------------------------------------------
 
@@ -525,70 +479,6 @@ class ProcessAStreamEngine(AStreamEngine):
         self._shut_down = True
         super().shutdown()
 
-    # -- elasticity (ISSUE 6) ----------------------------------------------
-
-    MIGRATION_PAUSE_WINDOW = 256
-    """Pause samples retained for the resize-latency gate."""
-
-    def _record_pause(self, started: float) -> None:
-        paused_ms = (time.perf_counter() - started) * 1e3
-        self.migration_pauses_ms.append(paused_ms)
-        del self.migration_pauses_ms[: -self.MIGRATION_PAUSE_WINDOW]
-        if self.obs is not None:
-            self.obs.registry.histogram("migration_pause_ms").record(paused_ms)
-
-    @property
-    def migration_active(self) -> bool:
-        """True while a resize migration has shards awaiting state."""
-        runtime = self.runtime
-        return isinstance(runtime, ShardedRuntime) and runtime.migration_active
-
-    def begin_resize(self, workers: int) -> None:
-        """Start a live resize to ``workers`` shards.
-
-        Exports and re-splits all shard state and swaps the worker set;
-        per-shard restores happen incrementally via
-        :meth:`migration_step` (or implicitly on the next synchronous
-        engine operation).  Ingest continues throughout — ops for
-        not-yet-restored shards are buffered and replayed in order.
-        Watermark progress is re-injected ahead of the replay, exactly
-        as checkpoint recovery does.
-        """
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers}")
-        if workers == self.workers and not self.migration_active:
-            return
-        started = time.perf_counter()
-        prefix = [
-            (f"source:{stream}", Watermark(timestamp=watermark_ms))
-            for stream, watermark_ms in sorted(self._stream_watermarks.items())
-        ]
-        self.runtime.begin_resize(workers, prefix)
-        self.workers = workers
-        self._migrations_total += 1
-        if self.obs is not None:
-            self.obs.registry.counter("migrations").inc()
-            self.obs.events.emit("resize_begun", workers=workers)
-        self._record_pause(started)
-
-    def migration_step(self) -> bool:
-        """Restore one pending shard; True when a shard was migrated."""
-        runtime = self.runtime
-        if not isinstance(runtime, ShardedRuntime) or not runtime.migration_active:
-            return False
-        started = time.perf_counter()
-        stepped = runtime.migration_step()
-        if stepped:
-            self._migration_steps_total += 1
-            self._record_pause(started)
-        return stepped
-
-    def resize(self, workers: int) -> None:
-        """Blocking resize: begin the migration and drive it to the end."""
-        self.begin_resize(workers)
-        while self.migration_step():
-            pass
-
     def poll_worker_failures(self) -> List[Any]:
         """Drain proactively detected worker failures (liveness probes).
 
@@ -611,19 +501,10 @@ class ProcessAStreamEngine(AStreamEngine):
                 )
         return failures
 
-    def migration_counters(self) -> Dict[str, Any]:
-        """Cumulative elasticity counters (survive pool replacement)."""
-        runtime = self.runtime
-        buffered = (
-            runtime.migration_records_buffered
-            if isinstance(runtime, ShardedRuntime)
-            else 0
-        )
+    def worker_failure_counters(self) -> Dict[str, Any]:
+        """Cumulative liveness-probe failure counts (survive pool
+        replacement)."""
         return {
-            "migrations": self._migrations_total,
-            "migration_steps": self._migration_steps_total,
-            "migration_active": self.migration_active,
-            "migration_records_buffered": buffered,
             "worker_failures": sum(
                 self._worker_failures_by_reason.values()
             ),

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.core.bitset import iter_slots
 from repro.core.changelog import Changelog
 from repro.core.selection import QS_TAG
 from repro.core.shared_aggregation import WindowRun
@@ -609,15 +610,7 @@ class RouterOperator(Operator):
         """Resolve a masked bitset to channel ids and memoise it for the
         current changelog sequence (slot ascending)."""
         slot_to_query = self._slot_to_query
-        queries = []
-        remaining = bits
-        slot = 0
-        while remaining:
-            if remaining & 1:
-                queries.append(slot_to_query[slot])
-            remaining >>= 1
-            slot += 1
-        resolved = tuple(queries)
+        resolved = tuple(slot_to_query[slot] for slot in iter_slots(bits))
         self._route_table[bits] = resolved
         return resolved
 

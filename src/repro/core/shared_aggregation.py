@@ -31,8 +31,9 @@ import operator
 from itertools import accumulate, compress, repeat
 from operator import itemgetter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.bitset import iter_slots
 from repro.core.changelog import Changelog, ChangelogTable
 from repro.core.planner import Interval, normalize, stabbing_segments
 from repro.core.query import (
@@ -62,13 +63,6 @@ _MINUS: Dict[AggregationKind, Callable[[Any, Any], Any]] = {
 }
 _DEMOTED = ()  # a demoted row: its members fold per slot from then on
 
-
-def _slots(bits: int) -> Iterator[int]:
-    """The slots set in ``bits``, lowest first."""
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        yield low.bit_length() - 1
 
 # A group shares rows only while a row has at most this many cells per
 # member that a record matches (the mean depth of its segments).  A row
@@ -655,7 +649,7 @@ class SharedAggregationOperator(Operator):
                     shared &= ~members
                 elif members:
                     self._fire_group(group, members, parts, window, runs)
-            for slot in _slots(firing & ~shared):
+            for slot in iter_slots(firing & ~shared):
                 merged = self._merge_slot(slot, self._spec_merges[specs[slot]], parts)
                 if merged:
                     runs[slot, start] = self._run(slot, window, specs[slot], merged)
@@ -671,7 +665,7 @@ class SharedAggregationOperator(Operator):
         cells only.  A member's run is the table filtered by presence &
         covered, valued ``row[b] - row[a]``.  A row no member reads stays
         as it is (rows take prefix form when first read)."""
-        ranges = [(slot, *group.ranges[slot]) for slot in _slots(members)]
+        ranges = [(slot, *group.ranges[slot]) for slot in iter_slots(members)]
         reach = 0  # the segments some member reads
         for _, a, b in ranges:
             reach |= (1 << b) - (1 << a)

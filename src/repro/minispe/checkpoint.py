@@ -63,25 +63,6 @@ def unpack_shard_states(state: Dict[str, Any]) -> Optional[List[Any]]:
     return list(shards)
 
 
-def repartition_packed(
-    packed: Dict[str, Any],
-    new_count: int,
-    repartitioner: Callable[[List[Any], int], List[Any]],
-) -> Dict[str, Any]:
-    """Re-shard a packed snapshot through the pack/unpack seam.
-
-    Elastic resize and N-shard-checkpoint-into-M-worker-pool recovery
-    both reduce to: unpack the per-shard states, hand them to a
-    key-aware ``repartitioner`` (the sharding rule lives above this
-    substrate — see ``repro.core.migration``), and re-pack.  Raises
-    :class:`ValueError` when the payload is not a packed shard snapshot.
-    """
-    states = unpack_shard_states(packed)
-    if states is None:
-        raise ValueError("not a packed shard snapshot")
-    return pack_shard_states(repartitioner(states, new_count))
-
-
 class CheckpointFailed(RuntimeError):
     """A triggered checkpoint was not acknowledged by every instance.
 

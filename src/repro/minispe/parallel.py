@@ -37,6 +37,12 @@ completed_checkpoint`) drains all shards and gathers their per-shard
 state, so exactly-once snapshots and replay recovery work across
 processes.
 
+The pool's size is fixed when it starts, as the paper runs a job at a
+fixed parallelism.  A worker that dies — found by a failed send, or
+sooner by the optional liveness monitor — is not replaced alone:
+recovery terminates the pool, starts a fresh one of the same size, and
+restores the last checkpoint into it shard by shard.
+
 The module is engine-agnostic: what runs inside a worker is produced by
 a picklable *program factory* (see
 :class:`repro.core.parallel_engine.AStreamShardFactory` for the AStream
@@ -274,7 +280,6 @@ class ProcessShardPool:
         self._failures: List[WorkerFailure] = []
         self._failures_lock = threading.Lock()
         self._monitor_stop = threading.Event()
-        self._monitor_quiesced = False
         self._monitor_thread: Optional[threading.Thread] = None
         self._handles: List[_WorkerHandle] = [
             self._spawn_handle(shard, workers) for shard in range(workers)
@@ -309,14 +314,14 @@ class ProcessShardPool:
 
     def _monitor_loop(self) -> None:
         while not self._monitor_stop.wait(self.heartbeat_interval_s):
-            if self._closed or self._monitor_quiesced:
+            if self._closed:
                 continue
             self._probe_once()
 
     def _probe_once(self) -> None:
         """One heartbeat round: detect exits, escalate wedged workers."""
         now = time.monotonic()
-        for shard, handle in enumerate(list(self._handles)):
+        for shard, handle in enumerate(self._handles):
             if not handle.alive:
                 continue
             process = handle.process
@@ -501,69 +506,6 @@ class ProcessShardPool:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def resize(self, new_workers: int) -> None:
-        """Replace the worker set with ``new_workers`` fresh shards.
-
-        Transport-level only: the caller is responsible for having
-        drained and exported shard state first, and for restoring the
-        re-split state into the new workers afterwards (see
-        :meth:`ShardedRuntime.begin_resize`).  The pool object survives
-        — delivery/telemetry callbacks, op counting, and the liveness
-        monitor carry over to the new worker set.
-        """
-        if new_workers < 1:
-            raise ValueError(f"need at least one worker, got {new_workers}")
-        if self._closed:
-            raise RuntimeError("cannot resize a closed pool")
-        self._monitor_quiesced = True
-        try:
-            old_handles = self._handles
-            for shard, handle in enumerate(old_handles):
-                self._close_handle(shard, handle)
-            self.workers = new_workers
-            self._handles = [
-                self._spawn_handle(shard, new_workers)
-                for shard in range(new_workers)
-            ]
-        finally:
-            self._monitor_quiesced = False
-
-    def _close_handle(
-        self, shard: int, handle: _WorkerHandle, join_timeout: float = 5.0
-    ) -> None:
-        """Gracefully retire one worker: close op, drain acks, join."""
-        if handle.alive:
-            try:
-                frame = handle.buffer + [("close",)]
-                handle.buffer = []
-                handle.buffered_records = 0
-                handle.conn.send_bytes(
-                    pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL)
-                )
-                outstanding = handle.outstanding + 1
-                while outstanding:
-                    payload = handle.conn.recv_bytes()
-                    outstanding -= 1
-                    _replies, deliveries, obs, _error = pickle.loads(payload)
-                    if self.on_deliver is not None:
-                        for query_id, timestamp in deliveries:
-                            self.on_deliver(query_id, timestamp)
-                    if obs is not None and self.on_obs is not None:
-                        self.on_obs(shard, obs)
-            except (BrokenPipeError, EOFError, OSError):
-                pass
-        handle.alive = False
-        handle.outstanding = 0
-        if handle.process.is_alive():
-            handle.process.join(timeout=join_timeout)
-            if handle.process.is_alive():
-                handle.process.kill()
-                handle.process.join(timeout=join_timeout)
-        try:
-            handle.conn.close()
-        except OSError:
-            pass
-
     def _stop_monitor(self) -> None:
         self._monitor_stop.set()
         thread = self._monitor_thread
@@ -643,47 +585,23 @@ class ShardedRuntime(ExecutionBackend):
     barriers) are broadcast to every shard in FIFO op order, preserving
     the alignment semantics of the in-process path.
 
-    Elastic resize (ISSUE 6): :meth:`begin_resize` exports every shard's
-    state, re-splits it through the injected ``repartitioner`` (key-aware
-    code lives above this substrate — see ``repro.core.migration``),
-    replaces the worker set, and marks every new shard *pending*.
-    Ingest continues: ops destined for a pending shard are buffered in
-    FIFO order and replayed — after the shard's re-split state and the
-    caller-supplied replay prefix (watermark re-injection) — when
-    :meth:`migration_step` restores it.  Synchronous collectives finish
-    the migration first, so snapshots, result merges, and drains always
-    observe a fully consistent pool.
+    The shard count is fixed for the pool's lifetime: recovery replaces
+    the pool with a fresh one of the same size.
     """
 
-    def __init__(
-        self,
-        pool: ProcessShardPool,
-        repartitioner: Optional[Callable[[List[Any], int], List[Any]]] = None,
-    ) -> None:
+    def __init__(self, pool: ProcessShardPool) -> None:
         self.pool = pool
         self._shards = pool.workers
-        self.repartitioner = repartitioner
-        """Re-splits per-shard state payloads for a new shard count."""
-        self._pending: List[int] = []
-        self._pending_states: Dict[int, Any] = {}
-        self._buffers: Dict[int, List[Tuple[Op, int]]] = {}
-        self._replay_prefix: List[Tuple[str, StreamElement]] = []
-        self.migrations_completed = 0
-        self.migration_records_buffered = 0
 
     # -- data path ---------------------------------------------------------
 
     def push(self, source_name: str, element: StreamElement) -> None:
-        """Route one element: records to their key shard, control to all.
-
-        While a migration is in flight :meth:`_submit` buffers the ops of
-        shards still awaiting their state.
-        """
+        """Route one element: records to their key shard, control to all."""
         if isinstance(element, Record):
             element = RecordBatch([element])
         if not isinstance(element, RecordBatch):
             for shard in range(self._shards):
-                self._submit(shard, ("push", source_name, element))
+                self.pool.submit(shard, ("push", source_name, element))
             return
         # A wire trace context rides as an optional 4th op element so
         # untraced frames keep the 3-tuple shape (and its pickles).
@@ -703,92 +621,14 @@ class ShardedRuntime(ExecutionBackend):
                 if trace is None
                 else ("batch", source_name, bucket, trace)
             )
-            self._submit(shard, op, records=len(bucket))
-
-    def _submit(self, shard: int, op: Op, records: int = 1) -> None:
-        if shard in self._pending_states:
-            self._buffers[shard].append((op, records))
-            self.migration_records_buffered += records
-        else:
-            self.pool.submit(shard, op, records=records)
-
-    # -- elastic resize ----------------------------------------------------
-
-    @property
-    def migration_active(self) -> bool:
-        """True while any shard still awaits its re-split state."""
-        return bool(self._pending_states)
-
-    def begin_resize(
-        self,
-        new_workers: int,
-        replay_prefix: Optional[List[Tuple[str, StreamElement]]] = None,
-    ) -> None:
-        """Export, re-split, and swap the worker set without losing state.
-
-        ``replay_prefix`` is pushed to each shard right after its state
-        restore and before any buffered ops — the engine passes its
-        per-stream watermark re-injection here, mirroring what
-        checkpoint recovery does, because watermark progress is not part
-        of operator snapshots.
-        """
-        if self.repartitioner is None:
-            raise RuntimeError("runtime has no repartitioner; cannot resize")
-        self.finish_migration()
-        donor_states = self.pool.sync(("export",))
-        new_states = self.repartitioner(donor_states, new_workers)
-        self.pool.resize(new_workers)
-        self._shards = new_workers
-        self._pending = list(range(new_workers))
-        self._pending_states = dict(enumerate(new_states))
-        self._buffers = {shard: [] for shard in range(new_workers)}
-        self._replay_prefix = list(replay_prefix or [])
-        # Results moved between shards: poke the op counter so cached
-        # coordinator-side merges are recognised as stale.
-        self.pool.op_count += 1
-
-    def migration_step(self) -> bool:
-        """Restore one pending shard and replay its buffered ops.
-
-        Returns True when a shard was migrated, False when no migration
-        is in flight.  Incremental stepping keeps each ingest pause
-        bounded by one shard's state size instead of the whole pool's.
-        """
-        if not self._pending:
-            return False
-        shard = self._pending.pop(0)
-        state = self._pending_states.pop(shard)
-        self.pool.sync_one(shard, ("restore", state))
-        for source_name, element in self._replay_prefix:
-            self.pool.submit(shard, ("push", source_name, element))
-        for op, records in self._buffers.pop(shard):
-            self.pool.submit(shard, op, records=records)
-        if not self._pending:
-            self._replay_prefix = []
-            self.migrations_completed += 1
-        return True
-
-    def finish_migration(self) -> None:
-        """Drive any in-flight migration to completion."""
-        while self.migration_step():
-            pass
+            self.pool.submit(shard, op, records=len(bucket))
 
     def close(self) -> None:
         """Flush everything and shut the worker pool down."""
-        self.finish_migration()
         self.pool.close()
 
     def terminate(self) -> None:
-        """Hard-stop the pool (used when recovery replaces the runtime).
-
-        An in-flight migration is abandoned: buffered ops are dropped
-        because the records also live in the coordinator's input log,
-        which recovery replays.
-        """
-        self._pending = []
-        self._pending_states = {}
-        self._buffers = {}
-        self._replay_prefix = []
+        """Hard-stop the pool (used when recovery replaces the runtime)."""
         self.pool.terminate()
 
     # -- checkpointing -----------------------------------------------------
@@ -802,7 +642,6 @@ class ShardedRuntime(ExecutionBackend):
         snapshot.  Returns ``None`` if any shard has no completed
         snapshot for ``checkpoint_id``.
         """
-        self.finish_migration()
         states = self.pool.sync(("snapshot", checkpoint_id))
         if any(state is None or state.get("runtime") is None for state in states):
             return None
@@ -811,22 +650,15 @@ class ShardedRuntime(ExecutionBackend):
     def restore_checkpoint(self, snapshot: Dict) -> None:
         """Ship each shard's state back to its (fresh) worker.
 
-        A snapshot taken at a different shard count is re-split through
-        the repartitioner (when configured), so recovery after a resize
-        — or into a resized pool — restores the same keyed state under
-        the new hash modulus.
+        The snapshot must have been taken at this pool's shard count.
         """
-        self.finish_migration()
         states = unpack_shard_states(snapshot)
         if states is None:
             raise ValueError("not a sharded checkpoint snapshot")
         if len(states) != self._shards:
-            if self.repartitioner is None:
-                raise ValueError(
-                    f"snapshot has {len(states)} shards, pool has "
-                    f"{self._shards}"
-                )
-            states = self.repartitioner(states, self._shards)
+            raise ValueError(
+                f"snapshot has {len(states)} shards, pool has {self._shards}"
+            )
         for shard, state in enumerate(states):
             self.pool.sync_one(shard, ("restore", state))
 
@@ -834,7 +666,6 @@ class ShardedRuntime(ExecutionBackend):
 
     def records_processed(self) -> Dict[str, int]:
         """Records processed per vertex, summed across shards."""
-        self.finish_migration()
         totals: Dict[str, int] = {}
         for stats in self.pool.sync(("stats",)):
             for vertex, count in stats.get("records_processed", {}).items():
@@ -843,15 +674,12 @@ class ShardedRuntime(ExecutionBackend):
 
     def collect_channels(self) -> List[dict]:
         """Every shard's ``QueryChannels`` snapshot (for result merging)."""
-        self.finish_migration()
         return self.pool.sync(("collect",))
 
     def collect_stats(self) -> List[dict]:
         """Every shard's raw stats reply."""
-        self.finish_migration()
         return self.pool.sync(("stats",))
 
     def drain(self) -> None:
         """Block until every shard applied everything submitted so far."""
-        self.finish_migration()
         self.pool.drain()

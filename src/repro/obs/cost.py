@@ -24,19 +24,7 @@ sum, keyed by stream + member set), mirroring ``sharing_summary()``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
-
-
-def slots_of(mask: int) -> List[int]:
-    """Set-bit positions of a slot bitmask, ascending."""
-    out: List[int] = []
-    slot = 0
-    while mask:
-        if mask & 1:
-            out.append(slot)
-        mask >>= 1
-        slot += 1
-    return out
+from typing import Dict, Iterable, List, Optional
 
 
 def attribute_costs(total_ns: int, profile: Dict) -> Dict[str, object]:

@@ -50,8 +50,6 @@ HELP_TEXT: Dict[str, str] = {
     "serve_dead_lettered": "Records dead-lettered since server start",
     "serve_recoveries": "Engine recoveries performed by the serving gate",
     "serve_worker_failures": "Worker deaths surfaced by liveness probing",
-    "migrations": "Live shard-pool resizes started",
-    "migration_pause_ms": "Ingest pause per migration phase (export/step)",
     "worker_failures": "Proactively detected worker deaths, by reason",
     "mttr_ms": "Supervised mean-time-to-recovery distribution",
     "serve_wire_e2e_ms": "Wire-to-delivery latency of trace-stamped pushes",
@@ -65,8 +63,8 @@ HELP_TEXT: Dict[str, str] = {
     "query_cost_ns": "Attributed engine CPU per query (shared work split)",
     "engine_cpu_ns": "Measured engine CPU consumed by the data path",
 }
-"""# HELP text for degradation-visibility metrics (ISSUE 6): operators
-should be able to *see* recoveries, migrations, and dead-letters in the
+"""# HELP text for degradation-visibility metrics: operators should be
+able to *see* recoveries, worker failures and dead-letters in the
 exposition, not infer them from throughput dips."""
 
 

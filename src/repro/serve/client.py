@@ -506,16 +506,6 @@ class _ClientAPI:
         op = self._core.control("chaos", op="kill_worker", shard=shard)
         return self._call(op)
 
-    def resize(self, workers: int) -> ControlResult:
-        """Start a live worker-pool resize (process backend).
-
-        Returns once the migration has begun; the server's ticker
-        completes the per-shard restores while ingest keeps flowing.
-        The reply's ``raw["migration_active"]`` reports whether shards
-        are still pending.
-        """
-        return self._call(self._core.control("resize", workers=workers))
-
     def drain(self, checkpoint: Optional[bool] = None) -> ControlResult:
         """Settle all in-flight work server-side (optionally checkpoint)."""
         return self._call(self._core.control("drain", checkpoint=checkpoint))

@@ -30,8 +30,13 @@ supervises worker recovery.  Plane by plane:
   the tick (held leftovers, congested connections, poll mode), on
   ``drain`` and on ``stop``;
 * **ops** — ``stats`` / ``obs_snapshot`` frames, Prometheus exposition,
-  chaos/resize hooks, the tick's elasticity duties, and a drain that
-  checkpoints the engine before exit.
+  the ``chaos`` kill hook, the tick's supervision duties, and a drain
+  that checkpoints the engine before exit.
+
+The process backend's worker pool keeps the size it starts with
+(``ServeConfig.workers``): a dead worker — found by a failed send, or
+by the liveness probe on the tick — is recovered by rebuilding the
+whole pool at that size from the last checkpoint and the input log.
 """
 
 from __future__ import annotations
@@ -116,8 +121,7 @@ applied to the offending query; also the QoS violation line."""
 
 _SEQUENCED = frozenset({
     "create_query", "delete_query", "subscribe", "unsubscribe",
-    "fetch_results", "stats", "obs_snapshot", "chaos", "resize", "drain",
-    "shutdown",
+    "fetch_results", "stats", "obs_snapshot", "chaos", "drain", "shutdown",
 })
 """Frame kinds carrying a client ``seq``: answered once, replayed from
 the session's idempotency cache on a resubmission."""
@@ -306,7 +310,6 @@ class ServerCore:
             "stats": self._stats,
             "obs_snapshot": self._obs_snapshot,
             "chaos": self._chaos,
-            "resize": self._resize,
             "drain": self._drain,
             "shutdown": self._shutdown,
         }
@@ -413,7 +416,7 @@ class ServerCore:
 
     def tick(self, now: int, congested: Collection[Conn] = ()) -> List[Effect]:
         """The timer: session timeout flushes, deferred admissions and
-        their ``query_event`` announcements, elasticity duties, then one
+        their ``query_event`` announcements, supervision duties, then one
         ``result`` frame per subscription — skipping the ``congested``
         connections (and so does every push's and watermark's flush until
         the next tick), whose results keep buffering (and eventually
@@ -427,7 +430,7 @@ class ServerCore:
                 with self.gate.locked():
                     if self.admission.retry_deferred(now):
                         self._applied(self.engine.flush_session(now))
-            self._elasticity_tick()
+            self._supervision_tick()
             with self.gate.locked():
                 self.hub.poll()
             self._flush(force=False)
@@ -536,27 +539,20 @@ class ServerCore:
         )
         logger.info("flight record written: %s", sorted(paths.values()))
 
-    def _elasticity_tick(self) -> None:
-        """Per-tick elasticity duties (process backend only): drive one
-        in-flight migration step, drain liveness-detected worker deaths
-        into a gate-bookkept recovery, and retry dead-lettered pushes."""
+    def _supervision_tick(self) -> None:
+        """Per-tick supervision duties (process backend only): drain
+        liveness-detected worker deaths into a gate-bookkept recovery,
+        and retry dead-lettered pushes."""
         pool = self.pool
         if pool is None:
             return
         with self.gate.locked():
-            if pool.migration_active:
-                # One shard per tick keeps ticks short; the remaining
-                # shards keep buffering their ops in order.
-                pool.migration_step()
             failures = pool.poll_worker_failures()
             if failures:
                 self.registry.counter("serve_worker_failures").inc(
                     len(failures)
                 )
-                if (
-                    not pool.migration_active
-                    and pool.alive_workers < pool.workers
-                ):
+                if pool.alive_workers < pool.workers:
                     # Proactive recovery: the idle death was found by the
                     # heartbeat probe, not by a failed send — recover now
                     # so detection latency bounds repair latency.
@@ -1095,7 +1091,7 @@ class ServerCore:
         if pool is not None:
             stats["workers"] = pool.workers
             stats["alive_workers"] = pool.alive_workers
-            stats.update(pool.migration_counters())
+            stats.update(pool.worker_failure_counters())
         return {
             "t": "ack", "seq": frame["seq"], "status": "ok", "stats": stats
         }
@@ -1138,28 +1134,6 @@ class ServerCore:
             "t": "ack", "seq": frame["seq"], "status": "ok", "shard": shard
         }
 
-    def _resize(self, conn: Conn, frame: Frame) -> Frame:
-        if self.pool is None:
-            raise ProtocolError(
-                "unsupported", "resize needs the process backend"
-            )
-        workers = int(frame.get("workers", 0))
-        if workers < 1:
-            raise ProtocolError(
-                "bad_resize", f"need at least one worker, got {workers}"
-            )
-        # Start the live migration under the gate; the tick drives the
-        # per-shard restore steps so ingest keeps flowing meanwhile.
-        self.gate.call(self.pool.begin_resize, workers)
-        self.registry.counter("serve_resizes").inc()
-        return {
-            "t": "ack",
-            "seq": frame["seq"],
-            "status": "ok",
-            "workers": workers,
-            "migration_active": self.pool.migration_active,
-        }
-
     def _drain(self, conn: Conn, frame: Frame) -> Frame:
         checkpoint = bool(frame.get("checkpoint", True))
         with self.gate.locked():
@@ -1193,12 +1167,9 @@ class ServerCore:
         }
         pool = self.pool
         if pool is not None:
-            counters = pool.migration_counters()
             gauges.update(
                 serve_workers=pool.workers,
                 serve_alive_workers=pool.alive_workers,
-                serve_migrations=counters["migrations"],
-                serve_migration_active=int(counters["migration_active"]),
             )
         for name, value in gauges.items():
             self.registry.gauge(name, merge="max").set(value)

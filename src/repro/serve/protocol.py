@@ -43,7 +43,6 @@ Frame catalogue (client → server unless noted)::
     stats         {t, seq}
     obs_snapshot  {t, seq}
     chaos         {t, seq, op, shard?}
-    resize        {t, seq, workers}
     drain         {t, seq, checkpoint?}
     shutdown      {t, seq}
     ping          {t} / pong {t}                            (both ways)
@@ -123,7 +122,6 @@ FRAME_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     "stats": ("seq",),
     "obs_snapshot": ("seq",),
     "chaos": ("seq", "op"),
-    "resize": ("seq", "workers"),
     "drain": ("seq",),
     "shutdown": ("seq",),
     "ping": (),

@@ -36,7 +36,7 @@ logger = logging.getLogger("repro.serve.server")
 
 TICK_INTERVAL_MS = 20
 """Ticker cadence: session timeout flushes, deferred admission retries,
-elasticity duties, and the upper bound on a result's wait — for held
+worker supervision, and the upper bound on a result's wait — for held
 leftovers, congested connections and poll mode (a push or watermark
 flushes what it made at once)."""
 

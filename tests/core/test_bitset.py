@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.bitset import QuerySet, extend_mask
+from repro.core.bitset import QuerySet, extend_mask, iter_slots
 
 slot_sets = st.sets(st.integers(min_value=0, max_value=63), max_size=16)
 
@@ -84,6 +84,18 @@ class TestIteration:
 
     def test_count_matches_popcount(self):
         assert QuerySet.of(0, 7, 63).count() == 3
+
+    @given(
+        st.one_of(
+            st.just(0),
+            st.integers(min_value=0, max_value=200).map(lambda slot: 1 << slot),
+            st.integers(min_value=0, max_value=(1 << 200) - 1),
+        )
+    )
+    def test_iter_slots_matches_a_per_bit_walk(self, bits):
+        naive = [slot for slot in range(bits.bit_length()) if bits >> slot & 1]
+        assert list(iter_slots(bits)) == naive
+        assert QuerySet(bits).slots() == naive
 
 
 class TestProperties:

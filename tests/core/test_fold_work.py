@@ -20,9 +20,8 @@ These tests count the work directly:
   changelogs inside the retention horizon;
 * the derived fold state (per-spec slot masks, the session mask, the
   window-length multiset, the segment layouts) is rebuilt on restore
-  and after a migration split, and stays out of the snapshot; the
-  snapshot and each split part carry exactly the listed keys, so
-  nothing extra rides a checkpoint or a migration unnoticed.
+  and stays out of the snapshot; the snapshot carries exactly the
+  listed keys, so nothing extra rides a checkpoint unnoticed.
 """
 
 import random
@@ -31,7 +30,6 @@ import pytest
 from typing import Dict, List
 
 from repro.core.changelog import Changelog, QueryActivation, QueryDeactivation
-from repro.core.migration import _split_agg_state
 from repro.core.query import (
     AggregationKind,
     AggregationQuery,
@@ -635,8 +633,7 @@ def test_a_late_record_replays_no_changelog_behind_the_horizon():
     assert late_replays <= 200 + late_records * 12
 
 
-# The aggregation snapshot's top-level keys, also those of every
-# migration split part.
+# The aggregation snapshot's top-level keys.
 SNAPSHOT_KEYS = {
     "slicer", "slices", "changelogs", "specs", "subscribed",
     "session_specs", "session_state",
@@ -705,7 +702,7 @@ def _churned_operator() -> SharedAggregationOperator:
     return operator
 
 
-def test_fold_state_is_rebuilt_on_restore_and_split():
+def test_fold_state_is_rebuilt_on_restore():
     built = _churned_operator()
     masks: Dict[AggregationSpec, int] = {}
     for slot, spec in built._specs.items():
@@ -728,14 +725,6 @@ def test_fold_state_is_rebuilt_on_restore_and_split():
     restored.restore(snapshot)
     assert _fold_state(restored) == _fold_state(built)
     assert _layouts(restored) == _layouts(built)
-    for part in _split_agg_state([snapshot], 2):
-        assert set(part) == SNAPSHOT_KEYS
-        split = _operator()
-        split.restore(part)
-        assert _fold_state(split) == _fold_state(built)
-        shapes = _layouts(split)
-        assert set(shapes) == {slice_.epoch for slice_ in split._slices}
-        assert shapes == {epoch: _layouts(built)[epoch] for epoch in shapes}
 
 
 def test_slicer_state_from_an_older_checkpoint_rebuilds_the_maximum():

@@ -155,7 +155,7 @@ class TestSupervisedWorkerDeath:
             assert supervisor.recovery_count == 1
             assert supervisor.mean_mttr_ms == event.mttr_ms
             assert engine.alive_workers == 2  # recovery rebuilt the pool
-            counters = engine.migration_counters()
+            counters = engine.worker_failure_counters()
             assert counters["worker_failures_by_reason"] == {"exit": 1}
             # The replayed engine still answers data-path calls.
             engine.push("A", 2_000, {"v": 99})

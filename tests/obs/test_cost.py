@@ -9,20 +9,22 @@ the coordinator resolves them to query ids.
 
 import pytest
 
+from repro.core.bitset import iter_slots
 from repro.obs.cost import (
     attribute_costs,
     cost_summary,
     merge_cost_profiles,
-    slots_of,
 )
 
 
 class TestSlotsOf:
+    """A raw profile's slot mask resolves through ``iter_slots``."""
+
     def test_bit_positions(self):
-        assert slots_of(0) == []
-        assert slots_of(0b1) == [0]
-        assert slots_of(0b1010) == [1, 3]
-        assert slots_of(1 << 63) == [63]
+        assert list(iter_slots(0)) == []
+        assert list(iter_slots(0b1)) == [0]
+        assert list(iter_slots(0b1010)) == [1, 3]
+        assert list(iter_slots(1 << 63)) == [63]
 
 
 def _profile(entries, unattributed=0.0):
@@ -155,7 +157,7 @@ class TestMerge:
                 "A": [
                     {
                         "kind": entry["kind"],
-                        "queries": [f"q{s}" for s in slots_of(entry["slots"])],
+                        "queries": [f"q{s}" for s in iter_slots(entry["slots"])],
                         "evaluations": entry["evaluations"],
                     }
                     for entry in merged["streams"]["A"]

@@ -287,6 +287,20 @@ class TestMalformedFramesOnLiveConnection:
         assert stats["sessions_connected"] == 1
         client.close()
 
+    def test_resize_frame_is_an_unknown_frame(self, make_server):
+        # The process backend's pool keeps the size it starts with: a
+        # ``resize`` frame is answered like any frame kind the protocol
+        # does not define, and the pool is left as it was.
+        handle = make_server(backend="process", workers=2)
+        client = ServeClient("127.0.0.1", handle.port, client_id="resize")
+        write_frame_sock(client._sock, {"t": "resize", "seq": 99, "workers": 4})
+        reply = read_frame_sock(client._sock)
+        assert reply["t"] == "error"
+        assert reply["code"] == "unknown_frame"
+        stats = client.stats()
+        assert stats["workers"] == stats["alive_workers"] == 2
+        client.close()
+
     def test_oversized_frame_is_answered_and_survivable(self, make_server):
         handle = make_server()
         client = ServeClient("127.0.0.1", handle.port, client_id="big")

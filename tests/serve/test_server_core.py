@@ -243,7 +243,7 @@ class TestCorePin:
     def test_every_frame_kind_is_dispatched_from_one_table(self, make_pipe):
         accepted = set(make_pipe().server._handlers)
         sequenced = core_module._SEQUENCED
-        assert len(sequenced) == 11
+        assert len(sequenced) == 10
         assert accepted == {"hello", "ping", "push", "watermark"} | sequenced
         assert accepted <= set(FRAME_SCHEMAS)
 

@@ -180,7 +180,6 @@ class TestRequestBuilders:
             api.stats(),
             api.obs_snapshot(),
             api.chaos_kill_worker(),
-            api.resize(2),
             api.drain(),
             api.shutdown(),
             api.ping(),
@@ -190,12 +189,12 @@ class TestRequestBuilders:
         kinds = [_decode(op.raw)["t"] for op in ops]  # decode validates
         assert kinds == [
             "create_query", "delete_query", "subscribe", "unsubscribe",
-            "fetch_results", "stats", "obs_snapshot", "chaos", "resize",
-            "drain", "shutdown", "ping", "watermark", "push",
+            "fetch_results", "stats", "obs_snapshot", "chaos", "drain",
+            "shutdown", "ping", "watermark", "push",
         ]
-        assert [op.frame.get("seq") for op in ops[:11]] == list(range(1, 12))
-        assert all("seq" not in op.frame for op in ops[11:])
-        assert ops[12].finish is None  # watermark: nothing to wait for
+        assert [op.frame.get("seq") for op in ops[:10]] == list(range(1, 11))
+        assert all("seq" not in op.frame for op in ops[10:])
+        assert ops[11].finish is None  # watermark: nothing to wait for
 
     def test_create_query_wants_exactly_one_of_query_and_sql(self):
         api = Recorder(_core()[0])
